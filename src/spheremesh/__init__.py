@@ -38,10 +38,10 @@ from .projections import (
     proj_south,
 )
 from .fileio import read_cloud, read_map, read_mesh, write_cloud, write_map, write_mesh
-from .hull import convex_hull
 from .mesh import SurfaceMesh
 from .meshing import (
     SphereInterpolator,
+    convex_hull,
     cube_sphere,
     icosphere,
     induce_mesh,

@@ -5,14 +5,42 @@ representations.
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import MeshError
-from .hull import convex_hull
 from .mesh import SurfaceMesh
 
 _BARY_TOL = 1e-10
 _VERTEX_SNAP = 1e-12
+_DEGENERATE = ("coincide", "collinear", "coplanar")  # by rank of the point set
+
+
+def convex_hull(points):
+    """Faces of the convex hull (qhull), counterclockwise seen from outside.
+
+    Points strictly inside the hull, or on a facet without being one of
+    its corners, are left out of the faces.  Raises MeshError for fewer
+    than 4 points or a coincident, collinear or coplanar point set.
+    """
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    if n < 4:
+        raise MeshError(f"convex hull needs at least 4 points, got {n}")
+    try:
+        hull = ConvexHull(pts)
+    except QhullError as exc:
+        rank = np.linalg.matrix_rank(pts - pts[0])
+        if rank < 3:
+            raise MeshError(
+                f"degenerate point set: all points {_DEGENERATE[rank]}"
+            ) from exc
+        raise MeshError(f"qhull failed: {exc}") from exc
+    faces = hull.simplices.astype(np.intp)
+    corners = pts[faces]
+    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    inward = np.einsum("ij,ij->i", normals, hull.equations[:, :3]) < 0
+    faces[inward] = faces[inward, ::-1]
+    return faces
 
 
 def spherical_delaunay(points):

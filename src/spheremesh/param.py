@@ -17,8 +17,8 @@ import numpy as np
 
 from .cloud import PointCloud, build_frames, build_index
 from .errors import PipelineError, SphereMeshError
-from .hull import convex_hull
 from .laplacian import DEFAULT_K, assemble_lb_from_frames
+from .meshing import spherical_delaunay
 from .projections import inv_north, inv_south, is_infinite, proj_north, proj_south
 from .solve import ConstrainedSystem, solve
 from .weights import Weight
@@ -299,9 +299,10 @@ def _fix_orientation(images, points):
     connectivity with reversed winding is the mirrored hull exactly).
 
     Returns the corrected images plus the hull faces, so the meshing
-    layer can reuse the triangulation instead of rebuilding it.
+    layer can reuse the triangulation instead of rebuilding it.  Raises
+    MeshError when the hull leaves out an image.
     """
-    faces = convex_hull(images)
+    faces = spherical_delaunay(images).faces
     v = points - points.mean(axis=0)
     volume = np.einsum(
         "ij,ij->i", v[faces[:, 0]], np.cross(v[faces[:, 1]], v[faces[:, 2]])

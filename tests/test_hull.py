@@ -59,6 +59,14 @@ class TestConvexHull:
             assert len(np.unique(faces)) == n
             mesh.validate_closed_genus0()
 
+    def test_off_origin_sphere_outward(self):
+        pts = uniform_sphere(200, seed=5) * 3.0 + np.array([10.0, -5.0, 2.0])
+        faces = convex_hull(pts)
+        mesh = SurfaceMesh(pts, faces)
+        assert mesh.signed_volume() > 0
+        assert mesh.is_oriented()
+        assert empty_halfspace_violations(pts, faces) == 0
+
     def test_interior_points_absorbed(self):
         pts = np.vstack([uniform_sphere(40, seed=9), [[0.0, 0.0, 0.0]]])
         faces = convex_hull(pts)
@@ -84,8 +92,8 @@ class TestConvexHull:
             convex_hull(np.column_stack([t, t, t]))
 
     def test_crowded_cap(self):
-        # dense cluster near a pole plus sparse cover: the conflict-graph
-        # invariants must survive near-coplanar crowding
+        # dense cluster near a pole plus sparse cover: the hull must stay
+        # closed, oriented and empty under near-coplanar crowding
         rng = np.random.default_rng(12)
         cap = rng.normal(size=(400, 3)) * np.array([1e-4, 1e-4, 1e-4])
         cap[:, 2] = 1.0

@@ -51,6 +51,11 @@ class TestSphericalDelaunay:
         with pytest.raises(MeshError, match="unit sphere"):
             spherical_delaunay(2.0 * uniform_sphere(10, seed=0))
 
+    def test_duplicate_point_absorbed(self):
+        pts = uniform_sphere(200, seed=4)
+        with pytest.raises(MeshError, match="absorbed"):
+            spherical_delaunay(np.vstack([pts, pts[:1]]))
+
     def test_random_all_vertices_used(self):
         pts = uniform_sphere(500, seed=1)
         mesh = spherical_delaunay(pts)

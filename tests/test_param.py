@@ -290,6 +290,15 @@ class TestParameterize:
         with pytest.raises(PipelineError, match="input validation"):
             parameterize(PointCloud(pts))
 
+    def test_absorbed_images_fail_at_orientation_fix(self):
+        # an 8:1 ellipsoid crowds images so closely that the hull leaves
+        # some out; the map must fail in its own stage, not in induce_mesh
+        from spheremesh.synth import ellipsoid_cloud
+
+        with pytest.raises(PipelineError, match="absorbed") as info:
+            parameterize(ellipsoid_cloud(1500, (8, 1, 1), seed=8))
+        assert info.value.stage == "orientation fix"
+
     def test_ellipsoid_converges_within_50(self):
         pts = uniform_sphere(5000, seed=13) * np.array([2.0, 1.0, 1.0])
         m = parameterize(PointCloud(pts))
