@@ -56,16 +56,24 @@ class SurfaceMesh:
         return self.n_vertices - len(self.edges()) + self.n_faces
 
     def edge_face_incidence(self):
-        """Map sorted edge tuple -> list of (face id, corner position)."""
-        inc = {}
+        """Undirected edge ids of the face sides, and faces per edge.
+
+        Returns ``(edge_of, counts)``.  ``edge_of[f, e]`` is the id of
+        the edge from corner e to corner e + 1 of face f; ids number the
+        edges by first occurrence in (face, corner) order.  ``counts[i]``
+        is the number of face sides on edge i: 2 on a closed mesh, 1 on
+        the boundary of an open one.
+        """
         f = self.faces
-        arity = self.arity
-        for fid in range(self.n_faces):
-            for e in range(arity):
-                a, b = f[fid, e], f[fid, (e + 1) % arity]
-                key = (a, b) if a < b else (b, a)
-                inc.setdefault(key, []).append((fid, e))
-        return inc
+        a, b = f.ravel(), np.roll(f, -1, axis=1).ravel()
+        keys = np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
+        _, first, inverse, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return rank[inverse].reshape(f.shape), counts[order]
 
     def is_closed(self):
         """Every undirected edge has exactly two incident faces."""

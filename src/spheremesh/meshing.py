@@ -12,6 +12,7 @@ from .mesh import SurfaceMesh
 
 _BARY_TOL = 1e-10
 _VERTEX_SNAP = 1e-12
+_CHUNK = 1024  # samples per batched locate step; bounds its temporaries
 _DEGENERATE = ("coincide", "collinear", "coplanar")  # by rank of the point set
 
 
@@ -89,14 +90,20 @@ class SphereInterpolator:
     """Maps unit-sphere samples to cloud-space positions.
 
     A sample direction is located on the parameterization's spherical
-    Delaunay hull (central ray against the candidate faces nearest by
-    centroid direction, falling back to a full scan), and its
-    barycentric weights transfer to the corresponding original cloud
-    points.  Samples that defeat the strict test numerically are
-    snapped to the least-violating face and counted in ``snapped``.
+    Delaunay hull by its central ray, and its barycentric weights
+    transfer to the corresponding original cloud points.  Samples go in
+    chunks of ``_CHUNK``: one k-d tree query finds each sample's
+    ``candidates`` faces nearest by centroid direction, and one array
+    test of the chunk against them takes, per sample, the first hit in
+    candidate order.  A sample that hits none of its candidates falls
+    back to a scan of all faces (first hit in face-id order); one that
+    defeats the strict test numerically there too is snapped to the
+    least-violating face and counted in ``snapped``.
     """
 
     def __init__(self, sphere_map, candidates=16):
+        if candidates < 1:
+            raise MeshError(f"candidates must be at least 1, got {candidates}")
         self.images = np.asarray(sphere_map.images, dtype=np.float64)
         self.cloud_points = sphere_map.cloud.points
         self.mesh = sphere_triangulation(sphere_map)
@@ -114,32 +121,25 @@ class SphereInterpolator:
         self._offsets = np.einsum("ij,ij->i", self._normals, a)
 
     def _bary(self, face_ids, x):
-        """Barycentric coordinates of plane points x in the given faces."""
-        a = self._corners[face_ids, 0]
-        b = self._corners[face_ids, 1]
-        c = self._corners[face_ids, 2]
+        """Barycentric coordinates of plane points x (..., 3) in the
+        faces face_ids (...)."""
+        corners = self._corners[face_ids]
+        a, b, c = corners[..., 0, :], corners[..., 1, :], corners[..., 2, :]
         n = self._normals[face_ids]
         nn = self._nn[face_ids]
-        beta = np.einsum("ij,ij->i", np.cross(x - a, c - a), n) / nn
-        gamma = np.einsum("ij,ij->i", np.cross(b - a, x - a), n) / nn
-        return np.stack([1.0 - beta - gamma, beta, gamma], axis=1)
+        beta = np.einsum("...j,...j->...", np.cross(x - a, c - a), n) / nn
+        gamma = np.einsum("...j,...j->...", np.cross(b - a, x - a), n) / nn
+        return np.stack([1.0 - beta - gamma, beta, gamma], axis=-1)
 
-    def _try_faces(self, face_ids, s):
-        """Ray-from-origin test of one sample against candidate faces;
-        returns (face, bary) or None."""
-        denom = self._normals[face_ids] @ s
+    def _ray_test(self, face_ids, s):
+        """Central rays of samples s (m, 3) against faces face_ids (m, k):
+        returns the (m, k) hit mask and the (m, k, 3) weights."""
+        denom = np.matmul(self._normals[face_ids], s[:, :, None])[..., 0]
         ok = denom > 0
-        if not ok.any():
-            return None
-        face_ids = face_ids[ok]
-        t = self._offsets[face_ids] / denom[ok]
-        x = t[:, None] * s
-        bary = self._bary(face_ids, x)
-        hits = np.flatnonzero((t > 0) & (bary.min(axis=1) >= -_BARY_TOL))
-        if hits.size == 0:
-            return None
-        h = hits[0]
-        return int(face_ids[h]), bary[h]
+        t = self._offsets[face_ids] / np.where(ok, denom, 1.0)
+        bary = self._bary(face_ids, t[..., None] * s[:, None, :])
+        hit = ok & (t > 0) & (bary.min(axis=-1) >= -_BARY_TOL)
+        return hit, bary
 
     def locate(self, samples):
         """(face id, barycentric weights) per unit-sphere sample."""
@@ -147,28 +147,32 @@ class SphereInterpolator:
         s = s / np.linalg.norm(s, axis=1, keepdims=True)
         m = len(s)
         k = min(self.candidates, self.mesh.n_faces)
-        _, cand = self._centroid_tree.query(s, k=k)
-        cand = np.atleast_2d(cand)
         faces_out = np.empty(m, dtype=np.intp)
         bary_out = np.empty((m, 3))
-        all_faces = np.arange(self.mesh.n_faces)
-        for i in range(m):
-            hit = self._try_faces(cand[i], s[i])
-            if hit is None:
-                hit = self._try_faces(all_faces, s[i])
-            if hit is None:
-                hit = self._snap(s[i])
-            faces_out[i], bary_out[i] = hit
+        for lo in range(0, m, _CHUNK):
+            chunk = s[lo:lo + _CHUNK]
+            rows = np.arange(len(chunk))
+            _, cand = self._centroid_tree.query(chunk, k=k)
+            cand = cand.reshape(len(chunk), k)
+            hit, bary = self._ray_test(cand, chunk)
+            first = hit.argmax(axis=1)
+            faces_out[lo:lo + len(chunk)] = cand[rows, first]
+            bary_out[lo:lo + len(chunk)] = bary[rows, first]
+            for i in np.flatnonzero(~hit[rows, first]):
+                faces_out[lo + i], bary_out[lo + i] = self._scan(chunk[i])
         return faces_out, bary_out
 
-    def _snap(self, s):
-        denom = self._normals @ s
-        ok = denom > 0
-        t = np.where(ok, self._offsets / np.where(ok, denom, 1.0), 0.0)
-        x = t[:, None] * s
-        bary = self._bary(np.arange(self.mesh.n_faces), x)
-        worst = bary.min(axis=1)
-        worst[~ok] = -np.inf
+    def _scan(self, s):
+        """Face and weights of one sample from a scan of every face: the
+        first hit in face-id order, else the least-violating face with
+        its weights clamped, counted in ``snapped``."""
+        faces = np.arange(self.mesh.n_faces)[None, :]
+        hit, bary = self._ray_test(faces, s[None, :])
+        hit, bary = hit[0], bary[0]
+        if hit.any():
+            fid = int(hit.argmax())
+            return fid, bary[fid]
+        worst = np.where(self._normals @ s > 0, bary.min(axis=1), -np.inf)
         fid = int(np.argmax(worst))
         clamped = np.clip(bary[fid], 0.0, None)
         self.snapped += 1
@@ -178,16 +182,14 @@ class SphereInterpolator:
         """Cloud-space positions of unit-sphere samples."""
         faces, bary = self.locate(samples)
         verts = self.mesh.faces[faces]
-        # a sample sitting on a parameterization image returns that
-        # cloud point bit-exactly
-        top = bary.argmax(axis=1)
-        exact = bary[np.arange(len(bary)), top] >= 1.0 - _VERTEX_SNAP
         out = np.einsum(
             "ij,ijk->ik", bary, self.cloud_points[verts]
         )
-        if exact.any():
-            rows = np.flatnonzero(exact)
-            out[rows] = self.cloud_points[verts[rows, top[rows]]]
+        # a sample sitting on a parameterization image returns that
+        # cloud point bit-exactly; weights sum to 1 and none is below
+        # -_BARY_TOL, so at most one per sample reaches the snap
+        rows, corner = np.nonzero(bary >= 1.0 - _VERTEX_SNAP)
+        out[rows] = self.cloud_points[verts[rows, corner]]
         return out
 
 
@@ -274,60 +276,64 @@ def icosphere(subdivisions=0):
     )
     mesh = SurfaceMesh(verts, ICOSAHEDRON_FACES)
     for _ in range(subdivisions):
-        mesh = loop_subdivide(mesh)
-        mesh = SurfaceMesh(
-            mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True),
-            mesh.faces,
-        )
+        mesh = _subdivide_sphere(mesh)
     return mesh
 
 
+def _subdivide_sphere(mesh):
+    """One Loop subdivision with the vertices pushed back onto the unit
+    sphere: the step between consecutive icospheres."""
+    mesh = loop_subdivide(mesh)
+    return SurfaceMesh(
+        mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True),
+        mesh.faces,
+    )
+
+
 def loop_subdivide(mesh):
-    """One round of Loop subdivision of a closed triangle mesh."""
+    """One round of Loop subdivision of a closed triangle mesh.
+
+    The smoothed old vertices come first, then one new vertex per edge
+    in edge-id order (``edge_face_incidence``).  Face i splits into new
+    faces 4i .. 4i + 3: its three corner triangles, then the middle one.
+    """
     if mesh.arity != 3:
         raise MeshError("loop subdivision needs a triangle mesh")
     v = mesh.vertices
     f = mesh.faces
-    inc = mesh.edge_face_incidence()
+    edge_of, counts = mesh.edge_face_incidence()
+    if np.any(counts != 2):
+        raise MeshError("loop subdivision needs a closed mesh")
 
-    edge_vertex = {}
-    new_points = []
-    for edge, places in inc.items():
-        if len(places) != 2:
-            raise MeshError("loop subdivision needs a closed mesh")
-        a, b = edge
-        opposite = []
-        for fid, e in places:
-            opposite.append(f[fid, (e + 2) % 3])
-        pos = 0.375 * (v[a] + v[b]) + 0.125 * (
-            v[opposite[0]] + v[opposite[1]]
-        )
-        edge_vertex[edge] = len(v) + len(new_points)
-        new_points.append(pos)
+    # the two face sides of each edge, first occurrence first; the
+    # corner opposite side e of a face is e + 2
+    sides = np.argsort(edge_of.ravel(), kind="stable").reshape(-1, 2)
+    a = f.ravel()[sides[:, 0]]
+    b = np.roll(f, -1, axis=1).ravel()[sides[:, 0]]
+    opposite = np.roll(f, 1, axis=1).ravel()[sides]
+    edge_points = 0.375 * (v[a] + v[b]) + 0.125 * (
+        v[opposite[:, 0]] + v[opposite[:, 1]]
+    )
 
-    # even-vertex smoothing with the valence-dependent beta
-    neighbors = {}
-    for a, b in inc:
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
-    smoothed = np.empty_like(v)
-    for i in range(len(v)):
-        ring = sorted(neighbors[i])
-        n = len(ring)
-        beta = (0.625 - (0.375 + 0.25 * np.cos(2.0 * np.pi / n)) ** 2) / n
-        smoothed[i] = (1.0 - n * beta) * v[i] + beta * v[ring].sum(axis=0)
+    # even-vertex smoothing with the valence-dependent beta; each ring is
+    # summed in ascending neighbor order
+    center = np.concatenate([a, b])
+    ring = np.concatenate([b, a])
+    order = np.lexsort((ring, center))
+    n = np.bincount(center, minlength=len(v))
+    if not n.all():
+        raise MeshError("loop subdivision needs every vertex on a face")
+    ring_sum = np.zeros_like(v)
+    np.add.at(ring_sum, center[order], v[ring[order]])
+    beta = (0.625 - (0.375 + 0.25 * np.cos(2.0 * np.pi / n)) ** 2) / n
+    smoothed = (1.0 - n * beta)[:, None] * v + beta[:, None] * ring_sum
 
-    def mid(a, b):
-        return edge_vertex[(a, b) if a < b else (b, a)]
-
-    new_faces = []
-    for a, b, c in f:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_faces.extend(
-            [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        )
-    all_verts = np.vstack([smoothed, np.array(new_points)])
-    return SurfaceMesh(all_verts, np.array(new_faces, dtype=np.intp))
+    ab, bc, ca = (len(v) + edge_of).T
+    p, q, r = f.T
+    new_faces = np.stack(
+        [p, ab, ca, q, bc, ab, r, ca, bc, ab, bc, ca], axis=1
+    ).reshape(-1, 3)
+    return SurfaceMesh(np.vstack([smoothed, edge_points]), new_faces)
 
 
 def multilevel(sphere_map, levels, base_subdivisions=3):
@@ -346,10 +352,5 @@ def multilevel(sphere_map, levels, base_subdivisions=3):
     for level in range(levels + 1):
         out.append(SurfaceMesh(interp(sphere.vertices), sphere.faces))
         if level < levels:
-            sphere = loop_subdivide(sphere)
-            sphere = SurfaceMesh(
-                sphere.vertices
-                / np.linalg.norm(sphere.vertices, axis=1, keepdims=True),
-                sphere.faces,
-            )
+            sphere = _subdivide_sphere(sphere)
     return out

@@ -53,18 +53,16 @@ def delaunay_ratio(mesh):
     """Fraction of interior edges whose opposite angles sum to at most pi."""
     if mesh.arity != 3:
         raise MeshError("delaunay ratio is defined for triangle meshes")
-    angles = mesh.corner_angles()
-    total = 0
-    good = 0
-    for places in mesh.edge_face_incidence().values():
-        if len(places) != 2:
-            continue  # boundary edge of an open patch
-        total += 1
-        opp = sum(angles[fid, (e + 2) % 3] for fid, e in places)
-        if opp <= np.pi + DELAUNAY_SLACK:
-            good += 1
+    edge_of, counts = mesh.edge_face_incidence()
+    # the angle opposite side e of a triangle sits at corner e + 2; bincount
+    # adds each edge's two angles in (face, corner) order
+    opposite = np.roll(mesh.corner_angles(), 1, axis=1)
+    opp = np.bincount(edge_of.ravel(), weights=opposite.ravel(), minlength=counts.size)
+    interior = counts == 2  # boundary edges of an open patch are skipped
+    total = int(np.count_nonzero(interior))
     if total == 0:
         raise MeshError("mesh has no interior edges")
+    good = int(np.count_nonzero(opp[interior] <= np.pi + DELAUNAY_SLACK))
     return good / total
 
 

@@ -32,6 +32,17 @@ class TestSurfaceMesh:
         with pytest.raises(MeshError, match="closed"):
             mesh.validate_closed_genus0()
 
+    def test_edge_face_incidence_first_occurrence(self):
+        edge_of, counts = SurfaceMesh(TETRA_V, TETRA_F).edge_face_incidence()
+        # edges numbered as met along faces 0..3, corners 0..2
+        np.testing.assert_array_equal(
+            edge_of, [[0, 1, 2], [3, 4, 0], [2, 5, 3], [4, 5, 1]]
+        )
+        np.testing.assert_array_equal(counts, [2, 2, 2, 2, 2, 2])
+        edge_of, counts = SurfaceMesh(TETRA_V, TETRA_F[:3]).edge_face_incidence()
+        np.testing.assert_array_equal(edge_of, [[0, 1, 2], [3, 4, 0], [2, 5, 3]])
+        np.testing.assert_array_equal(counts, [2, 1, 2, 2, 1, 1])
+
     def test_inward_orientation_detected(self):
         faces = TETRA_F[:, ::-1]
         mesh = SurfaceMesh(TETRA_V, faces)

@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+import spheremesh.meshing
 from spheremesh import (
     MeshError,
     PointCloud,
     SphereInterpolator,
     SphericalMap,
+    SurfaceMesh,
     cube_sphere,
     icosphere,
     induce_mesh,
@@ -14,8 +19,10 @@ from spheremesh import (
     multilevel,
     parameterize,
     quad_mesh,
+    sphere_triangulation,
     spherical_delaunay,
 )
+from spheremesh.meshing import _CHUNK
 
 from conftest import uniform_sphere
 
@@ -90,6 +97,62 @@ class TestInduceMesh:
         assert delaunay_ratio(induced) >= 0.97
 
 
+@pytest.fixture(scope="module")
+def ellipsoid_map():
+    """Parameterization of a 1000-point 2:1:0.5 ellipsoid, whose images
+    surround the origin (at 400 points they crowd into one cap)."""
+    pts = uniform_sphere(1000, seed=7) * np.array([2.0, 1.0, 0.5])
+    return parameterize(PointCloud(pts))
+
+
+def exhaustive_positions(sphere_map, samples):
+    """Cloud positions by testing every face: with s = w_a a + w_b b +
+    w_c c, the central ray meets face (a, b, c) at weights w / sum(w),
+    inside when all are nonnegative."""
+    faces = sphere_triangulation(sphere_map).faces
+    inverse = np.linalg.inv(np.transpose(sphere_map.images[faces], (0, 2, 1)))
+    out = []
+    for chunk in np.array_split(samples, -(-len(samples) // 256)):
+        w = np.einsum("fij,mj->mfi", inverse, chunk)
+        total = w.sum(axis=2)
+        bary = w / np.where(total > 0, total, 1.0)[..., None]
+        score = np.where(total > 0, bary.min(axis=2), -np.inf)
+        best = score.argmax(axis=1)
+        rows = np.arange(len(chunk))
+        assert score[rows, best].min() >= -1e-12
+        out.append(np.einsum(
+            "mi,mij->mj", bary[rows, best], sphere_map.cloud.points[faces[best]]
+        ))
+    return np.vstack(out)
+
+
+def loop_locate(interp, samples):
+    """Per-sample reference: the first of each sample's candidate faces,
+    in k-d tree order, that its central ray meets; failing that, the
+    first such face in id order."""
+
+    def meets(f, s):
+        a, b, c = interp._corners[f]
+        n = np.cross(b - a, c - a)
+        if n @ s <= 0 or n @ a <= 0:
+            return False
+        x = (n @ a) / (n @ s) * s
+        beta = np.cross(x - a, c - a) @ n / (n @ n)
+        gamma = np.cross(b - a, x - a) @ n / (n @ n)
+        return min(1.0 - beta - gamma, beta, gamma) >= -1e-10
+
+    k = min(interp.candidates, interp.mesh.n_faces)
+    samples = samples / np.linalg.norm(samples, axis=1, keepdims=True)
+    out = []
+    for s in samples:
+        cand = np.atleast_1d(interp._centroid_tree.query(s, k=k)[1])
+        hits = [f for f in cand if meets(f, s)]
+        if not hits:
+            hits = [f for f in range(interp.mesh.n_faces) if meets(f, s)]
+        out.append(hits[0])
+    return np.array(out)
+
+
 class TestInterpolation:
     def test_sample_at_image_returns_cloud_point_exactly(self):
         pts = uniform_sphere(200, seed=4)
@@ -133,6 +196,73 @@ class TestInterpolation:
         out2 = wide(samples)
         np.testing.assert_allclose(out1, out2, atol=1e-12)
         assert interp.snapped == 0
+
+    def test_first_hit_in_candidate_order(self):
+        # by symmetry, about a third of the icosphere(3) directions lie on
+        # an edge or vertex of the icosphere(2) hull and meet two or more
+        # faces; the earlier candidate wins
+        m = identity_map(icosphere(2).vertices)
+        samples = icosphere(3).vertices[::4]
+        interp = SphereInterpolator(m)
+        faces, _ = interp.locate(samples)
+        np.testing.assert_array_equal(faces, loop_locate(interp, samples))
+
+    def test_fallback_scan_takes_first_hit_in_face_order(self):
+        m = identity_map(icosphere(2).vertices)
+        samples = icosphere(3).vertices[::16]
+        interp = SphereInterpolator(m, candidates=1)
+        # candidates taken from the antipodal centroids: every ray misses
+        # its candidate and goes to the scan
+        interp._centroid_tree = cKDTree(-interp._centroid_tree.data)
+        faces, _ = interp.locate(samples)
+        np.testing.assert_array_equal(faces, loop_locate(interp, samples))
+        assert interp.snapped == 0
+
+    def test_single_candidate_falls_back_to_scan(self):
+        m = identity_map(uniform_sphere(150, seed=9))
+        samples = uniform_sphere(64, seed=10)
+        one = SphereInterpolator(m, candidates=1)
+        wide = SphereInterpolator(m, candidates=one.mesh.n_faces)
+        faces, _ = one.locate(samples)
+        nearest = one._centroid_tree.query(samples, k=1)[1]
+        assert np.any(faces != nearest)  # some samples took the fallback
+        np.testing.assert_allclose(one(samples), wide(samples), atol=1e-12)
+        assert one.snapped == 0
+
+    def test_candidates_below_one_rejected(self):
+        m = identity_map(uniform_sphere(50, seed=9))
+        with pytest.raises(MeshError, match="candidates"):
+            SphereInterpolator(m, candidates=0)
+
+    def test_locate_matches_exhaustive_oracle(self, ellipsoid_map):
+        m = ellipsoid_map
+        samples = np.vstack([icosphere(4).vertices, m.images])
+        interp = SphereInterpolator(m)
+        out = interp(samples)
+        np.testing.assert_allclose(
+            out, exhaustive_positions(m, samples), rtol=0, atol=1e-12
+        )
+        # images return their cloud points bit-exactly
+        np.testing.assert_array_equal(out[-m.n:], m.cloud.points)
+        assert interp.snapped == 0
+
+    def test_samples_across_chunks_agree(self, ellipsoid_map):
+        interp = SphereInterpolator(ellipsoid_map)
+        samples = np.repeat(uniform_sphere(1, seed=13), 2 * _CHUNK + 1, axis=0)
+        faces, bary = interp.locate(samples)
+        assert np.all(faces == faces[0])
+        assert np.all(bary == bary[0])
+
+    def test_unhit_samples_snap_to_their_face(self, ellipsoid_map, monkeypatch):
+        m = ellipsoid_map
+        samples = uniform_sphere(40, seed=14)
+        expected = SphereInterpolator(m)(samples)
+        # a tolerance no weight can meet: every sample misses its
+        # candidates and the scan, and is snapped
+        monkeypatch.setattr(spheremesh.meshing, "_BARY_TOL", -2.0)
+        interp = SphereInterpolator(m)
+        np.testing.assert_allclose(interp(samples), expected, rtol=0, atol=1e-12)
+        assert interp.snapped == len(samples)
 
 
 class TestCubeSphere:
@@ -189,6 +319,46 @@ class TestMultilevel:
         sub = loop_subdivide(mesh)
         assert sub.n_faces == 4 * mesh.n_faces
         assert sub.euler_characteristic() == 2
+
+    @pytest.mark.parametrize(
+        "k, digest", [(0, "e0cdbcb335bade58"), (2, "52ba19c5cda73d33")]
+    )
+    def test_loop_subdivision_faces_pinned(self, k, digest):
+        faces = loop_subdivide(icosphere(k)).faces
+        got = hashlib.sha256(faces.astype("<i8").tobytes()).hexdigest()
+        assert got[:16] == digest
+
+    def test_loop_subdivision_matches_loop_reference(self):
+        mesh = icosphere(2)
+        v, f = mesh.vertices, mesh.faces
+        places, ring = {}, {}
+        for fid, face in enumerate(f):
+            for e in range(3):
+                a, b = sorted((face[e], face[(e + 1) % 3]))
+                places.setdefault((a, b), []).append(face[(e + 2) % 3])
+                ring.setdefault(a, set()).add(b)
+                ring.setdefault(b, set()).add(a)
+        expected = []
+        for i in range(len(v)):
+            nbrs = sorted(ring[i])
+            n = len(nbrs)
+            beta = (0.625 - (0.375 + 0.25 * np.cos(2.0 * np.pi / n)) ** 2) / n
+            expected.append((1.0 - n * beta) * v[i] + beta * v[nbrs].sum(axis=0))
+        for (a, b), (o0, o1) in places.items():
+            expected.append(0.375 * (v[a] + v[b]) + 0.125 * (v[o0] + v[o1]))
+        got = loop_subdivide(mesh).vertices
+        np.testing.assert_allclose(got, np.array(expected), rtol=0, atol=1e-15)
+
+    def test_loop_subdivision_rejects_open_mesh(self):
+        ico = icosphere(1)
+        with pytest.raises(MeshError, match="closed mesh"):
+            loop_subdivide(SurfaceMesh(ico.vertices, ico.faces[1:]))
+
+    def test_loop_subdivision_rejects_unused_vertex(self):
+        ico = icosphere(1)
+        extra = np.vstack([ico.vertices, [[0.0, 0.0, 0.0]]])
+        with pytest.raises(MeshError, match="every vertex"):
+            loop_subdivide(SurfaceMesh(extra, ico.faces))
 
     def test_multilevel_vertex_counts(self):
         pts = uniform_sphere(3000, seed=12)

@@ -7,9 +7,13 @@ from spheremesh import (
     SurfaceMesh,
     angle_distortion,
     delaunay_ratio,
+    icosphere,
+    induce_mesh,
     mean_curvature,
+    parameterize,
     spherical_delaunay,
 )
+from spheremesh.metrics import DELAUNAY_SLACK
 
 from conftest import uniform_sphere
 
@@ -60,6 +64,22 @@ class TestAngleDistortion:
             angle_distortion(m1, m2)
 
 
+def reference_delaunay_ratio(mesh):
+    """Loop over a dict of edge -> opposite corners, one edge at a time."""
+    angles = mesh.corner_angles()
+    places = {}
+    for fid, face in enumerate(mesh.faces):
+        for e in range(3):
+            key = tuple(sorted((face[e], face[(e + 1) % 3])))
+            places.setdefault(key, []).append((fid, (e + 2) % 3))
+    interior = [p for p in places.values() if len(p) == 2]
+    good = sum(
+        sum(angles[fid, c] for fid, c in p) <= np.pi + DELAUNAY_SLACK
+        for p in interior
+    )
+    return good / len(interior)
+
+
 class TestDelaunayRatio:
     def test_planar_delaunay_patch(self):
         assert delaunay_ratio(planar_patch(True)) == 1.0
@@ -75,6 +95,19 @@ class TestDelaunayRatio:
         for n, seed in ((100, 3), (1000, 4), (5000, 5)):
             mesh = spherical_delaunay(uniform_sphere(n, seed=seed))
             assert delaunay_ratio(mesh) >= 0.99
+
+    def test_matches_dict_reference_on_induced_mesh(self):
+        pts = uniform_sphere(3000, seed=20) * np.array([2.0, 1.0, 1.0])
+        cloud = PointCloud(pts)
+        mesh = induce_mesh(cloud, parameterize(cloud))
+        assert delaunay_ratio(mesh) == reference_delaunay_ratio(mesh)
+
+    def test_open_patch_skips_boundary_edges(self):
+        ico = icosphere(1)
+        patch = SurfaceMesh(ico.vertices, ico.faces[1:])
+        assert delaunay_ratio(patch) == reference_delaunay_ratio(patch) == 1.0
+        flipped = planar_patch(False)  # one interior edge, four boundary
+        assert delaunay_ratio(flipped) == reference_delaunay_ratio(flipped) == 0.0
 
 
 class TestMeanCurvature:
