@@ -134,15 +134,20 @@ class SpatialIndex:
         indices : (n, k) int ndarray, column 0 is the point itself
         distances : (n, k) float ndarray, ascending per row
         """
+        return self._ranked(slice(None), k)
+
+    def _ranked(self, centers, k):
+        """k-NN of the cloud points ``centers`` (a slice or a list of
+        ids), one row per center."""
         n = self.cloud.n
         if k > n:
             raise CloudError(f"insufficient points: k={k} > n={n}")
         pts = self.cloud.points
+        q = pts[centers]
         extra = min(n, k + 8)
         while True:
-            _, cand = self._tree.query(pts, k=extra)
-            cand = np.atleast_2d(cand)
-            d2 = np.sum((pts[cand] - pts[:, None, :]) ** 2, axis=2)
+            _, cand = self._tree.query(q, k=extra)
+            d2 = np.sum((pts[cand] - q[:, None, :]) ** 2, axis=2)
             # rank by (squared distance, id) per row
             order = np.lexsort((cand, d2), axis=1)
             cand = np.take_along_axis(cand, order, axis=1)
@@ -153,25 +158,6 @@ class SpatialIndex:
             extra = min(n, extra * 2)
         return cand[:, :k].astype(np.intp), np.sqrt(d2[:, :k])
 
-    def knn_point(self, center, k):
-        """k-NN of one cloud point by id (used by single-point queries)."""
-        n = self.cloud.n
-        if k > n:
-            raise CloudError(f"insufficient points: k={k} > n={n}")
-        pts = self.cloud.points
-        q = pts[center]
-        extra = min(n, k + 8)
-        while True:
-            _, cand = self._tree.query(q, k=extra)
-            cand = np.atleast_1d(cand)
-            d2 = np.sum((pts[cand] - q) ** 2, axis=1)
-            order = np.lexsort((cand, d2))
-            cand, d2 = cand[order], d2[order]
-            if extra == n or d2[k - 1] < d2[-1]:
-                break
-            extra = min(n, extra * 2)
-        return cand[:k].astype(np.intp), np.sqrt(d2[:k])
-
 
 def build_index(cloud):
     """Build the spatial index for exact k-NN queries over the cloud."""
@@ -180,13 +166,12 @@ def build_index(cloud):
 
 def knn(index, center, k):
     """k-nearest neighborhood of the cloud point ``center`` (inclusive)."""
-    idx, dist = index.knn_point(center, k)
-    if idx[0] != center:
+    idx, dist = index._ranked([center], k)
+    if idx[0, 0] != center:
         # the center ties with a distinct point at distance 0 is impossible
         # (duplicates are rejected), so this is always the self-match
         raise CloudError(f"point {center} did not match itself")
-    dist[0] = 0.0
-    return NeighborSet(center=int(center), indices=idx, distances=dist)
+    return NeighborSet(center=int(center), indices=idx[0], distances=dist[0])
 
 
 class FrameSet:
@@ -274,7 +259,7 @@ def build_frames(points, neighbor_ids, neighbor_dists):
     bad = np.flatnonzero(evals[:, 1] <= _COLLINEAR_RTOL * np.maximum(spread, 1e-300))
     if bad.size:
         raise DegenerateNeighborhoodError(
-            f"degenerate neighborhood at point {bad[0]} "
+            f"degenerate neighborhood at point {neighbor_ids[bad[0], 0]} "
             "(collinear or coincident neighbors)"
         )
     e3 = evecs[:, :, 0]
@@ -294,31 +279,7 @@ def build_frames(points, neighbor_ids, neighbor_dists):
 
 
 def local_frame(cloud, nbrs):
-    """PCA frame of a single neighborhood (see FrameSet for the batch form)."""
-    return _single_frame(cloud.points, nbrs)
-
-
-def _single_frame(points, nbrs):
-    nbr = points[nbrs.indices]
-    centered = nbr - nbr.mean(axis=0)
-    cov = centered.T @ centered
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[1] <= _COLLINEAR_RTOL * max(evals[2], 1e-300):
-        raise DegenerateNeighborhoodError(
-            f"degenerate neighborhood at point {nbrs.center} "
-            "(collinear or coincident neighbors)"
-        )
-    e3, e2, e1 = evecs[:, 0], evecs[:, 1], evecs[:, 2]
-    if np.dot(e1, np.cross(e2, e3)) < 0:
-        e2 = -e2
-    rel = nbr - points[nbrs.center]
-    coords = np.column_stack([rel @ e1, rel @ e2])
-    heights = rel @ e3
-    return LocalFrame(
-        center=nbrs.center,
-        basis=np.vstack([e1, e2, e3]),
-        local_coords=coords,
-        heights=heights,
-        neighbor_ids=nbrs.indices,
-        neighbor_dists=nbrs.distances,
-    )
+    """PCA frame of a single neighborhood: one row of build_frames."""
+    return build_frames(
+        cloud.points, nbrs.indices[None], nbrs.distances[None]
+    ).frame(0)

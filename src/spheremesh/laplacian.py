@@ -53,26 +53,30 @@ def design_matrix(coords):
     )
 
 
-def _fit_matrices(coords, dists, weight_spec):
-    """Batched weighted LS: G maps neighbor samples to basis coefficients.
+def _height_fit(coords, dists, heights, centers, weight_spec):
+    """Batched weighted LS fit of the height functions.
 
-    The minimizer of sum_i w_i (A c - b)_i^2 is computed through the SVD
-    of sqrt(D) A over in-plane coordinates scaled to unit extent, which
-    reproduces span members to machine precision where forming the
-    normal equations A^T D A would lose half the digits; the returned
-    map is unscaled back to the input coordinates.
+    G (n, 6, k) maps neighbor samples to basis coefficients over the
+    unscaled coordinates; the fit returns G @ heights and the derivative
+    functionals read off G.  The minimizer of sum_i w_i (A c - b)_i^2
+    is computed through the SVD of sqrt(D) A over in-plane coordinates
+    scaled to unit extent, which reproduces span members to machine
+    precision where forming the normal equations A^T D A would lose
+    half the digits.
 
     Parameters
     ----------
-    coords : (n, k, 2), dists : (n, k), weight_spec : Weight
+    coords : (n, k, 2), dists : (n, k), heights : (n, k)
+    centers : (n,) point ids of the stencil centers, for error messages
+    weight_spec : Weight
 
     Returns
     -------
-    G : (n, 6, k) ndarray
-        ``coeffs = G @ samples`` are the basis coefficients over the
-        unscaled coordinates.
-    cond : (n,) ndarray
-        Condition numbers at the normal-matrix (A^T D A) scale.
+    coeffs : (n, 6) ndarray
+        Basis coefficients of the fitted heights.
+    derivative_rows : (n, 5, k) ndarray
+        d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2 at the center, acting on
+        neighbor samples.
     """
     n, k = dists.shape
     if k < MIN_STENCIL:
@@ -90,7 +94,7 @@ def _fit_matrices(coords, dists, weight_spec):
     bad = np.flatnonzero(~(cond < MAX_CONDITION))
     if bad.size:
         raise IllConditionedStencilError(
-            f"ill-conditioned stencil at point {bad[0]} "
+            f"ill-conditioned stencil at point {centers[bad[0]]} "
             f"(condition {cond[bad[0]]:.3g}); retry with larger k"
         )
     pinv = (vt.transpose(0, 2, 1) / s[:, None, :]) @ u.transpose(0, 2, 1)
@@ -100,7 +104,13 @@ def _fit_matrices(coords, dists, weight_spec):
         [np.ones((n, 1)), 1.0 / extent[:, None].repeat(2, 1),
          1.0 / (extent * extent)[:, None].repeat(3, 1)], axis=1
     )
-    return g * unscale[:, :, None], cond
+    g = g * unscale[:, :, None]
+    coeffs = np.einsum("npk,nk->np", g, heights)
+    # the derivative rows are rows 1-5 of G (f_xx = 2 c3, f_yy = 2 c5),
+    # scaled in place: a fresh (n, 5, k) copy stays resident on the heap
+    # and raises the peak memory of the LU solves that follow
+    g[:, 3::2] *= 2.0
+    return coeffs, g[:, 1:]
 
 
 @dataclass
@@ -117,33 +127,32 @@ class MlsFit:
     derivative_rows: np.ndarray  # (5, k)
 
 
-def _derivative_rows(g):
-    """Derivative functionals from the coefficient map G (..., 6, k)."""
-    return np.stack(
-        [
-            g[..., 1, :],
-            g[..., 2, :],
-            2.0 * g[..., 3, :],
-            g[..., 4, :],
-            2.0 * g[..., 5, :],
-        ],
-        axis=-2,
-    )
+def _derivatives(c):
+    """(f_x, f_y, f_xx, f_xy, f_yy) at the center from basis
+    coefficients along the last axis of ``c``."""
+    return c[..., 1], c[..., 2], 2.0 * c[..., 3], c[..., 4], 2.0 * c[..., 5]
 
 
 def mls_fit(frame, weight_spec=Weight("proposed")):
     """Fit the frame's height function; return coefficients and the
     derivative rows for arbitrary samples on the same stencil."""
-    g, _ = _fit_matrices(
-        frame.local_coords[None], frame.neighbor_dists[None], weight_spec
+    coeffs, drows = _height_fit(
+        frame.local_coords[None], frame.neighbor_dists[None],
+        frame.heights[None], [frame.center], weight_spec,
     )
-    coeffs = g[0] @ frame.heights
     return MlsFit(
         center=frame.center,
-        coefficients=coeffs,
+        coefficients=coeffs[0],
         stencil=frame.neighbor_ids,
-        derivative_rows=_derivative_rows(g[0]),
+        derivative_rows=drows[0],
     )
+
+
+def _graph_metric(p, q, r, s, t):
+    """W^2 = 1 + p^2 + q^2 and the curvature numerator K of a graph."""
+    w2 = 1.0 + p * p + q * q
+    k = (1.0 + q * q) * r - 2.0 * p * q * s + (1.0 + p * p) * t
+    return w2, k
 
 
 def lb_coefficients(p, q, r, s, t):
@@ -157,8 +166,7 @@ def lb_coefficients(p, q, r, s, t):
     -------
     (a1, a2, a3, a4, a5) multiplying u_x, u_y, u_xx, u_xy, u_yy.
     """
-    w2 = 1.0 + p * p + q * q
-    k = (1.0 + q * q) * r - 2.0 * p * q * s + (1.0 + p * p) * t
+    w2, k = _graph_metric(p, q, r, s, t)
     return (
         -p * k / (w2 * w2),
         -q * k / (w2 * w2),
@@ -168,16 +176,28 @@ def lb_coefficients(p, q, r, s, t):
     )
 
 
+def _lb_rows(coeffs, drows):
+    """LB rows (..., k) from fit coefficients (..., 6) and derivative
+    rows (..., 5, k): the metric of the fitted height function weights
+    the derivative functionals."""
+    alphas = lb_coefficients(*_derivatives(coeffs))
+    a1, a2, a3, a4, a5 = (a[..., None] for a in alphas)
+    return (
+        a1 * drows[..., 0, :]
+        + a2 * drows[..., 1, :]
+        + a3 * drows[..., 2, :]
+        + a4 * drows[..., 3, :]
+        + a5 * drows[..., 4, :]
+    )
+
+
 def lb_row(frame, fit):
     """One row of the discrete LB operator as (stencil ids, values).
 
     The metric terms come from the height-function fit; the same
     derivative rows then act on arbitrary function samples.
     """
-    c = fit.coefficients
-    alphas = lb_coefficients(c[1], c[2], 2.0 * c[3], c[4], 2.0 * c[5])
-    values = sum(a * row for a, row in zip(alphas, fit.derivative_rows))
-    return fit.stencil, values
+    return fit.stencil, _lb_rows(fit.coefficients, fit.derivative_rows)
 
 
 class SparseOperator:
@@ -187,21 +207,12 @@ class SparseOperator:
     annihilates constants up to the LS ridge (tested, not enforced).
     """
 
-    def __init__(self, matrix, stencils=None):
+    def __init__(self, matrix):
         self.matrix = matrix.tocsr()
-        self.stencils = stencils
 
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    def row(self, i):
-        """(column ids, values) of row i."""
-        sl = slice(self.matrix.indptr[i], self.matrix.indptr[i + 1])
-        return self.matrix.indices[sl], self.matrix.data[sl]
-
-    def apply(self, u):
-        return self.matrix @ u
 
 
 def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed"), index=None):
@@ -239,22 +250,14 @@ def assemble_lb_from_frames(frames, weight_spec=Weight("proposed"), scale=1.0):
     """Assemble the LB operator from prebuilt frames (coordinates already
     in whatever scale the frames carry; ``scale`` maps rows back)."""
     n, k = frames.heights.shape
-    g, _ = _fit_matrices(frames.coords, frames.neighbor_dists, weight_spec)
-    coeffs = np.einsum("npk,nk->np", g, frames.heights)
-    p, q = coeffs[:, 1], coeffs[:, 2]
-    r, s, t = 2.0 * coeffs[:, 3], coeffs[:, 4], 2.0 * coeffs[:, 5]
-    a1, a2, a3, a4, a5 = lb_coefficients(p, q, r, s, t)
-    rows = (
-        a1[:, None] * g[:, 1, :]
-        + a2[:, None] * g[:, 2, :]
-        + a3[:, None] * 2.0 * g[:, 3, :]
-        + a4[:, None] * g[:, 4, :]
-        + a5[:, None] * 2.0 * g[:, 5, :]
+    coeffs, drows = _height_fit(
+        frames.coords, frames.neighbor_dists, frames.heights,
+        frames.neighbor_ids[:, 0], weight_spec,
     )
-    rows = rows / (scale * scale)
+    rows = _lb_rows(coeffs, drows) / (scale * scale)
     indptr = np.arange(0, n * k + 1, k)
     matrix = sparse.csr_matrix(
         (rows.ravel(), frames.neighbor_ids.ravel(), indptr), shape=(n, n)
     )
     matrix.sum_duplicates()
-    return SparseOperator(matrix, stencils=frames.neighbor_ids)
+    return SparseOperator(matrix)

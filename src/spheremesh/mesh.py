@@ -46,14 +46,19 @@ class SurfaceMesh:
             [f.ravel(), np.roll(f, -1, axis=1).ravel()], axis=1
         )
 
+    def _edge_keys(self):
+        """min * V + max of the two ends of every face side, in (face,
+        corner) order: one integer per undirected edge."""
+        a, b = self.directed_edges().T
+        return np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
+
     def edges(self):
         """Unique undirected edges, each as a sorted pair."""
-        d = self.directed_edges()
-        und = np.sort(d, axis=1)
-        return np.unique(und, axis=0)
+        keys = np.unique(self._edge_keys())
+        return np.stack(np.divmod(keys, self.n_vertices), axis=1)
 
     def euler_characteristic(self):
-        return self.n_vertices - len(self.edges()) + self.n_faces
+        return self.n_vertices - np.unique(self._edge_keys()).size + self.n_faces
 
     def edge_face_incidence(self):
         """Undirected edge ids of the face sides, and faces per edge.
@@ -64,29 +69,25 @@ class SurfaceMesh:
         is the number of face sides on edge i: 2 on a closed mesh, 1 on
         the boundary of an open one.
         """
-        f = self.faces
-        a, b = f.ravel(), np.roll(f, -1, axis=1).ravel()
-        keys = np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
         _, first, inverse, counts = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True
+            self._edge_keys(), return_index=True, return_inverse=True,
+            return_counts=True,
         )
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        return rank[inverse].reshape(f.shape), counts[order]
+        return rank[inverse].reshape(self.faces.shape), counts[order]
 
     def is_closed(self):
         """Every undirected edge has exactly two incident faces."""
-        d = self.directed_edges()
-        und = np.sort(d, axis=1)
-        _, counts = np.unique(und, axis=0, return_counts=True)
+        _, counts = np.unique(self._edge_keys(), return_counts=True)
         return bool(np.all(counts == 2))
 
     def is_oriented(self):
         """Each undirected edge is traversed once per direction."""
-        d = self.directed_edges()
-        _, counts = np.unique(d, axis=0, return_counts=True)
-        return bool(np.all(counts == 1))
+        a, b = self.directed_edges().T
+        keys = a * self.n_vertices + b
+        return np.unique(keys).size == keys.size
 
     def signed_volume(self):
         """Volume enclosed by the oriented surface (positive = outward)."""

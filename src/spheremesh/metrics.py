@@ -7,7 +7,7 @@ import numpy as np
 
 from .cloud import build_frames, build_index
 from .errors import MeshError
-from .laplacian import DEFAULT_K, _fit_matrices
+from .laplacian import DEFAULT_K, _derivatives, _graph_metric, _height_fit
 from .weights import Weight
 
 DELAUNAY_SLACK = 1e-12
@@ -73,11 +73,7 @@ def mean_curvature_from_coefficients(coefficients):
     first and r, s, t the fitted second derivatives.  The sign follows
     the arbitrary PCA normal, so callers usually take |H|.
     """
-    c = np.asarray(coefficients)
-    p, q = c[..., 1], c[..., 2]
-    r, s, t = 2.0 * c[..., 3], c[..., 4], 2.0 * c[..., 5]
-    w2 = 1.0 + p * p + q * q
-    k = (1.0 + q * q) * r - 2.0 * p * q * s + (1.0 + p * p) * t
+    w2, k = _graph_metric(*_derivatives(np.asarray(coefficients)))
     return k / (2.0 * w2 * np.sqrt(w2))
 
 
@@ -87,10 +83,10 @@ def mean_curvature(cloud, k=DEFAULT_K, weight_spec=None, frames=None):
         index = build_index(cloud)
         idx, dist = index.knn_arrays(k)
         frames = build_frames(cloud.points, idx, dist)
-    g, _ = _fit_matrices(
-        frames.coords, frames.neighbor_dists, weight_spec or Weight("proposed")
+    coeffs, _ = _height_fit(
+        frames.coords, frames.neighbor_dists, frames.heights,
+        frames.neighbor_ids[:, 0], weight_spec or Weight("proposed"),
     )
-    coeffs = np.einsum("npk,nk->np", g, frames.heights)
     return mean_curvature_from_coefficients(coeffs)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import PointCloud, build_frames, build_index
+from .cloud import PointCloud, build_frames, build_index, knn
 from .errors import PipelineError, SphereMeshError
 from .laplacian import DEFAULT_K, assemble_lb_from_frames
 from .meshing import spherical_delaunay
@@ -268,8 +268,8 @@ def pole_distances(images, index, k=DEFAULT_K):
     i_s = int(np.argmin(images[:, 2]))
     w_n = proj_north(images)
     w_s = proj_south(images)
-    nbrs_n, _ = index.knn_point(i_n, k)
-    nbrs_s, _ = index.knn_point(i_s, k)
+    nbrs_n = knn(index, i_n, k).indices
+    nbrs_s = knn(index, i_s, k).indices
     d_p = float(np.mean(np.abs(w_n[nbrs_n] - w_n[i_n])))
     d_s = float(np.mean(np.abs(w_s[nbrs_s] - w_s[i_s])))
     return d_p, d_s

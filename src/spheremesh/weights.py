@@ -73,29 +73,7 @@ class Weight:
 
     def __call__(self, d):
         """Evaluate at distance(s) ``d >= 0``."""
-        d = np.asarray(d, dtype=np.float64)
-        kind = self.kind
-        if kind == "constant":
-            return np.ones_like(d)
-        if kind == "exponential":
-            return np.exp(-(d * d) / (self._h() ** 2))
-        if kind == "inverse_square":
-            eps = self.guard if self.guard is not None \
-                else INVERSE_SQUARE_GUARD_FACTOR * self._h()
-            return 1.0 / (d * d + eps * eps)
-        if kind == "wendland":
-            big_d = self.support if self.support is not None \
-                else WENDLAND_SUPPORT_FACTOR * self._h()
-            r = np.clip(1.0 - d / big_d, 0.0, None)
-            return r**4 * (4.0 * d / big_d + 1.0)
-        if kind == "special":
-            return np.where(d == 0.0, 1.0, 1.0 / self._k())
-        # proposed Gaussian-type weight: 1 at the center, concentrated
-        # off-center with the specific factor sqrt(k)/h^2 in the exponent
-        h, k = self._h(), self._k()
-        return np.where(
-            d == 0.0, 1.0, np.exp(-np.sqrt(k) * d * d / (h * h)) / k
-        )
+        return _formula(self, np.asarray(d, dtype=np.float64), self._h, self._k)
 
     def _h(self):
         if self.h is None:
@@ -123,22 +101,30 @@ def stencil_weights(spec, dists):
     h = np.full((dists.shape[0], 1), spec.h) if spec.h is not None \
         else dists[:, -1:]
     k = spec.k if spec.k is not None else dists.shape[1]
+    return _formula(spec, dists, lambda: h, lambda: k)
+
+
+def _formula(spec, d, h, k):
+    """The six weight formulas at distances ``d``.  ``h()`` and ``k()``
+    return the stencil radius and size; only kinds that need them call
+    them."""
     kind = spec.kind
     if kind == "constant":
-        return np.ones_like(dists)
+        return np.ones_like(d)
     if kind == "exponential":
-        return np.exp(-(dists / h) ** 2)
+        return np.exp(-(d / h()) ** 2)
     if kind == "inverse_square":
         eps = spec.guard if spec.guard is not None \
-            else INVERSE_SQUARE_GUARD_FACTOR * h
-        return 1.0 / (dists * dists + eps * eps)
+            else INVERSE_SQUARE_GUARD_FACTOR * h()
+        return 1.0 / (d * d + eps * eps)
     if kind == "wendland":
         big_d = spec.support if spec.support is not None \
-            else WENDLAND_SUPPORT_FACTOR * h
-        r = np.clip(1.0 - dists / big_d, 0.0, None)
-        return r**4 * (4.0 * dists / big_d + 1.0)
+            else WENDLAND_SUPPORT_FACTOR * h()
+        r = np.clip(1.0 - d / big_d, 0.0, None)
+        return r**4 * (4.0 * d / big_d + 1.0)
     if kind == "special":
-        return np.where(dists == 0.0, 1.0, 1.0 / k)
-    return np.where(
-        dists == 0.0, 1.0, np.exp(-np.sqrt(k) * dists * dists / (h * h)) / k
-    )
+        return np.where(d == 0.0, 1.0, 1.0 / k())
+    # proposed Gaussian-type weight: 1 at the center, concentrated
+    # off-center with the specific factor sqrt(k)/h^2 in the exponent
+    h, k = h(), k()
+    return np.where(d == 0.0, 1.0, np.exp(-np.sqrt(k) * d * d / (h * h)) / k)

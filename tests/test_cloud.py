@@ -101,6 +101,10 @@ class TestKnn:
             want_idx, want_d = brute_force_knn(pts, center, 25)
             np.testing.assert_array_equal(idx[center], want_idx)
             np.testing.assert_allclose(dist[center], want_d, atol=1e-12)
+            # the single-point query is one row of the batched one
+            nbrs = knn(index, center, 25)
+            assert np.array_equal(nbrs.indices, idx[center])
+            assert np.array_equal(nbrs.distances, dist[center])
 
     def test_insufficient_points(self):
         cloud = PointCloud(TETRA)
@@ -153,6 +157,12 @@ class TestLocalFrame:
                 + f.heights[:, None] * f.basis[2]
             )
             np.testing.assert_allclose(rebuilt, pts[idx[i]], atol=1e-12 * scale)
+            # the single-point frame is one row of the batched frames
+            single = local_frame(cloud, knn(index, i, 15))
+            assert single.center == f.center == i
+            for name in ("basis", "local_coords", "heights", "neighbor_ids",
+                         "neighbor_dists"):
+                assert np.array_equal(getattr(single, name), getattr(f, name))
 
     def test_basis_orthonormal_right_handed(self):
         rng = np.random.default_rng(6)
@@ -170,3 +180,7 @@ class TestLocalFrame:
         nbrs = knn(build_index(cloud), 0, 8)
         with pytest.raises(DegenerateNeighborhoodError, match="degenerate"):
             local_frame(cloud, nbrs)
+        # the message names the center point, not the row of the batch
+        idx, dist = build_index(cloud).knn_arrays(8)
+        with pytest.raises(DegenerateNeighborhoodError, match="at point 5 "):
+            build_frames(pts, idx[5:6], dist[5:6])

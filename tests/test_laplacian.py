@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,11 @@ class TestMlsFit:
         coords = np.column_stack([t, 2 * t])
         with pytest.raises(IllConditionedStencilError, match="ill-conditioned"):
             mls_fit(make_frame(coords, np.zeros(9)))
+        # the message names the stencil's center point
+        frame = make_frame(coords, np.zeros(9))
+        frame = replace(frame, center=7, neighbor_ids=frame.neighbor_ids + 7)
+        with pytest.raises(IllConditionedStencilError, match="at point 7 "):
+            mls_fit(frame)
 
 
 class TestLbCoefficients:
@@ -181,7 +188,20 @@ class TestLbRow:
         cloud = PointCloud(pts)
         op = assemble_lb(cloud, k=25)
         u = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        np.testing.assert_allclose(op.apply(u), 4.0, atol=1e-4)
+        np.testing.assert_allclose(op.matrix @ u, 4.0, atol=1e-4)
+
+    def test_rows_of_the_assembled_operator(self):
+        # the single-stencil fit and row are the batched assembly's row,
+        # unscaled and in stencil order
+        pts = uniform_sphere(400, seed=16)
+        idx, dist = build_index(PointCloud(pts)).knn_arrays(15)
+        frames = build_frames(pts, idx, dist)
+        op = assemble_lb_from_frames(frames)
+        for i in [0, 123, 399]:
+            frame = frames.frame(i)
+            stencil, values = lb_row(frame, mls_fit(frame))
+            assert np.array_equal(stencil, idx[i])
+            assert np.array_equal(values, op.matrix[i, stencil].toarray()[0])
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +221,7 @@ class TestAssemble:
 
     def test_annihilates_constants(self, sphere_operator):
         _, op = sphere_operator
-        leak = np.abs(op.apply(np.ones(op.n))).max()
+        leak = np.abs(op.matrix @ np.ones(op.n)).max()
         row_scale = np.abs(op.matrix).sum(axis=1).max()
         assert leak <= 1e-8 * row_scale
 
@@ -209,13 +229,13 @@ class TestAssemble:
         cloud, op = sphere_operator
         for axis in range(3):
             u = cloud.points[:, axis]
-            rq = (u @ op.apply(u)) / (u @ u)
+            rq = (u @ (op.matrix @ u)) / (u @ u)
             assert -2.4 < rq < -1.6
 
     def test_sphere_pointwise_eigenfunction(self, sphere_operator):
         cloud, op = sphere_operator
         u = cloud.points[:, 2]
-        lap = op.apply(u)
+        lap = op.matrix @ u
         for i in np.flatnonzero(np.abs(u) > 0.5)[:200]:
             assert abs(lap[i] + 2.0 * u[i]) <= 0.1 * abs(2.0 * u[i])
 

@@ -13,6 +13,10 @@ class TestSurfaceMesh:
     def test_tetra_properties(self):
         mesh = SurfaceMesh(TETRA_V, TETRA_F)
         assert mesh.euler_characteristic() == 2
+        # sorted pairs in lexicographic order
+        np.testing.assert_array_equal(
+            mesh.edges(), [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        )
         assert mesh.is_closed()
         assert mesh.is_oriented()
         assert mesh.signed_volume() > 0
@@ -29,6 +33,7 @@ class TestSurfaceMesh:
     def test_open_mesh_detected(self):
         mesh = SurfaceMesh(TETRA_V, TETRA_F[:3])
         assert not mesh.is_closed()
+        assert mesh.euler_characteristic() == 1
         with pytest.raises(MeshError, match="closed"):
             mesh.validate_closed_genus0()
 

@@ -46,6 +46,10 @@ class TestFormulas:
             Weight("bogus")
 
     def test_for_stencil_fills_params(self):
+        with pytest.raises(ValueError, match="stencil radius h"):
+            weight(Weight("proposed", k=12), 0.1)
+        with pytest.raises(ValueError, match="stencil size k"):
+            weight(Weight("special"), 0.1)
         w = Weight("proposed").for_stencil(h=0.4, k=12)
         assert (w.h, w.k) == (0.4, 12)
 
