@@ -114,7 +114,9 @@ def most_regular_triple(points, frames, chunk=512):
 
     Scans every point's stencil pairs; exact ties resolve to the
     lexicographically smallest (point id, pair) via first-occurrence
-    argmin over the id-ordered scan.
+    argmin over the id-ordered scan.  Only pairs whose edge-length
+    ratio is small enough to beat the best score so far are scored
+    exactly, so the winner is the one a full scan would pick.
 
     Returns
     -------
@@ -129,20 +131,49 @@ def most_regular_triple(points, frames, chunk=512):
     n, k = nbr.shape
     pi_idx, pj_idx = np.triu_indices(k - 1, 1)
     pi_idx, pj_idx = pi_idx + 1, pj_idx + 1
+
+    def edge_ratios(ids):
+        # longest^2 / shortest^2 edge of every (center, i, j) triangle:
+        # center edges from the Gram matrix diagonal, the opposite edge
+        # by the law of cosines
+        rel = points[ids[:, 1:]] - points[ids[:, :1]]
+        gram = rel @ rel.transpose(0, 2, 1)
+        sq = np.einsum("cii->ci", gram)
+        di, dj = sq[:, pi_idx - 1], sq[:, pj_idx - 1]
+        dij = di + dj - 2.0 * gram[:, pi_idx - 1, pj_idx - 1]
+        longest = np.maximum(np.maximum(di, dj), dij)
+        shortest = np.minimum(np.minimum(di, dj), dij)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return longest / shortest
+
+    def score(ids, rows, pairs):
+        return triangle_regularity(
+            points[ids[rows, 0]],
+            points[ids[rows, pi_idx[pairs]]],
+            points[ids[rows, pj_idx[pairs]]],
+        )
+
+    # seed the bound with the exact score of the first chunk's
+    # lowest-ratio triangle: the winner and its ties score no worse
+    first = nbr[:chunk]
+    ratios = edge_ratios(first)
+    seed = np.unravel_index(np.argmin(ratios), ratios.shape)
+    bound = _ratio_bound(float(score(first, *seed)))
     best_reg = np.inf
     best = None
     for start in range(0, n, chunk):
         ids = nbr[start:start + chunk]
-        centers = points[ids[:, 0]][:, None, :]
-        bi = points[ids[:, pi_idx]]
-        cj = points[ids[:, pj_idx]]
-        reg = triangle_regularity(centers, bi, cj)
-        flat = np.argmin(reg)
-        val = reg.ravel()[flat]
-        if val < best_reg:
-            row, pair = np.unravel_index(flat, reg.shape)
-            best_reg = float(val)
-            best = (start + row, pair)
+        ratios = edge_ratios(ids)
+        # flatnonzero keeps the (row, pair) scan order of the survivors,
+        # so the first-occurrence argmin keeps the documented tie rule
+        survivors = np.flatnonzero(ratios <= bound)
+        rows, pairs = np.unravel_index(survivors, ratios.shape)
+        reg = score(ids, rows, pairs)
+        if reg.size and reg.min() < best_reg:
+            at = int(np.argmin(reg))
+            best_reg = float(reg[at])
+            best = (start + rows[at], pairs[at])
+            bound = _ratio_bound(best_reg)
     if best is None or not np.isfinite(best_reg):
         raise SphereMeshError("no non-degenerate stencil triangle found")
     row, pair = best
@@ -153,6 +184,21 @@ def most_regular_triple(points, frames, chunk=512):
         points[a1], points[a2], points[a3], frames.e3[row]
     )
     return np.array([a1, a2, a3]), targets
+
+
+def _ratio_bound(reg):
+    """Largest longest^2 / shortest^2 edge ratio of a triangle whose
+    regularity is at most reg, with a relative slack of 1e-6 for rounding.
+
+    The signed angle deviations from pi/3 sum to zero, so regularity
+    <= reg puts every angle within reg/2 of pi/3; by the law of sines
+    the edge ratio is the ratio of the sines of the extreme angles.
+    """
+    low = THIRD_PI - reg / 2.0
+    if not low > 0.0:
+        return np.inf
+    high = min(THIRD_PI + reg / 2.0, np.pi / 2.0)
+    return (np.sin(high) / np.sin(low)) ** 2 * (1.0 + 1e-6)
 
 
 def _similarity_targets(p1, p2, p3, normal):

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from spheremesh import (
     ParamConfig,
     PipelineError,
     PointCloud,
+    SphereMeshError,
     balance,
     build_frames,
     build_index,
@@ -22,6 +24,7 @@ from spheremesh import (
 )
 from spheremesh.laplacian import assemble_lb_from_frames
 from spheremesh.param import _outermost, _similarity_targets
+from spheremesh.synth import blob_cloud
 from spheremesh.projections import inv_north, proj_north
 
 from conftest import uniform_sphere
@@ -84,6 +87,29 @@ def brute_force_triple(points, neighbor_ids):
     return best
 
 
+def chunked_scan_triple(points, frames, chunk=512):
+    """Reference: score every stencil pair of every chunk exactly, with
+    the strict first-occurrence rule of the scan order."""
+    nbr = frames.neighbor_ids
+    n, k = nbr.shape
+    pi_idx, pj_idx = np.triu_indices(k - 1, 1)
+    pi_idx, pj_idx = pi_idx + 1, pj_idx + 1
+    best_reg, best = np.inf, None
+    for start in range(0, n, chunk):
+        ids = nbr[start:start + chunk]
+        reg = triangle_regularity(
+            points[ids[:, 0]][:, None, :], points[ids[:, pi_idx]],
+            points[ids[:, pj_idx]],
+        )
+        flat = np.argmin(reg)
+        if reg.ravel()[flat] < best_reg:
+            row, pair = np.unravel_index(flat, reg.shape)
+            best_reg, best = float(reg.ravel()[flat]), (start + row, pair)
+    row, pair = best
+    ids = np.array([nbr[row, 0], nbr[row, pi_idx[pair]], nbr[row, pj_idx[pair]]])
+    return ids, _similarity_targets(*points[ids], frames.e3[row])
+
+
 class TestMostRegularTriple:
     def test_matches_brute_force(self):
         pts = uniform_sphere(60, seed=3)
@@ -119,6 +145,57 @@ class TestMostRegularTriple:
         t3 = np.column_stack([targets.real, targets.imag, np.zeros(3)])
         b = triangle_regularity(t3[0], t3[1], t3[2])
         assert abs(float(a) - float(b)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_pruned_scan_matches_full_scan(self, seed, monkeypatch):
+        cloud = blob_cloud(3000, seed=seed)
+        idx, dist = build_index(cloud).knn_arrays(25)
+        frames = build_frames(cloud.points, idx, dist)
+        want_ids, want_targets = chunked_scan_triple(cloud.points, frames)
+
+        import spheremesh.param as param_module
+
+        scored = []
+
+        def counting(a, b, c):
+            scored.append(np.shape(a)[0])
+            return triangle_regularity(a, b, c)
+
+        monkeypatch.setattr(param_module, "triangle_regularity", counting)
+        ids, targets = most_regular_triple(cloud.points, frames)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(targets, want_targets)
+        # the bound must leave only a small share of the 3000 x 276 pairs
+        assert sum(scored) < 0.01 * idx.shape[0] * 276
+
+    @pytest.mark.parametrize("low, high", [(100, 1000), (100, 300), (1000, 100)])
+    def test_congruent_tie_goes_to_lowest_row(self, low, high):
+        # two exactly congruent equilateral triangles, translated by
+        # exact binary offsets so their scores are bit-identical; the
+        # stencil of the lower center id comes first in the scan
+        rng = np.random.default_rng(21)
+        pts = rng.uniform(-1, 1, size=(1200, 3))
+        tri = np.array(
+            [[0.0, 0, 0], [0.125, 0, 0], [0.0625, 0.0625 * np.sqrt(3.0), 0]]
+        )
+        pts[low:low + 3] = tri + [4.0, 0.0, 0.0]
+        pts[high:high + 3] = tri + [8.0, 0.0, 0.0]
+        idx, dist = build_index(PointCloud(pts)).knn_arrays(7)
+        frames = build_frames(pts, idx, dist)
+        ids, _ = most_regular_triple(pts, frames)
+        first = min(low, high)
+        assert set(ids) == {first, first + 1, first + 2}
+        np.testing.assert_array_equal(ids, chunked_scan_triple(pts, frames)[0])
+
+    def test_all_degenerate_stencils_rejected(self):
+        n, k = 30, 6
+        pts = np.column_stack([0.1 * np.arange(n), np.zeros(n), np.zeros(n)])
+        nbr = (np.arange(n)[:, None] + np.arange(k)) % n
+        frames = SimpleNamespace(neighbor_ids=nbr, e3=np.tile([0.0, 0, 1], (n, 1)))
+        with pytest.raises(
+            SphereMeshError, match="no non-degenerate stencil triangle found"
+        ):
+            most_regular_triple(pts, frames)
 
     def test_targets_normalized(self):
         p = np.array([[0.0, 0, 0], [3.0, 0, 0], [0.4, 2.0, 0]])

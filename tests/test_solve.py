@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -100,3 +103,69 @@ class TestSolve:
         op = SparseOperator(matrix)
         with pytest.raises(SolveError, match="underdetermined|residual"):
             solve(ConstrainedSystem(op, np.array([3]), np.array([1.0 + 0j])))
+
+    def test_pivoting_keeps_a_row_shifted_system_accurate(self):
+        # a diagonally dominant matrix with its rows shifted by one has a
+        # diagonal of about 0: without partial pivoting the residual of
+        # this solve reaches 1e3 relative and more
+        n = 400
+        dominant = 2.0 * sparse.identity(n) + 0.1 * sparse.random(
+            n, n, density=0.01, random_state=0
+        )
+        shifted = dominant.tocsr()[np.roll(np.arange(n), 1)]
+        assert np.abs(shifted.diagonal()).max() < 0.1
+        coupling = sparse.csr_matrix(np.full((n, 1), 0.5))
+        matrix = sparse.bmat([[shifted, coupling], [None, sparse.identity(1)]])
+        system = ConstrainedSystem(SparseOperator(matrix), [n], [1.0 + 2.0j])
+        out = solve(system)
+        residual = np.abs(system.operator.matrix[:n] @ out).max()
+        assert residual <= 1e-10 * np.abs(0.5 * (1.0 + 2.0j))
+
+    def test_complex_solve_equals_two_real_solves(self):
+        cloud, op, boundary = disk_system(spacing=0.12, seed=5)
+        z = cloud.points[:, 0] + 1j * cloud.points[:, 1]
+        values = np.exp(z[boundary]) + 0.3j * z[boundary] ** 2
+        both = solve(ConstrainedSystem(op, boundary, values))
+        real = solve(ConstrainedSystem(op, boundary, values.real))
+        imag = solve(ConstrainedSystem(op, boundary, values.imag))
+        assert np.abs(both - (real + 1j * imag)).max() <= 1e-13 * np.abs(both).max()
+        np.testing.assert_array_equal(both[boundary], values)
+
+    def test_debug_line_per_solve(self, caplog):
+        cloud, op, boundary = disk_system(spacing=0.2, seed=6)
+        z = cloud.points[:, 0] + 1j * cloud.points[:, 1]
+        with caplog.at_level(logging.DEBUG, logger="spheremesh.solve"):
+            solve(ConstrainedSystem(op, boundary, z[boundary]))
+        (record,) = caplog.records
+        message = record.getMessage()
+        free = op.n - boundary.size
+        for field_ in (f"free={free}", f"pinned={boundary.size}", "nnz_lu=",
+                       "refine_steps=", "residual=", "bound="):
+            assert field_ in message
+        assert re.search(r"nnz_lu=\d+ ", message)
+
+
+class TestSystemValidation:
+    def test_negative_id_rejected(self):
+        _, op, _ = disk_system(spacing=0.3)
+        with pytest.raises(SolveError, match="pinned id -1 is outside"):
+            ConstrainedSystem(op, [-1], [1.0])
+
+    def test_id_past_the_end_rejected(self):
+        _, op, _ = disk_system(spacing=0.3)
+        with pytest.raises(SolveError, match=f"pinned id {op.n} is outside"):
+            ConstrainedSystem(op, [0, op.n], [1.0, 2.0])
+
+    def test_value_count_must_match_ids(self):
+        _, op, _ = disk_system(spacing=0.3)
+        with pytest.raises(SolveError, match="do not match pinned ids"):
+            ConstrainedSystem(op, [0, 1, 2], [1.0, 2.0])
+        # a single value must not broadcast over several ids
+        with pytest.raises(SolveError, match="do not match pinned ids"):
+            ConstrainedSystem(op, [0, 1, 2], 1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, np.inf)])
+    def test_non_finite_value_rejected(self, bad):
+        _, op, _ = disk_system(spacing=0.3)
+        with pytest.raises(SolveError, match="pinned value of point 4 is not finite"):
+            ConstrainedSystem(op, [3, 4], [1.0, bad])
