@@ -5,9 +5,15 @@ binary little-endian vertices, extra properties ignored) and OBJ
 (v-lines; faces ignored with a warning).  Meshes write to OBJ or ASCII
 PLY and round-trip with identical topology.  Floats serialize with 17
 significant digits, so writes are bit-reproducible.
+
+Every writer formats its vertex, face and map rows in blocks of
+``_BLOCK_ROWS`` rows: one ``%`` over a block's values, one write per
+block, with the same bytes as one formatted line per row.  Reads still
+parse line by line.
 """
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -18,6 +24,8 @@ from .errors import FileFormatError
 from .mesh import SurfaceMesh
 
 FLOAT_FMT = "%.17g"
+_XYZ_ROW = f"{FLOAT_FMT} {FLOAT_FMT} {FLOAT_FMT}\n"
+_BLOCK_ROWS = 4096  # rows formatted per write; bounds the temporaries
 
 _PLY_SCALARS = {
     "char": ("b", 1), "uchar": ("B", 1), "int8": ("b", 1), "uint8": ("B", 1),
@@ -188,10 +196,15 @@ def write_cloud(points, path):
     """Write points as XYZ with 17-significant-digit coordinates."""
     points = np.asarray(points, dtype=np.float64)
     with open(path, "w") as fh:
-        for p in points:
-            fh.write(
-                f"{FLOAT_FMT % p[0]} {FLOAT_FMT % p[1]} {FLOAT_FMT % p[2]}\n"
-            )
+        _write_rows(fh, points, _XYZ_ROW)
+
+
+def _write_rows(fh, rows, row_fmt):
+    """Write the rows of an (n, c) array, each formatted by ``row_fmt``
+    (c conversions), ``_BLOCK_ROWS`` rows per write."""
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[lo:lo + _BLOCK_ROWS]
+        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_mesh(mesh, path, fmt=None):
@@ -208,10 +221,8 @@ def write_mesh(mesh, path, fmt=None):
 
 def _write_obj(mesh, path):
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {FLOAT_FMT % v[0]} {FLOAT_FMT % v[1]} {FLOAT_FMT % v[2]}\n")
-        for f in mesh.faces:
-            fh.write("f " + " ".join(str(i + 1) for i in f) + "\n")
+        _write_rows(fh, mesh.vertices, "v " + _XYZ_ROW)
+        _write_rows(fh, mesh.faces + 1, "f" + " %d" * mesh.arity + "\n")
 
 
 def _write_ply(mesh, path):
@@ -221,10 +232,8 @@ def _write_ply(mesh, path):
         fh.write("property double x\nproperty double y\nproperty double z\n")
         fh.write(f"element face {mesh.n_faces}\n")
         fh.write("property list uchar int vertex_indices\nend_header\n")
-        for v in mesh.vertices:
-            fh.write(f"{FLOAT_FMT % v[0]} {FLOAT_FMT % v[1]} {FLOAT_FMT % v[2]}\n")
-        for f in mesh.faces:
-            fh.write(f"{len(f)} " + " ".join(str(i) for i in f) + "\n")
+        _write_rows(fh, mesh.vertices, _XYZ_ROW)
+        _write_rows(fh, mesh.faces, str(mesh.arity) + " %d" * mesh.arity + "\n")
 
 
 def read_mesh(path):
@@ -292,11 +301,10 @@ def write_map(sphere_map, path, config=None, stage_seconds=None):
     """Serialize a spherical map: an index/unit-vector table plus a JSON
     metadata sidecar (same path with .json appended)."""
     path = Path(path)
+    # ids go through float64 exactly (n < 2**53) and print with %d
+    table = np.column_stack([np.arange(sphere_map.n), sphere_map.images])
     with open(path, "w") as fh:
-        for i, p in enumerate(sphere_map.images):
-            fh.write(
-                f"{i} {FLOAT_FMT % p[0]} {FLOAT_FMT % p[1]} {FLOAT_FMT % p[2]}\n"
-            )
+        _write_rows(fh, table, "%d " + _XYZ_ROW)
     meta = {
         "points": int(sphere_map.n),
         "iterations": int(sphere_map.iterations),
@@ -323,7 +331,8 @@ def read_map(path, cloud):
     """Load a serialized spherical map back over its cloud."""
     from .param import SphericalMap
 
-    rows = []
+    images = np.zeros((cloud.n, 3))
+    first_line = {}  # id -> line that set it
     with open(path, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
@@ -331,13 +340,25 @@ def read_map(path, cloud):
                 continue
             if len(parts) != 4:
                 raise FileFormatError(f"{path}: line {lineno}: expected 'id x y z'")
-            rows.append((int(parts[0]), [float(v) for v in parts[1:]]))
-    images = np.zeros((len(rows), 3))
-    for i, xyz in rows:
-        images[i] = xyz
-    if len(images) != cloud.n:
+            try:
+                i, xyz = int(parts[0]), [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
+            if not 0 <= i < cloud.n:
+                raise FileFormatError(
+                    f"{path}: line {lineno}: id {i} is outside [0, {cloud.n})"
+                )
+            if i in first_line:
+                raise FileFormatError(
+                    f"{path}: line {lineno}: id {i} repeats line {first_line[i]}"
+                )
+            if not all(map(math.isfinite, xyz)):
+                raise FileFormatError(f"{path}: line {lineno}: non-finite image")
+            first_line[i] = lineno
+            images[i] = xyz
+    if len(first_line) != cloud.n:
         raise FileFormatError(
-            f"{path}: map has {len(images)} entries for a cloud of {cloud.n}"
+            f"{path}: map has {len(first_line)} entries for a cloud of {cloud.n}"
         )
     meta_path = Path(str(path) + ".json")
     history, converged = [], True

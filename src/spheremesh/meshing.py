@@ -13,6 +13,7 @@ from .mesh import SurfaceMesh
 _BARY_TOL = 1e-10
 _VERTEX_SNAP = 1e-12
 _CHUNK = 1024  # samples per batched locate step; bounds its temporaries
+_HEAD = 4  # candidates ray-tested for every sample before the misses get all k
 _DEGENERATE = ("coincide", "collinear", "coplanar")  # by rank of the point set
 
 
@@ -93,12 +94,19 @@ class SphereInterpolator:
     Delaunay hull by its central ray, and its barycentric weights
     transfer to the corresponding original cloud points.  Samples go in
     chunks of ``_CHUNK``: one k-d tree query finds each sample's
-    ``candidates`` faces nearest by centroid direction, and one array
-    test of the chunk against them takes, per sample, the first hit in
-    candidate order.  A sample that hits none of its candidates falls
-    back to a scan of all faces (first hit in face-id order); one that
-    defeats the strict test numerically there too is snapped to the
-    least-violating face and counted in ``snapped``.
+    ``candidates`` faces nearest by centroid direction, and array ray
+    tests take, per sample, the first hit in candidate order.  Most
+    samples hit one of their nearest few faces, so the whole chunk is
+    tested against its first ``_HEAD`` candidates only; the samples
+    that miss all of them are tested again against all their
+    candidates.  That retest has the full width, never one column (a
+    one-column ``matmul`` takes another kernel and can round
+    differently), so the weights are bit-identical to a single test of
+    all candidates.  A sample that
+    hits none of its candidates falls back to a scan of all faces
+    (first hit in face-id order); one that defeats the strict test
+    numerically there too is snapped to the least-violating face and
+    counted in ``snapped``.
     """
 
     def __init__(self, sphere_map, candidates=16):
@@ -147,20 +155,33 @@ class SphereInterpolator:
         s = s / np.linalg.norm(s, axis=1, keepdims=True)
         m = len(s)
         k = min(self.candidates, self.mesh.n_faces)
+        head = min(_HEAD, k)
         faces_out = np.empty(m, dtype=np.intp)
         bary_out = np.empty((m, 3))
         for lo in range(0, m, _CHUNK):
             chunk = s[lo:lo + _CHUNK]
-            rows = np.arange(len(chunk))
             _, cand = self._centroid_tree.query(chunk, k=k)
             cand = cand.reshape(len(chunk), k)
-            hit, bary = self._ray_test(cand, chunk)
-            first = hit.argmax(axis=1)
-            faces_out[lo:lo + len(chunk)] = cand[rows, first]
-            bary_out[lo:lo + len(chunk)] = bary[rows, first]
-            for i in np.flatnonzero(~hit[rows, first]):
+            faces, bary, found = self._first_hit(cand[:, :head], chunk)
+            miss = np.flatnonzero(~found)
+            if miss.size and k > head:
+                faces[miss], bary[miss], found[miss] = self._first_hit(
+                    cand[miss], chunk[miss]
+                )
+            faces_out[lo:lo + len(chunk)] = faces
+            bary_out[lo:lo + len(chunk)] = bary
+            for i in np.flatnonzero(~found):
                 faces_out[lo + i], bary_out[lo + i] = self._scan(chunk[i])
         return faces_out, bary_out
+
+    def _first_hit(self, face_ids, s):
+        """Per sample of s (m, 3), the first of its faces face_ids (m, k)
+        that its central ray meets: face ids (m,), weights (m, 3) and a
+        hit flag (m,); the flag is False when all k miss."""
+        hit, bary = self._ray_test(face_ids, s)
+        rows = np.arange(len(s))
+        first = hit.argmax(axis=1)
+        return face_ids[rows, first], bary[rows, first], hit[rows, first]
 
     def _scan(self, s):
         """Face and weights of one sample from a scan of every face: the

@@ -20,7 +20,7 @@ from .errors import PipelineError, SphereMeshError
 from .laplacian import DEFAULT_K, assemble_lb_from_frames
 from .meshing import spherical_delaunay
 from .projections import inv_north, inv_south, is_infinite, proj_north, proj_south
-from .solve import ConstrainedSystem, solve
+from .solve import METHODS, ConstrainedSystem, solve
 from .weights import Weight
 
 THIRD_PI = np.pi / 3.0
@@ -47,6 +47,8 @@ class ParamConfig:
             raise ValueError("k must be at least 7")
         if self.max_ns_iters < 1:
             raise ValueError("max_ns_iters must be at least 1")
+        if self.solver not in METHODS:
+            raise ValueError(f"solver must be one of {METHODS}, got {self.solver!r}")
 
 
 @dataclass

@@ -25,6 +25,7 @@ from .errors import SolveError
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
+METHODS = ("direct", "iterative")
 _REFINE_STEPS = 3
 
 logger = logging.getLogger(__name__)
@@ -40,11 +41,15 @@ class ConstrainedSystem:
     free_ids: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.pinned_ids = np.asarray(self.pinned_ids, dtype=np.intp)
+        ids = np.asarray(self.pinned_ids)
+        if ids.size == 0:
+            raise SolveError("pinned set is empty")
+        if ids.dtype.kind not in "iu":
+            # a cast would truncate: 1.7 would pin point 1
+            raise SolveError(f"pinned ids must be integers, got dtype {ids.dtype}")
+        self.pinned_ids = ids.astype(np.intp, copy=False)
         self.pinned_values = np.asarray(self.pinned_values, dtype=np.complex128)
         n = self.operator.n
-        if self.pinned_ids.size == 0:
-            raise SolveError("pinned set is empty")
         if self.pinned_values.shape != self.pinned_ids.shape:
             raise SolveError(
                 f"pinned values (shape {self.pinned_values.shape}) do not "

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from spheremesh import (
     write_map,
     write_mesh,
 )
+from spheremesh.fileio import _BLOCK_ROWS
 from spheremesh.param import ParamConfig, SphericalMap
 from spheremesh.synth import sphere_cloud
 
@@ -182,3 +185,107 @@ class TestMapSerialization:
         write_map(m, path)
         with pytest.raises(FileFormatError, match="40"):
             read_map(path, other)
+
+
+def _line(values):
+    return " ".join(["%.17g" % v for v in values]) + "\n"
+
+
+def _table(n, seed=0):
+    """n rows of xyz values that stress %.17g: signed zeros, tiny and huge
+    magnitudes, integral values and random doubles."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+    specials = np.array([-0.0, 0.0, 1.0, -2.0, 5e-324, 1.7976931348623157e308, 0.1])
+    pts.ravel()[: min(pts.size, specials.size)] = specials[: pts.size]
+    return pts
+
+
+def _faces(n, arity, seed=0):
+    return np.random.default_rng(seed).integers(0, max(n, 1), size=(n, arity))
+
+
+ROW_COUNTS = [0, 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1]
+
+
+class TestBlockWriters:
+    """Each writer gives the bytes of a per-row formatter at row counts
+    that leave a block empty, partial, exactly full, and spilling over."""
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_xyz(self, tmp_path, n):
+        pts = _table(n)
+        write_cloud(pts, tmp_path / "c.xyz")
+        expected = "".join(_line(p) for p in pts)
+        assert (tmp_path / "c.xyz").read_text() == expected
+
+    @pytest.mark.parametrize("arity", [3, 4])
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_obj(self, tmp_path, n, arity):
+        mesh = SurfaceMesh(_table(n), _faces(n, arity))
+        write_mesh(mesh, tmp_path / "m.obj")
+        expected = "".join("v " + _line(v) for v in mesh.vertices) + "".join(
+            "f " + " ".join(str(i + 1) for i in f) + "\n" for f in mesh.faces
+        )
+        assert (tmp_path / "m.obj").read_text() == expected
+
+    @pytest.mark.parametrize("arity", [3, 4])
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_ply(self, tmp_path, n, arity):
+        mesh = SurfaceMesh(_table(n), _faces(n, arity))
+        write_mesh(mesh, tmp_path / "m.ply")
+        expected = (
+            "ply\nformat ascii 1.0\n"
+            f"element vertex {n}\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            f"element face {n}\n"
+            "property list uchar int vertex_indices\nend_header\n"
+            + "".join(_line(v) for v in mesh.vertices)
+            + "".join(
+                f"{len(f)} " + " ".join(str(i) for i in f) + "\n" for f in mesh.faces
+            )
+        )
+        assert (tmp_path / "m.ply").read_text() == expected
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_map_table(self, tmp_path, n):
+        images = _table(n)
+        smap = SimpleNamespace(
+            images=images, n=n, iterations=0, converged=True, history=[]
+        )
+        write_map(smap, tmp_path / "map.txt")
+        expected = "".join(f"{i} " + _line(p) for i, p in enumerate(images))
+        assert (tmp_path / "map.txt").read_text() == expected
+
+
+class TestReadMapValidation:
+    @pytest.fixture
+    def written(self, tmp_path):
+        cloud = sphere_cloud(10, seed=6)
+        m = SphericalMap(cloud, cloud.points.copy(), [], 0, True)
+        path = tmp_path / "map.txt"
+        write_map(m, path)
+        return cloud, path, path.read_text().splitlines(keepends=True)
+
+    def test_repeated_id_rejected(self, written):
+        cloud, path, lines = written
+        lines[7] = "2" + lines[7][1:]
+        path.write_text("".join(lines))
+        with pytest.raises(FileFormatError, match="line 8: id 2 repeats line 3"):
+            read_map(path, cloud)
+
+    def test_id_past_the_end_rejected(self, written):
+        cloud, path, lines = written
+        lines[9] = "10" + lines[9][1:]
+        path.write_text("".join(lines))
+        outside = r"line 10: id 10 is outside \[0, 10\)"
+        with pytest.raises(FileFormatError, match=outside):
+            read_map(path, cloud)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_coordinate_rejected(self, written, bad):
+        cloud, path, lines = written
+        lines[4] = "4 0 " + bad + " 1\n"
+        path.write_text("".join(lines))
+        with pytest.raises(FileFormatError, match="line 5: non-finite image"):
+            read_map(path, cloud)

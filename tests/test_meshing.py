@@ -22,7 +22,7 @@ from spheremesh import (
     sphere_triangulation,
     spherical_delaunay,
 )
-from spheremesh.meshing import _CHUNK
+from spheremesh.meshing import _CHUNK, _HEAD
 
 from conftest import uniform_sphere
 
@@ -228,6 +228,29 @@ class TestInterpolation:
         assert np.any(faces != nearest)  # some samples took the fallback
         np.testing.assert_allclose(one(samples), wide(samples), atol=1e-12)
         assert one.snapped == 0
+
+    def test_head_misses_take_later_candidates_and_the_scan(self, monkeypatch):
+        m = identity_map(uniform_sphere(150, seed=21))
+        samples = uniform_sphere(2000, seed=22)
+        k = 2 * _HEAD
+        interp = SphereInterpolator(m, candidates=k)
+        cand = interp._centroid_tree.query(samples, k=k)[1]
+        hit, _ = interp._ray_test(cand, samples)
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), k)
+        assert np.any((first >= _HEAD) & (first < k))  # a later candidate hits
+        assert np.any(first == k)  # every candidate misses: the scan
+        scanned = []
+        scan = interp._scan
+        monkeypatch.setattr(interp, "_scan", lambda s: scanned.append(s) or scan(s))
+        faces, bary = interp.locate(samples)
+        np.testing.assert_array_equal(faces, loop_locate(interp, samples))
+        assert len(scanned) == np.count_nonzero(first == k)
+        assert interp.snapped == 0
+        # bit-identical to one ray test of all k candidates per sample
+        monkeypatch.setattr(spheremesh.meshing, "_HEAD", k)
+        full_faces, full_bary = interp.locate(samples)
+        np.testing.assert_array_equal(faces, full_faces)
+        np.testing.assert_array_equal(bary, full_bary)
 
     def test_candidates_below_one_rejected(self):
         m = identity_map(uniform_sphere(50, seed=9))

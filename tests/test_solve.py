@@ -164,6 +164,15 @@ class TestSystemValidation:
         with pytest.raises(SolveError, match="do not match pinned ids"):
             ConstrainedSystem(op, [0, 1, 2], 1.0)
 
+    @pytest.mark.parametrize(
+        "ids", [[1.7], np.array([1.0, 2.0]), [True, False]],
+        ids=["fractional", "whole-valued float", "bool"],
+    )
+    def test_non_integer_ids_rejected(self, ids):
+        _, op, _ = disk_system(spacing=0.3)
+        with pytest.raises(SolveError, match="pinned ids must be integers"):
+            ConstrainedSystem(op, ids, np.ones(len(ids)))
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, np.inf)])
     def test_non_finite_value_rejected(self, bad):
         _, op, _ = disk_system(spacing=0.3)
