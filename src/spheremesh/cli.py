@@ -38,8 +38,6 @@ def build_parser():
         p.add_argument("--weight", choices=WEIGHT_CHOICES, default="proposed")
         p.add_argument("--max-iters", type=int, default=100,
                        help="N-S iteration cap (default 100)")
-        p.add_argument("--solver", choices=("direct", "iterative"),
-                       default="direct")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic cloud")
     p.add_argument("kind", choices=("sphere", "ellipsoid", "blob"))
@@ -111,7 +109,6 @@ def _config_from(args):
         epsilon=args.epsilon,
         max_ns_iters=args.max_iters,
         weight=Weight(args.weight),
-        solver=args.solver,
     )
 
 

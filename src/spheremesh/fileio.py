@@ -318,7 +318,6 @@ def write_map(sphere_map, path, config=None, stage_seconds=None):
             epsilon=config.epsilon,
             weight=config.weight.kind,
             max_ns_iters=config.max_ns_iters,
-            solver=config.solver,
         )
     if stage_seconds is not None:
         meta["stage_seconds"] = {k: float(v) for k, v in stage_seconds.items()}

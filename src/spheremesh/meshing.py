@@ -228,36 +228,37 @@ def cube_sphere(resolution):
     if resolution < 1:
         raise MeshError("resolution must be at least 1")
     r = resolution
-    vert_ids = {}
-    verts = []
-
-    def vid(key):
-        if key not in vert_ids:
-            vert_ids[key] = len(verts)
-            p = np.tan(0.25 * np.pi * np.array(key, dtype=np.float64) / r)
-            verts.append(p / np.linalg.norm(p))
-        return vert_ids[key]
-
-    # (u axis, v axis) per (axis, sign) so that u x v points outward
-    axes = {
-        (0, 1): (1, 2), (0, -1): (2, 1),
-        (1, 1): (2, 0), (1, -1): (0, 2),
-        (2, 1): (0, 1), (2, -1): (1, 0),
-    }
-    steps = [-r + 2 * j for j in range(r + 1)]
-    faces = []
-    for (axis, sign), (ua, va) in axes.items():
-        for j in range(r):
-            for kk in range(r):
-                quad = []
-                for du, dv in ((0, 0), (1, 0), (1, 1), (0, 1)):
-                    key = [0, 0, 0]
-                    key[axis] = sign * r
-                    key[ua] = steps[j + du]
-                    key[va] = steps[kk + dv]
-                    quad.append(vid(tuple(key)))
-                faces.append(quad)
-    return SurfaceMesh(np.array(verts), np.array(faces, dtype=np.intp))
+    # (axis, sign, u axis, v axis) per cube face, so that u x v points
+    # outward
+    sides = np.array([
+        (0, 1, 1, 2), (0, -1, 2, 1),
+        (1, 1, 2, 0), (1, -1, 0, 2),
+        (2, 1, 0, 1), (2, -1, 1, 0),
+    ])
+    steps = np.arange(-r, r + 1, 2)
+    j, kk = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
+    du = np.array([0, 1, 1, 0])
+    dv = np.array([0, 0, 1, 1])
+    # integer key of every quad corner, (side, j, k, corner, xyz) in the
+    # order quads and corners are emitted
+    keys = np.zeros((6, r, r, 4, 3), dtype=np.int64)
+    for side, (axis, sign, ua, va) in enumerate(sides):
+        keys[side, ..., axis] = sign * r
+        keys[side, ..., ua] = steps[j[..., None] + du]
+        keys[side, ..., va] = steps[kk[..., None] + dv]
+    keys = keys.reshape(-1, 3)
+    width = 2 * r + 1
+    code = ((keys[:, 0] + r) * width + keys[:, 1] + r) * width + keys[:, 2] + r
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    # number the vertices in first-seen order
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    p = np.tan(0.25 * np.pi * keys[first[order]].astype(np.float64) / r)
+    # a matmul row product rounds like the dot product inside
+    # np.linalg.norm of one row; a sum of squares does not
+    verts = p / np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
+    return SurfaceMesh(verts, rank[inverse].reshape(-1, 4))
 
 
 def quad_mesh(sphere_map, resolution):

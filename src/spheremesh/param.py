@@ -20,7 +20,7 @@ from .errors import PipelineError, SphereMeshError
 from .laplacian import DEFAULT_K, assemble_lb_from_frames
 from .meshing import spherical_delaunay
 from .projections import inv_north, inv_south, is_infinite, proj_north, proj_south
-from .solve import METHODS, ConstrainedSystem, solve
+from .solve import ConstrainedSystem, solve
 from .weights import Weight
 
 THIRD_PI = np.pi / 3.0
@@ -29,14 +29,13 @@ THIRD_PI = np.pi / 3.0
 @dataclass
 class ParamConfig:
     """Knobs of the parameterization pipeline (defaults: k = 25,
-    r = 10 %, epsilon = 1e-4, proposed weight, direct solver)."""
+    r = 10 %, epsilon = 1e-4, proposed weight)."""
 
     k: int = DEFAULT_K
     r_percent: float = 10.0
     epsilon: float = 1e-4
     max_ns_iters: int = 100
     weight: Weight = field(default_factory=lambda: Weight("proposed"))
-    solver: str = "direct"
 
     def validate(self):
         if not 0.0 < self.r_percent < 50.0:
@@ -47,8 +46,6 @@ class ParamConfig:
             raise ValueError("k must be at least 7")
         if self.max_ns_iters < 1:
             raise ValueError("max_ns_iters must be at least 1")
-        if self.solver not in METHODS:
-            raise ValueError(f"solver must be one of {METHODS}, got {self.solver!r}")
 
 
 @dataclass
@@ -227,14 +224,12 @@ def _outermost(w, r_percent):
     return finite[order[:count]]
 
 
-def initial_map(operator, triple_ids, targets, solver="direct"):
+def initial_map(operator, triple_ids, targets):
     """Planar harmonic field with the three regular-triple constraints."""
-    return solve(
-        ConstrainedSystem(operator, triple_ids, targets), method=solver
-    )
+    return solve(ConstrainedSystem(operator, triple_ids, targets))
 
 
-def south_correction(operator, phi, r_percent=10.0, solver="direct"):
+def south_correction(operator, phi, r_percent=10.0):
     """South-pole correction of the initial planar field.
 
     Lifts phi to the sphere, re-projects from the south pole (the
@@ -250,9 +245,7 @@ def south_correction(operator, phi, r_percent=10.0, solver="direct"):
     phi = phi - phi.mean()
     w = proj_south(inv_north(phi))
     pinned = _outermost(w, r_percent)
-    psi = solve(
-        ConstrainedSystem(operator, pinned, w[pinned]), method=solver
-    )
+    psi = solve(ConstrainedSystem(operator, pinned, w[pinned]))
     return inv_south(psi)
 
 
@@ -283,10 +276,7 @@ def ns_iterate(operator, images, config=None):
             pinned = _outermost(w, config.r_percent)
             # pole hits carry the infinity marker; they stay free
             # unknowns so no infinite value ever reaches the system
-            field_ = solve(
-                ConstrainedSystem(operator, pinned, w[pinned]),
-                method=config.solver,
-            )
+            field_ = solve(ConstrainedSystem(operator, pinned, w[pinned]))
             images = unproject(field_)
         movement = float(np.mean(np.sum((images - previous) ** 2, axis=1)))
         history.append(movement)
@@ -397,9 +387,9 @@ def parameterize(cloud, config=None):
     with _stage("regular triple", timings):
         triple_ids, targets = most_regular_triple(normalized.points, frames)
     with _stage("initial map", timings):
-        phi = initial_map(operator, triple_ids, targets, config.solver)
+        phi = initial_map(operator, triple_ids, targets)
     with _stage("south correction", timings):
-        images = south_correction(operator, phi, config.r_percent, config.solver)
+        images = south_correction(operator, phi, config.r_percent)
     with _stage("north-south reiteration", timings):
         images, history, converged = ns_iterate(operator, images, config)
     with _stage("balancing", timings):

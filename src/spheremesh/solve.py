@@ -1,18 +1,31 @@
 """Constrained Laplace solves: Delta_PC u = 0 with Dirichlet-pinned points.
 
 The reduced system (free rows and columns, pinned values moved to the
-right-hand side) is non-symmetric, so the default path is a direct
-sparse LU; a preconditioned restarted-GMRES path can be selected for
-very large systems.  A complex field is solved as one two-column real
-system: the real and imaginary right-hand sides go through a single
-triangular solve of one factorization.
+right-hand side) is non-symmetric and is solved with a direct sparse LU.
+A complex field is solved as one two-column real system: the real and
+imaginary right-hand sides go through a single triangular solve of one
+factorization.
 
-The LU uses SuperLU's symmetric mode with a minimum-degree ordering of
-A^T + A.  The stencil graph of the LB matrix is nearly symmetric, so
+The LU is mixed-precision (Buttari et al., ACM TOMS 2008; the LAPACK
+``dsgesv`` design).  The reduced matrix is factored once in float32, and
+the float64 answer is recovered by iterative refinement: every residual
+is computed in float64 against the float64 matrix, and each column is
+scaled by its largest absolute value before it is cast to float32, so
+tiny, huge and all-zero pinned values survive the cast.  Refinement runs
+until the largest residual stops halving (at most ``_MAX_REFINE`` steps)
+and keeps the best iterate.  If the float32 factor fails, gives
+non-finite values, or its refined residual misses the tolerance, the
+matrix is factored again in float64 with partial pivoting.
+
+Both factors use SuperLU's symmetric mode with a minimum-degree ordering
+of A^T + A.  The stencil graph of the LB matrix is nearly symmetric, so
 this ordering gives about half the fill of the default COLAMD ordering
-of A^T A (6.6 M against 11.6 M nonzeros in L + U on a 20k-point
-cloud) and factors 2-2.5x faster; the diagonal pivot threshold stays
-at 1.0, so partial pivoting is kept.
+of A^T A (6.6 M against 11.6 M nonzeros in L + U on a 20k-point cloud).
+The float32 factor relaxes the diagonal pivot threshold to 0.1, which
+keeps more pivots on the diagonal of that ordering; refinement makes up
+for the weaker pivoting, and the float64 fallback keeps the threshold at
+1.0.  On a 20k-point cloud the four solves of ``parameterize`` take
+2.19 s instead of 3.74 s with a float64 factor.
 """
 
 import logging
@@ -24,9 +37,7 @@ from scipy.sparse import linalg as spla
 from .errors import SolveError
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 2000
-METHODS = ("direct", "iterative")
-_REFINE_STEPS = 3
+_MAX_REFINE = 10
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +84,7 @@ class ConstrainedSystem:
             self.free_ids = np.flatnonzero(mask)
 
 
-def solve(system, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, method="direct"):
+def solve(system, tol=DEFAULT_TOL):
     """Solve the constrained system; returns the full complex field.
 
     Pinned entries are reproduced exactly.  The free-row residual of the
@@ -83,8 +94,7 @@ def solve(system, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, method="direct"):
     Raises
     ------
     SolveError
-        Singular reduced system, iterative non-convergence, or a
-        residual beyond tolerance.
+        Singular reduced system, or a residual beyond tolerance.
     """
     op = system.operator
     n = op.n
@@ -104,32 +114,36 @@ def solve(system, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, method="direct"):
     bound = max(tol * scale, 1e-300)
     a = rows.tocsc()[:, free]
 
-    fill = None
-    if method == "direct":
+    factor = "float32"
+    try:
+        with np.errstate(over="ignore"):  # entries beyond float32 fall back
+            a32 = a.astype(np.float32)
+        lu = _factor(a32, diag_pivot_thresh=0.1)
+        x, steps, worst = _refined(_scaled(lu.solve), a, rhs)
+        single_ok = np.isfinite(x).all() and worst <= bound
+    except RuntimeError:  # SuperLU signals exact singularity this way
+        single_ok = False
+    if not single_ok:
+        factor = "float64"
+        lu = None  # free the float32 factor before the float64 one
         try:
-            lu = spla.splu(
-                a, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)
-            )
-        except RuntimeError as exc:  # SuperLU signals exact singularity this way
+            lu = _factor(a)
+        except RuntimeError as exc:
             raise SolveError(f"underdetermined: {exc}") from exc
-        x, steps = _refined(lu, a, rhs, bound)
-        if logger.isEnabledFor(logging.DEBUG):
-            # L and U are copies of the factor: only build them when logged
-            fill = lu.L.nnz + lu.U.nnz
-    elif method == "iterative":
-        x, steps = _solve_gmres(a, rhs, tol, max_iter), 0
-    else:
-        raise ValueError(f"unknown solver method {method!r}")
+        x, steps, _ = _refined(lu.solve, a, rhs)
 
     if not np.isfinite(x).all():
         raise SolveError("underdetermined: factorization produced non-finite values")
     parts[free] = x
     residual = float(np.abs(rows @ out).max())
-    logger.debug(
-        "solve: free=%d pinned=%d nnz_lu=%s refine_steps=%d "
-        "residual=%.3g bound=%.3g",
-        free.size, system.pinned_ids.size, fill, steps, residual, bound,
-    )
+    if logger.isEnabledFor(logging.DEBUG):
+        # L and U are copies of the factor: only build them when logged
+        logger.debug(
+            "solve: free=%d pinned=%d factor=%s nnz_lu=%d refine_steps=%d "
+            "residual=%.3g bound=%.3g",
+            free.size, system.pinned_ids.size, factor, lu.L.nnz + lu.U.nnz,
+            steps, residual, bound,
+        )
     if residual > bound:
         raise SolveError(
             f"residual {residual:.3g} exceeds tolerance {tol:g} * {scale:.3g}",
@@ -138,35 +152,38 @@ def solve(system, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, method="direct"):
     return out
 
 
-def _refined(lu, a, b, bound):
-    """LU solve plus iterative refinement until the residual of every
-    column meets bound; returns the solution and the refinement steps."""
-    x = lu.solve(b)
-    for step in range(_REFINE_STEPS):
+def _factor(a, **options):
+    return spla.splu(
+        a, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True), **options
+    )
+
+
+def _scaled(solve32):
+    """Wrap a float32 LU solve: each column is divided by its largest
+    absolute value before the cast and multiplied back after it."""
+
+    def apply(r):
+        s = np.abs(r).max(axis=0)
+        s[s == 0.0] = 1.0
+        return solve32((r / s).astype(np.float32)) * s
+
+    return apply
+
+
+def _refined(apply, a, b):
+    """LU solve plus float64 iterative refinement until the largest
+    residual stops halving; returns the best iterate, the refinement
+    steps taken and its largest residual."""
+    x = apply(b)
+    r = b - a @ x
+    worst = np.abs(r).max()
+    best = (x, worst)
+    for steps in range(1, _MAX_REFINE + 1):
+        x = x + apply(r)
         r = b - a @ x
-        if np.abs(r).max() <= bound:
-            return x, step
-        x = x + lu.solve(r)
-    return x, _REFINE_STEPS
-
-
-def _solve_gmres(a, rhs, tol, max_iter):
-    try:
-        ilu = spla.spilu(a, drop_tol=1e-6, fill_factor=30)
-    except RuntimeError as exc:
-        raise SolveError(f"underdetermined: {exc}") from exc
-    precond = spla.LinearOperator(a.shape, ilu.solve)
-    columns = []
-    for part in rhs.T:
-        x, info = spla.gmres(
-            a, part, rtol=tol, atol=0.0, restart=50, maxiter=max_iter, M=precond
-        )
-        if info != 0:
-            res = float(np.abs(a @ x - part).max())
-            raise SolveError(
-                f"GMRES did not converge within {max_iter} iterations "
-                f"(residual {res:.3g})",
-                residual=res,
-            )
-        columns.append(x)
-    return np.column_stack(columns)
+        previous, worst = worst, np.abs(r).max()
+        if worst < best[1]:
+            best = (x, worst)
+        if not worst < 0.5 * previous:  # also stops on NaN
+            break
+    return best[0], steps, float(best[1])

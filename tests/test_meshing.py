@@ -306,6 +306,38 @@ class TestCubeSphere:
         assert mesh.is_closed() and mesh.is_oriented()
         assert mesh.signed_volume() > 0
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 32])
+    def test_matches_per_vertex_loop(self, r):
+        # reference: one dict lookup and one tan per quad corner, vertices
+        # numbered in first-seen order
+        vert_ids, verts, faces = {}, [], []
+        steps = [-r + 2 * j for j in range(r + 1)]
+        sides = {
+            (0, 1): (1, 2), (0, -1): (2, 1),
+            (1, 1): (2, 0), (1, -1): (0, 2),
+            (2, 1): (0, 1), (2, -1): (1, 0),
+        }
+        for (axis, sign), (ua, va) in sides.items():
+            for j in range(r):
+                for kk in range(r):
+                    quad = []
+                    for du, dv in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                        key = [0, 0, 0]
+                        key[axis] = sign * r
+                        key[ua] = steps[j + du]
+                        key[va] = steps[kk + dv]
+                        key = tuple(key)
+                        if key not in vert_ids:
+                            vert_ids[key] = len(verts)
+                            angles = 0.25 * np.pi * np.array(key, dtype=np.float64)
+                            p = np.tan(angles / r)
+                            verts.append(p / np.linalg.norm(p))
+                        quad.append(vert_ids[key])
+                    faces.append(quad)
+        mesh = cube_sphere(r)
+        np.testing.assert_array_equal(mesh.faces, np.array(faces, dtype=np.intp))
+        np.testing.assert_array_equal(mesh.vertices, np.array(verts))
+
     def test_quad_mesh_identity_quality(self):
         pts = uniform_sphere(4000, seed=11)
         m = identity_map(pts)

@@ -22,7 +22,6 @@ from spheremesh import (
     south_correction,
     triangle_regularity,
 )
-import spheremesh.param
 from spheremesh.laplacian import assemble_lb_from_frames
 from spheremesh.param import _outermost, _similarity_targets
 from spheremesh.synth import blob_cloud
@@ -419,19 +418,6 @@ class TestParameterize:
             ParamConfig(k=5).validate()
         with pytest.raises(ValueError):
             ParamConfig(epsilon=0.0).validate()
-
-    def test_unknown_solver_rejected_before_assembly(self, monkeypatch):
-        with pytest.raises(ValueError, match="solver must be one of"):
-            ParamConfig(solver="foo").validate()
-
-        def no_assembly(*args):
-            raise AssertionError("LB assembly ran")
-
-        monkeypatch.setattr(spheremesh.param, "build_index", no_assembly)
-        with pytest.raises(ValueError, match="'foo'"):
-            parameterize(
-                PointCloud(uniform_sphere(100, seed=3)), ParamConfig(solver="foo")
-            )
 
     def test_stage_timings_recorded(self):
         pts = uniform_sphere(400, seed=16)

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from spheremesh import (
     ConstrainedSystem,
@@ -13,6 +14,7 @@ from spheremesh import (
     solve,
 )
 from spheremesh.laplacian import SparseOperator
+from spheremesh.solve import DEFAULT_TOL
 
 from conftest import disk_grid
 
@@ -75,14 +77,6 @@ class TestSolve:
         out2 = solve(ConstrainedSystem(op, boundary, z[boundary]))
         np.testing.assert_array_equal(out1, out2)
 
-    def test_iterative_matches_direct(self):
-        cloud, op, boundary = disk_system(spacing=0.12, seed=4)
-        z = cloud.points[:, 0] + 1j * cloud.points[:, 1]
-        sys_ = ConstrainedSystem(op, boundary, z[boundary])
-        direct = solve(sys_)
-        iterative = solve(sys_, method="iterative")
-        assert np.abs(direct - iterative).max() <= 1e-7
-
     def test_empty_pinned_set_rejected(self):
         _, op, _ = disk_system(spacing=0.3)
         with pytest.raises(SolveError, match="empty"):
@@ -139,10 +133,58 @@ class TestSolve:
         (record,) = caplog.records
         message = record.getMessage()
         free = op.n - boundary.size
-        for field_ in (f"free={free}", f"pinned={boundary.size}", "nnz_lu=",
-                       "refine_steps=", "residual=", "bound="):
+        for field_ in (f"free={free}", f"pinned={boundary.size}",
+                       "factor=float32", "nnz_lu=", "refine_steps=",
+                       "residual=", "bound="):
             assert field_ in message
         assert re.search(r"nnz_lu=\d+ ", message)
+
+
+class TestMixedPrecision:
+    def test_matches_float64_lu(self):
+        cloud, op, boundary = disk_system()
+        z = cloud.points[:, 0] + 1j * cloud.points[:, 1]
+        out = solve(ConstrainedSystem(op, boundary, z[boundary]))
+        free = np.setdiff1d(np.arange(op.n), boundary)
+        columns = op.matrix[free].tocsc()
+        rhs = -(columns[:, boundary] @ z[boundary])
+        reference = splu(columns[:, free].astype(np.complex128)).solve(rhs)
+        error = np.abs(out[free] - reference).max()
+        assert error <= 1e-12 * np.abs(reference).max()
+
+    def test_ill_conditioned_system_falls_back_to_float64(self, caplog):
+        # condition number 1e9: beyond what a float32 factor can refine;
+        # the coupling column is M @ y, so the solution is -y
+        n = 200
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = q @ np.diag(np.logspace(0, -9, n)) @ q.T
+        y = rng.standard_normal(n)
+        matrix = sparse.bmat(
+            [[sparse.csr_matrix(m), sparse.csr_matrix((m @ y)[:, None])],
+             [None, sparse.identity(1)]]
+        ).tocsr()
+        system = ConstrainedSystem(SparseOperator(matrix), [n], [1.0])
+        with caplog.at_level(logging.DEBUG, logger="spheremesh.solve"):
+            out = solve(system)
+        (record,) = caplog.records
+        assert "factor=float64" in record.getMessage()
+        residual = np.abs(matrix[:n] @ out).max()
+        assert residual <= DEFAULT_TOL * np.abs(m @ y).max()
+
+    @pytest.mark.parametrize("magnitude", [1e-42, 1e36, 0.0])
+    def test_extreme_pinned_values_survive_the_float32_cast(
+        self, magnitude, caplog
+    ):
+        cloud, op, boundary = disk_system(spacing=0.12, seed=7)
+        z = cloud.points[:, 0] + 1j * cloud.points[:, 1]
+        values = magnitude * z[boundary]
+        with caplog.at_level(logging.DEBUG, logger="spheremesh.solve"):
+            out = solve(ConstrainedSystem(op, boundary, values))
+        (record,) = caplog.records
+        assert "factor=float32" in record.getMessage()
+        assert np.isfinite(out).all()
+        np.testing.assert_array_equal(out[boundary], values)
 
 
 class TestSystemValidation:
