@@ -152,8 +152,7 @@ def cmd_param(args):
     cloud = fileio.read_cloud(args.input)
     config = _config_from(args)
     sphere_map = parameterize(cloud, config)
-    fileio.write_map(sphere_map, args.output, config=config,
-                     stage_seconds=sphere_map.stage_seconds)
+    fileio.write_map(sphere_map, args.output, config=config)
     print(
         f"parameterized {cloud.n} points in {sphere_map.iterations} N-S "
         f"iterations (converged={sphere_map.converged}); wrote {args.output}"

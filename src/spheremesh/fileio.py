@@ -36,6 +36,15 @@ _PLY_SCALARS = {
 }
 
 
+def _parse(convert, fields, path, lineno):
+    """fields converted by ``convert``; a field it rejects raises
+    FileFormatError naming the file and the line."""
+    try:
+        return [convert(v) for v in fields]
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
+
+
 def read_cloud(path):
     """Read a point cloud; format chosen by extension (.xyz/.ply/.obj)."""
     path = Path(path)
@@ -67,11 +76,7 @@ def _read_xyz(path):
             parts = text.split()
             if len(parts) < 3:
                 raise FileFormatError(f"{path}: line {lineno}: expected 'x y z'")
-            try:
-                xyz = [float(v) for v in parts[:3]]
-            except ValueError as exc:
-                raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
-            points.append(xyz)
+            points.append(_parse(float, parts[:3], path, lineno))
             lines.append(f"line {lineno}")
     return points, lines
 
@@ -85,14 +90,7 @@ def _read_obj_vertices(path):
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "v":
-                if len(parts) < 4:
-                    raise FileFormatError(
-                        f"{path}: line {lineno}: v-line needs 3 coordinates"
-                    )
-                try:
-                    points.append([float(v) for v in parts[1:4]])
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
+                points.append(_obj_vertex(parts, path, lineno))
                 lines.append(f"line {lineno}")
             elif parts[0] == "f":
                 skipped_faces += 1
@@ -102,6 +100,13 @@ def _read_obj_vertices(path):
             stacklevel=3,
         )
     return points, lines
+
+
+def _obj_vertex(parts, path, lineno):
+    """Coordinates of the OBJ v-line split into parts."""
+    if len(parts) < 4:
+        raise FileFormatError(f"{path}: line {lineno}: v-line needs 3 coordinates")
+    return _parse(float, parts[1:4], path, lineno)
 
 
 def _parse_ply_header(fh, path):
@@ -122,7 +127,12 @@ def _parse_ply_header(fh, path):
         if parts[0] == "format":
             fmt = parts[1]
         elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
+            if len(parts) != 3:
+                raise FileFormatError(
+                    f"{path}: line {lineno}: expected 'element <name> <count>'"
+                )
+            (count,) = _parse(int, parts[2:], path, lineno)
+            elements.append((parts[1], count, []))
         elif parts[0] == "property":
             if not elements:
                 raise FileFormatError(f"{path}: line {lineno}: property before element")
@@ -146,9 +156,8 @@ def _read_ply_vertices(path):
             if name == "vertex":
                 break
             if fmt == "ascii":
-                for _ in range(count):
-                    fh.readline()
-                    lineno += 1
+                _ascii_rows(fh, count, lineno, path)
+                lineno += count
                 continue
             if any(p[2] is not None for p in props):
                 raise FileFormatError(
@@ -159,23 +168,10 @@ def _read_ply_vertices(path):
             fh.seek(count * width, 1)
         else:
             raise FileFormatError(f"{path}: no vertex element")
-        names = [p[0] for p in props]
-        for needed in ("x", "y", "z"):
-            if needed not in names:
-                raise FileFormatError(f"{path}: vertex lacks property {needed!r}")
+        cols = _xyz_columns(props, path)
         if fmt == "ascii":
-            rows = []
-            for i in range(count):
-                parts = fh.readline().split()
-                lineno += 1
-                if len(parts) < len(props):
-                    raise FileFormatError(
-                        f"{path}: line {lineno}: truncated vertex row"
-                    )
-                rows.append([float(v) for v in parts])
-            data = np.array(rows)
-            cols = [names.index(ax) for ax in "xyz"]
-            pts = data[:, cols]
+            rows = _ascii_rows(fh, count, lineno, path)
+            pts = _ascii_xyz(rows, len(props), cols, path)
         else:
             dtype = np.dtype(
                 [(p[0], "<" + _PLY_SCALARS[p[1]][0]) for p in props]
@@ -190,6 +186,39 @@ def _read_ply_vertices(path):
             )
     labels = [f"vertex {i}" for i in range(len(pts))]
     return pts, labels
+
+
+def _ascii_rows(fh, count, lineno, path):
+    """The next ``count`` rows of an ASCII PLY body after line ``lineno``,
+    as (line number, fields) pairs; a blank or missing row raises."""
+    rows = []
+    for _ in range(count):
+        lineno += 1
+        parts = fh.readline().split()
+        if not parts:
+            raise FileFormatError(f"{path}: line {lineno}: truncated element")
+        rows.append((lineno, parts))
+    return rows
+
+
+def _xyz_columns(props, path):
+    """Positions of the x, y and z properties of a PLY vertex element."""
+    names = [p[0] for p in props]
+    for needed in "xyz":
+        if needed not in names:
+            raise FileFormatError(f"{path}: vertex lacks property {needed!r}")
+    return [names.index(ax) for ax in "xyz"]
+
+
+def _ascii_xyz(rows, width, cols, path):
+    """(n, 3) positions from ASCII PLY vertex rows (``_ascii_rows``) of
+    ``width`` properties, x, y and z at columns ``cols``."""
+    pts = np.empty((len(rows), 3))
+    for i, (lineno, parts) in enumerate(rows):
+        if len(parts) < width:
+            raise FileFormatError(f"{path}: line {lineno}: truncated vertex row")
+        pts[i] = _parse(float, [parts[c] for c in cols], path, lineno)
+    return pts
 
 
 def write_cloud(points, path):
@@ -252,13 +281,10 @@ def _read_obj_mesh(path):
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "v":
-                verts.append([float(v) for v in parts[1:4]])
+                verts.append(_obj_vertex(parts, path, lineno))
             elif parts[0] == "f":
-                try:
-                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
-                faces.append(idx)
+                idx = _parse(int, [p.split("/")[0] for p in parts[1:]], path, lineno)
+                faces.append([i - 1 for i in idx])
     if not faces:
         raise FileFormatError(f"{path}: no faces found")
     arity = len(faces[0])
@@ -274,21 +300,12 @@ def _read_ply_mesh(path):
             raise FileFormatError(f"{path}: mesh reading supports ASCII PLY only")
         verts, faces = None, None
         for name, count, props in elements:
-            rows = []
-            for i in range(count):
-                parts = fh.readline().split()
-                lineno += 1
-                if not parts:
-                    raise FileFormatError(f"{path}: line {lineno}: truncated element")
-                rows.append(parts)
+            rows = _ascii_rows(fh, count, lineno, path)
+            lineno += count
             if name == "vertex":
-                names = [p[0] for p in props]
-                cols = [names.index(ax) for ax in "xyz"]
-                verts = np.array(
-                    [[float(r[c]) for c in cols] for r in rows]
-                )
+                verts = _ascii_xyz(rows, len(props), _xyz_columns(props, path), path)
             elif name == "face":
-                faces = [[int(v) for v in r[1:1 + int(r[0])]] for r in rows]
+                faces = [_ply_face(parts, path, row) for row, parts in rows]
     if verts is None or faces is None:
         raise FileFormatError(f"{path}: PLY mesh needs vertex and face elements")
     arity = len(faces[0])
@@ -297,9 +314,21 @@ def _read_ply_mesh(path):
     return SurfaceMesh(verts, np.array(faces, dtype=np.intp))
 
 
-def write_map(sphere_map, path, config=None, stage_seconds=None):
+def _ply_face(parts, path, lineno):
+    """Vertex ids of an ASCII PLY face row: a count, then that many ids."""
+    (count,) = _parse(int, parts[:1], path, lineno)
+    ids = _parse(int, parts[1:1 + count], path, lineno)
+    if len(ids) < count:
+        raise FileFormatError(
+            f"{path}: line {lineno}: face row lists {len(ids)} of {count} ids"
+        )
+    return ids
+
+
+def write_map(sphere_map, path, config=None):
     """Serialize a spherical map: an index/unit-vector table plus a JSON
-    metadata sidecar (same path with .json appended)."""
+    metadata sidecar (same path with .json appended), which records the
+    map's ``stage_seconds`` when it has them."""
     path = Path(path)
     # ids go through float64 exactly (n < 2**53) and print with %d
     table = np.column_stack([np.arange(sphere_map.n), sphere_map.images])
@@ -319,8 +348,10 @@ def write_map(sphere_map, path, config=None, stage_seconds=None):
             weight=config.weight.kind,
             max_ns_iters=config.max_ns_iters,
         )
-    if stage_seconds is not None:
-        meta["stage_seconds"] = {k: float(v) for k, v in stage_seconds.items()}
+    if sphere_map.stage_seconds is not None:
+        meta["stage_seconds"] = {
+            k: float(v) for k, v in sphere_map.stage_seconds.items()
+        }
     with open(str(path) + ".json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -339,10 +370,8 @@ def read_map(path, cloud):
                 continue
             if len(parts) != 4:
                 raise FileFormatError(f"{path}: line {lineno}: expected 'id x y z'")
-            try:
-                i, xyz = int(parts[0]), [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
+            (i,) = _parse(int, parts[:1], path, lineno)
+            xyz = _parse(float, parts[1:], path, lineno)
             if not 0 <= i < cloud.n:
                 raise FileFormatError(
                     f"{path}: line {lineno}: id {i} is outside [0, {cloud.n})"

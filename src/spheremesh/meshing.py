@@ -13,7 +13,6 @@ from .mesh import SurfaceMesh
 _BARY_TOL = 1e-10
 _VERTEX_SNAP = 1e-12
 _CHUNK = 1024  # samples per batched locate step; bounds its temporaries
-_HEAD = 4  # candidates ray-tested for every sample before the misses get all k
 _DEGENERATE = ("coincide", "collinear", "coplanar")  # by rank of the point set
 
 
@@ -92,41 +91,37 @@ class SphereInterpolator:
 
     A sample direction is located on the parameterization's spherical
     Delaunay hull by its central ray, and its barycentric weights
-    transfer to the corresponding original cloud points.  Samples go in
-    chunks of ``_CHUNK``: one k-d tree query finds each sample's
-    ``candidates`` faces nearest by centroid direction, and array ray
-    tests take, per sample, the first hit in candidate order.  Most
-    samples hit one of their nearest few faces, so the whole chunk is
-    tested against its first ``_HEAD`` candidates only; the samples
-    that miss all of them are tested again against all their
-    candidates.  That retest has the full width, never one column (a
-    one-column ``matmul`` takes another kernel and can round
-    differently), so the weights are bit-identical to a single test of
-    all candidates.  A sample that
-    hits none of its candidates falls back to a scan of all faces
-    (first hit in face-id order); one that defeats the strict test
-    numerically there too is snapped to the least-violating face and
-    counted in ``snapped``.
+    transfer to the corresponding original cloud points.  On a hull
+    around the origin the ray from the origin along s leaves through
+    the face that maximises n_f . s / d_f, with d_f = n_f . a_f the
+    face's plane offset (polar duality).  Each face with d_f > 0 gets
+    the dual point q_f = n_f / d_f, lifted to (q_f, sqrt(M - |q_f|^2))
+    with M = max |q_f|^2; then |Q_f - (s, 0)|^2 = M + 1 - 2 q_f . s, so
+    one exact nearest-neighbour query of (s, 0) in a k-d tree of the
+    lifted points finds that exit face (Bachrach et al., RecSys 2014).
+    A sample on an edge shared by two faces takes whichever the query
+    returns; both contain it.  The exit face is ray-tested in chunks of
+    ``_CHUNK`` samples.  A sample whose exit face fails the strict test
+    (its ray misses the hull, as on a map crowded into one cap, whose
+    faces with d_f <= 0 stay out of the tree) keeps that face with its
+    weights clamped and is counted in ``snapped``.
     """
 
-    def __init__(self, sphere_map, candidates=16):
-        if candidates < 1:
-            raise MeshError(f"candidates must be at least 1, got {candidates}")
+    def __init__(self, sphere_map):
         self.images = np.asarray(sphere_map.images, dtype=np.float64)
         self.cloud_points = sphere_map.cloud.points
         self.mesh = sphere_triangulation(sphere_map)
-        self.candidates = candidates
         self.snapped = 0
         f = self.mesh.faces
         self._corners = self.images[f]  # (F, 3, 3)
-        centroids = self._corners.mean(axis=1)
-        self._centroid_tree = cKDTree(
-            centroids / np.linalg.norm(centroids, axis=1, keepdims=True)
-        )
         a, b, c = self._corners[:, 0], self._corners[:, 1], self._corners[:, 2]
         self._normals = np.cross(b - a, c - a)
         self._nn = np.einsum("ij,ij->i", self._normals, self._normals)
         self._offsets = np.einsum("ij,ij->i", self._normals, a)
+        self._exit_ids = np.flatnonzero(self._offsets > 0)
+        q = self._normals[self._exit_ids] / self._offsets[self._exit_ids, None]
+        qq = np.einsum("ij,ij->i", q, q)
+        self._dual_tree = cKDTree(np.column_stack([q, np.sqrt(qq.max() - qq)]))
 
     def _bary(self, face_ids, x):
         """Barycentric coordinates of plane points x (..., 3) in the
@@ -153,51 +148,23 @@ class SphereInterpolator:
         """(face id, barycentric weights) per unit-sphere sample."""
         s = np.asarray(samples, dtype=np.float64)
         s = s / np.linalg.norm(s, axis=1, keepdims=True)
-        m = len(s)
-        k = min(self.candidates, self.mesh.n_faces)
-        head = min(_HEAD, k)
-        faces_out = np.empty(m, dtype=np.intp)
-        bary_out = np.empty((m, 3))
-        for lo in range(0, m, _CHUNK):
+        faces = np.empty(len(s), dtype=np.intp)
+        bary = np.empty((len(s), 3))
+        for lo in range(0, len(s), _CHUNK):
             chunk = s[lo:lo + _CHUNK]
-            _, cand = self._centroid_tree.query(chunk, k=k)
-            cand = cand.reshape(len(chunk), k)
-            faces, bary, found = self._first_hit(cand[:, :head], chunk)
-            miss = np.flatnonzero(~found)
-            if miss.size and k > head:
-                faces[miss], bary[miss], found[miss] = self._first_hit(
-                    cand[miss], chunk[miss]
-                )
-            faces_out[lo:lo + len(chunk)] = faces
-            bary_out[lo:lo + len(chunk)] = bary
-            for i in np.flatnonzero(~found):
-                faces_out[lo + i], bary_out[lo + i] = self._scan(chunk[i])
-        return faces_out, bary_out
-
-    def _first_hit(self, face_ids, s):
-        """Per sample of s (m, 3), the first of its faces face_ids (m, k)
-        that its central ray meets: face ids (m,), weights (m, 3) and a
-        hit flag (m,); the flag is False when all k miss."""
-        hit, bary = self._ray_test(face_ids, s)
-        rows = np.arange(len(s))
-        first = hit.argmax(axis=1)
-        return face_ids[rows, first], bary[rows, first], hit[rows, first]
-
-    def _scan(self, s):
-        """Face and weights of one sample from a scan of every face: the
-        first hit in face-id order, else the least-violating face with
-        its weights clamped, counted in ``snapped``."""
-        faces = np.arange(self.mesh.n_faces)[None, :]
-        hit, bary = self._ray_test(faces, s[None, :])
-        hit, bary = hit[0], bary[0]
-        if hit.any():
-            fid = int(hit.argmax())
-            return fid, bary[fid]
-        worst = np.where(self._normals @ s > 0, bary.min(axis=1), -np.inf)
-        fid = int(np.argmax(worst))
-        clamped = np.clip(bary[fid], 0.0, None)
-        self.snapped += 1
-        return fid, clamped / clamped.sum()
+            _, nearest = self._dual_tree.query(np.pad(chunk, ((0, 0), (0, 1))))
+            exit_face = self._exit_ids[nearest]
+            # the face twice: a one-column matmul takes another kernel
+            # and rounds differently from the multi-column test
+            hit, w = self._ray_test(np.column_stack([exit_face, exit_face]), chunk)
+            hit, w = hit[:, 0], w[:, 0]
+            miss = np.flatnonzero(~hit)
+            clamped = np.clip(w[miss], 0.0, None)
+            w[miss] = clamped / clamped.sum(axis=1, keepdims=True)
+            self.snapped += miss.size
+            faces[lo:lo + len(chunk)] = exit_face
+            bary[lo:lo + len(chunk)] = w
+        return faces, bary
 
     def __call__(self, samples):
         """Cloud-space positions of unit-sphere samples."""

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -163,7 +164,8 @@ class TestMapSerialization:
         )
         path = tmp_path / "map.txt"
         config = ParamConfig(k=12, epsilon=2e-4)
-        write_map(m, path, config=config, stage_seconds={"lb assembly": 0.5})
+        m.stage_seconds = {"lb assembly": 0.5}
+        write_map(m, path, config=config)
         back = read_map(path, cloud)
         np.testing.assert_array_equal(back.images, m.images)
         assert back.history == m.history
@@ -176,6 +178,7 @@ class TestMapSerialization:
             assert key in meta
         assert meta["k"] == 12
         assert meta["weight"] == "proposed"
+        assert meta["stage_seconds"] == {"lb assembly": 0.5}
 
     def test_size_mismatch_rejected(self, tmp_path):
         cloud = sphere_cloud(40, seed=4)
@@ -185,6 +188,41 @@ class TestMapSerialization:
         write_map(m, path)
         with pytest.raises(FileFormatError, match="40"):
             read_map(path, other)
+
+
+PLY_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex 3\n"
+    "property double x\nproperty double y\nproperty double z\n"
+    "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+)  # the vertex rows start at line 10, the face row at line 13
+OBJ_BODY = "v 0 0 0\nv {}\nv 0 1 0\nf 1 2 3\n"
+PLY_BODY = "0 0 0\n{}\n0 1 0\n{}\n"
+
+MALFORMED = [
+    pytest.param(read_mesh, "m.obj", OBJ_BODY.format("1 0 x"), "line 2: ",
+                 id="obj-unparsable-coordinate"),
+    pytest.param(read_mesh, "m.obj", OBJ_BODY.format("1 0"), "line 2: ",
+                 id="obj-two-coordinates"),
+    pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 x 0", "3 0 1 2"),
+                 "line 11: ", id="ply-mesh-unparsable-vertex"),
+    pytest.param(read_cloud, "m.ply", PLY_HEADER + PLY_BODY.format("1 x 0", "3 0 1 2"),
+                 "line 11: ", id="ply-cloud-unparsable-vertex"),
+    pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 0", "3 0 1 2"),
+                 "line 11: ", id="ply-mesh-short-vertex-row"),
+    pytest.param(read_mesh, "m.ply",
+                 PLY_HEADER.replace("vertex 3", "vertex x") + PLY_BODY.format("1 0 0", "3 0 1 2"),
+                 "line 3: ", id="ply-unparsable-element-count"),
+    pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 0 0", "3 0 1"),
+                 "line 13: face row lists 2 of 3 ids", id="ply-short-face-row"),
+]
+
+
+@pytest.mark.parametrize("reader, name, text, message", MALFORMED)
+def test_malformed_row_names_the_line(tmp_path, reader, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
+        reader(path)
 
 
 def _line(values):
@@ -251,7 +289,8 @@ class TestBlockWriters:
     def test_map_table(self, tmp_path, n):
         images = _table(n)
         smap = SimpleNamespace(
-            images=images, n=n, iterations=0, converged=True, history=[]
+            images=images, n=n, iterations=0, converged=True, history=[],
+            stage_seconds=None,
         )
         write_map(smap, tmp_path / "map.txt")
         expected = "".join(f"{i} " + _line(p) for i, p in enumerate(images))

@@ -2,7 +2,6 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 import spheremesh.meshing
 from spheremesh import (
@@ -22,7 +21,7 @@ from spheremesh import (
     sphere_triangulation,
     spherical_delaunay,
 )
-from spheremesh.meshing import _CHUNK, _HEAD
+from spheremesh.meshing import _BARY_TOL, _CHUNK
 
 from conftest import uniform_sphere
 
@@ -126,33 +125,6 @@ def exhaustive_positions(sphere_map, samples):
     return np.vstack(out)
 
 
-def loop_locate(interp, samples):
-    """Per-sample reference: the first of each sample's candidate faces,
-    in k-d tree order, that its central ray meets; failing that, the
-    first such face in id order."""
-
-    def meets(f, s):
-        a, b, c = interp._corners[f]
-        n = np.cross(b - a, c - a)
-        if n @ s <= 0 or n @ a <= 0:
-            return False
-        x = (n @ a) / (n @ s) * s
-        beta = np.cross(x - a, c - a) @ n / (n @ n)
-        gamma = np.cross(b - a, x - a) @ n / (n @ n)
-        return min(1.0 - beta - gamma, beta, gamma) >= -1e-10
-
-    k = min(interp.candidates, interp.mesh.n_faces)
-    samples = samples / np.linalg.norm(samples, axis=1, keepdims=True)
-    out = []
-    for s in samples:
-        cand = np.atleast_1d(interp._centroid_tree.query(s, k=k)[1])
-        hits = [f for f in cand if meets(f, s)]
-        if not hits:
-            hits = [f for f in range(interp.mesh.n_faces) if meets(f, s)]
-        out.append(hits[0])
-    return np.array(out)
-
-
 class TestInterpolation:
     def test_sample_at_image_returns_cloud_point_exactly(self):
         pts = uniform_sphere(200, seed=4)
@@ -182,91 +154,51 @@ class TestInterpolation:
         assert np.all(out.min(axis=0) >= pts.min(axis=0) - 1e-12)
         assert np.all(out.max(axis=0) <= pts.max(axis=0) + 1e-12)
 
-    def test_locate_agrees_with_linear_scan(self):
-        pts = uniform_sphere(150, seed=9)
-        m = identity_map(pts)
-        interp = SphereInterpolator(m)
-        samples = uniform_sphere(64, seed=10)
-        faces, bary = interp.locate(samples)
-        # oracle: exhaustive candidate list
-        wide = SphereInterpolator(m, candidates=interp.mesh.n_faces)
-        faces2, bary2 = wide.locate(samples)
-        # hits can differ on shared edges; the interpolated POSITIONS agree
-        out1 = interp(samples)
-        out2 = wide(samples)
-        np.testing.assert_allclose(out1, out2, atol=1e-12)
-        assert interp.snapped == 0
+    def test_locate_matches_exhaustive_oracle(self, ellipsoid_map):
+        for m in (ellipsoid_map, identity_map(uniform_sphere(150, seed=9))):
+            samples = np.vstack([icosphere(4).vertices, m.images])
+            interp = SphereInterpolator(m)
+            out = interp(samples)
+            np.testing.assert_allclose(
+                out, exhaustive_positions(m, samples), rtol=0, atol=1e-12
+            )
+            # images return their cloud points bit-exactly
+            np.testing.assert_array_equal(out[-m.n:], m.cloud.points)
+            assert interp.snapped == 0
 
-    def test_first_hit_in_candidate_order(self):
+    def test_samples_on_shared_edges_lie_in_their_face(self):
         # by symmetry, about a third of the icosphere(3) directions lie on
         # an edge or vertex of the icosphere(2) hull and meet two or more
-        # faces; the earlier candidate wins
+        # faces; whichever the query returns contains the sample
         m = identity_map(icosphere(2).vertices)
         samples = icosphere(3).vertices[::4]
         interp = SphereInterpolator(m)
-        faces, _ = interp.locate(samples)
-        np.testing.assert_array_equal(faces, loop_locate(interp, samples))
-
-    def test_fallback_scan_takes_first_hit_in_face_order(self):
-        m = identity_map(icosphere(2).vertices)
-        samples = icosphere(3).vertices[::16]
-        interp = SphereInterpolator(m, candidates=1)
-        # candidates taken from the antipodal centroids: every ray misses
-        # its candidate and goes to the scan
-        interp._centroid_tree = cKDTree(-interp._centroid_tree.data)
-        faces, _ = interp.locate(samples)
-        np.testing.assert_array_equal(faces, loop_locate(interp, samples))
-        assert interp.snapped == 0
-
-    def test_single_candidate_falls_back_to_scan(self):
-        m = identity_map(uniform_sphere(150, seed=9))
-        samples = uniform_sphere(64, seed=10)
-        one = SphereInterpolator(m, candidates=1)
-        wide = SphereInterpolator(m, candidates=one.mesh.n_faces)
-        faces, _ = one.locate(samples)
-        nearest = one._centroid_tree.query(samples, k=1)[1]
-        assert np.any(faces != nearest)  # some samples took the fallback
-        np.testing.assert_allclose(one(samples), wide(samples), atol=1e-12)
-        assert one.snapped == 0
-
-    def test_head_misses_take_later_candidates_and_the_scan(self, monkeypatch):
-        m = identity_map(uniform_sphere(150, seed=21))
-        samples = uniform_sphere(2000, seed=22)
-        k = 2 * _HEAD
-        interp = SphereInterpolator(m, candidates=k)
-        cand = interp._centroid_tree.query(samples, k=k)[1]
-        hit, _ = interp._ray_test(cand, samples)
-        first = np.where(hit.any(axis=1), hit.argmax(axis=1), k)
-        assert np.any((first >= _HEAD) & (first < k))  # a later candidate hits
-        assert np.any(first == k)  # every candidate misses: the scan
-        scanned = []
-        scan = interp._scan
-        monkeypatch.setattr(interp, "_scan", lambda s: scanned.append(s) or scan(s))
         faces, bary = interp.locate(samples)
-        np.testing.assert_array_equal(faces, loop_locate(interp, samples))
-        assert len(scanned) == np.count_nonzero(first == k)
+        assert bary.min() >= -_BARY_TOL
         assert interp.snapped == 0
-        # bit-identical to one ray test of all k candidates per sample
-        monkeypatch.setattr(spheremesh.meshing, "_HEAD", k)
-        full_faces, full_bary = interp.locate(samples)
-        np.testing.assert_array_equal(faces, full_faces)
-        np.testing.assert_array_equal(bary, full_bary)
-
-    def test_candidates_below_one_rejected(self):
-        m = identity_map(uniform_sphere(50, seed=9))
-        with pytest.raises(MeshError, match="candidates"):
-            SphereInterpolator(m, candidates=0)
-
-    def test_locate_matches_exhaustive_oracle(self, ellipsoid_map):
-        m = ellipsoid_map
-        samples = np.vstack([icosphere(4).vertices, m.images])
-        interp = SphereInterpolator(m)
-        out = interp(samples)
         np.testing.assert_allclose(
-            out, exhaustive_positions(m, samples), rtol=0, atol=1e-12
+            interp(samples), exhaustive_positions(m, samples), rtol=0, atol=1e-12
         )
-        # images return their cloud points bit-exactly
-        np.testing.assert_array_equal(out[-m.n:], m.cloud.points)
+
+    def test_exit_face_maximises_dual_product(self, ellipsoid_map):
+        # polar duality: the central ray of s leaves a hull around the
+        # origin through the face maximising n_f . s / d_f
+        interp = SphereInterpolator(ellipsoid_map)
+        assert np.all(interp._offsets > 0)
+        samples = uniform_sphere(2000, seed=15)
+        s = samples / np.linalg.norm(samples, axis=1, keepdims=True)
+        faces, bary = interp.locate(samples)
+        score = s @ (interp._normals / interp._offsets[:, None]).T
+        second, best = np.argsort(score, axis=1)[:, -2:].T
+        rows = np.arange(len(s))
+        # away from shared edges the runner-up trails by a margin
+        clear = score[rows, best] - score[rows, second] > 1e-9 * score[rows, best]
+        assert clear.mean() > 0.99
+        np.testing.assert_array_equal(faces[clear], best[clear])
+        # the weights of a ray test of the best and runner-up faces
+        hit, weights = interp._ray_test(np.column_stack([best, second]), s)
+        assert hit[:, 0].all()
+        np.testing.assert_array_equal(bary[clear], weights[clear, 0])
         assert interp.snapped == 0
 
     def test_samples_across_chunks_agree(self, ellipsoid_map):
@@ -286,6 +218,31 @@ class TestInterpolation:
         interp = SphereInterpolator(m)
         np.testing.assert_allclose(interp(samples), expected, rtol=0, atol=1e-12)
         assert interp.snapped == len(samples)
+
+    def test_snapped_counts_samples_no_face_contains(self):
+        # a 400-point 2:1:0.5 ellipsoid maps into one cap: the origin lies
+        # outside the hull, and most central rays miss it
+        pts = uniform_sphere(400, seed=7) * np.array([2.0, 1.0, 0.5])
+        m = parameterize(PointCloud(pts))
+        interp = SphereInterpolator(m)
+        samples = uniform_sphere(3000, seed=1)
+        faces, bary = interp.locate(samples)
+        s = samples / np.linalg.norm(samples, axis=1, keepdims=True)
+        every_face = np.arange(interp.mesh.n_faces)
+        contained = np.concatenate([
+            interp._ray_test(np.broadcast_to(every_face, (len(c), every_face.size)), c)[0]
+            .any(axis=1)
+            for c in np.array_split(s, 12)
+        ])
+        assert interp.snapped == np.count_nonzero(~contained) > 0
+        # every output is a convex combination of its face's cloud points
+        assert bary[~contained].min() >= 0.0
+        assert bary.min() >= -_BARY_TOL
+        np.testing.assert_allclose(bary.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        corners = m.cloud.points[interp.mesh.faces[faces]]
+        np.testing.assert_allclose(
+            interp(samples), np.einsum("ij,ijk->ik", bary, corners), rtol=0, atol=1e-12
+        )
 
 
 class TestCubeSphere:
