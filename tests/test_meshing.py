@@ -154,17 +154,30 @@ class TestInterpolation:
         assert np.all(out.min(axis=0) >= pts.min(axis=0) - 1e-12)
         assert np.all(out.max(axis=0) <= pts.max(axis=0) + 1e-12)
 
+    def test_locate_agrees_with_linear_scan(self):
+        m = identity_map(uniform_sphere(150, seed=9))
+        samples = np.vstack([uniform_sphere(64, seed=10), m.images])
+        interp = SphereInterpolator(m)
+        out = interp(samples)
+        # hits can differ on shared edges; the interpolated POSITIONS agree
+        # with a scan of every face
+        np.testing.assert_allclose(
+            out, exhaustive_positions(m, samples), rtol=0, atol=1e-12
+        )
+        np.testing.assert_array_equal(out[-m.n:], m.cloud.points)
+        assert interp.snapped == 0
+
     def test_locate_matches_exhaustive_oracle(self, ellipsoid_map):
-        for m in (ellipsoid_map, identity_map(uniform_sphere(150, seed=9))):
-            samples = np.vstack([icosphere(4).vertices, m.images])
-            interp = SphereInterpolator(m)
-            out = interp(samples)
-            np.testing.assert_allclose(
-                out, exhaustive_positions(m, samples), rtol=0, atol=1e-12
-            )
-            # images return their cloud points bit-exactly
-            np.testing.assert_array_equal(out[-m.n:], m.cloud.points)
-            assert interp.snapped == 0
+        m = ellipsoid_map
+        samples = np.vstack([icosphere(4).vertices, m.images])
+        interp = SphereInterpolator(m)
+        out = interp(samples)
+        np.testing.assert_allclose(
+            out, exhaustive_positions(m, samples), rtol=0, atol=1e-12
+        )
+        # images return their cloud points bit-exactly
+        np.testing.assert_array_equal(out[-m.n:], m.cloud.points)
+        assert interp.snapped == 0
 
     def test_samples_on_shared_edges_lie_in_their_face(self):
         # by symmetry, about a third of the icosphere(3) directions lie on
