@@ -73,7 +73,7 @@ from .param import (
     triangle_regularity,
 )
 from .solve import ConstrainedSystem, solve
-from .weights import Weight, weight
+from .weights import Weight
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -2,15 +2,24 @@
 
 Subcommands: synth (seeded test clouds), param (spherical
 parameterization), mesh (induced triangulation + quality report), quad,
-multilevel, metrics, bench-weights.  Heavy modules import lazily so
---threads can cap the BLAS pools before numpy loads.
+multilevel, metrics, bench-weights.  numpy loads with the package, so
+only OPENBLAS_NUM_THREADS or OMP_NUM_THREADS set before the process
+starts cap its BLAS thread pools.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
+
+from . import fileio, synth
+from .errors import PipelineError, SphereMeshError
+from .experiment import run_disk_experiment
+from .mesh import SurfaceMesh
+from .meshing import induce_mesh, multilevel, quad_mesh, sphere_triangulation
+from .metrics import mean_curvature, quality_report
+from .param import ParamConfig, parameterize
+from .weights import Weight
 
 WEIGHT_CHOICES = (
     "proposed", "special", "exponential", "gaussian", "wendland",
@@ -24,20 +33,20 @@ def build_parser():
         description="Spherical conformal parameterization and meshing of "
         "genus-0 point clouds",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap internal (BLAS) parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = ParamConfig()
 
     def add_param_flags(p):
-        p.add_argument("--k", type=int, default=25,
-                       help="neighborhood size (default 25)")
-        p.add_argument("--r-percent", type=float, default=10.0,
-                       help="pinned outermost percentage (default 10)")
-        p.add_argument("--epsilon", type=float, default=1e-4,
-                       help="N-S stopping threshold (default 1e-4)")
-        p.add_argument("--weight", choices=WEIGHT_CHOICES, default="proposed")
-        p.add_argument("--max-iters", type=int, default=100,
-                       help="N-S iteration cap (default 100)")
+        p.add_argument("--k", type=int, default=defaults.k,
+                       help="neighborhood size (default %(default)s)")
+        p.add_argument("--r-percent", type=float, default=defaults.r_percent,
+                       help="pinned outermost percentage (default %(default)s)")
+        p.add_argument("--epsilon", type=float, default=defaults.epsilon,
+                       help="N-S stopping threshold (default %(default)s)")
+        p.add_argument("--weight", choices=WEIGHT_CHOICES,
+                       default=defaults.weight.kind)
+        p.add_argument("--max-iters", type=int, default=defaults.max_ns_iters,
+                       help="N-S iteration cap (default %(default)s)")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic cloud")
     p.add_argument("kind", choices=("sphere", "ellipsoid", "blob"))
@@ -88,21 +97,18 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--map", dest="map_path", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--k", type=int, default=25)
+    p.add_argument("--k", type=int, default=defaults.k)
 
     p = sub.add_parser("bench-weights", help="disk conformal-recovery table")
     p.add_argument("-n", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mobius-a", type=float, default=0.3)
-    p.add_argument("--k", type=int, default=25)
+    p.add_argument("--k", type=int, default=defaults.k)
     p.add_argument("-o", "--output", help="write the error table JSON here")
     return parser
 
 
 def _config_from(args):
-    from .param import ParamConfig
-    from .weights import Weight
-
     return ParamConfig(
         k=args.k,
         r_percent=args.r_percent,
@@ -113,18 +119,24 @@ def _config_from(args):
 
 
 def _load_or_compute_map(args):
-    from . import fileio
-    from .param import parameterize
-
     cloud = fileio.read_cloud(args.input)
     if getattr(args, "map_path", None):
         return cloud, fileio.read_map(args.map_path, cloud)
     return cloud, parameterize(cloud, _config_from(args))
 
 
-def cmd_synth(args):
-    from . import fileio, synth
+def _write_report(report, path):
+    """Write a quality report as JSON and print its summary line."""
+    with open(path, "w") as fh:
+        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(
+        f"mean |delta| {report.mean_abs_delta:.4f} deg, "
+        f"Delaunay ratio {report.delaunay_ratio:.4f}"
+    )
 
+
+def cmd_synth(args):
     if args.kind == "sphere":
         cloud = synth.sphere_cloud(args.n, seed=args.seed)
     elif args.kind == "ellipsoid":
@@ -146,9 +158,6 @@ def cmd_synth(args):
 
 
 def cmd_param(args):
-    from . import fileio
-    from .param import parameterize
-
     cloud = fileio.read_cloud(args.input)
     config = _config_from(args)
     sphere_map = parameterize(cloud, config)
@@ -161,31 +170,17 @@ def cmd_param(args):
 
 
 def cmd_mesh(args):
-    from . import fileio
-    from .meshing import induce_mesh, sphere_triangulation
-    from .metrics import quality_report
-
     cloud, sphere_map = _load_or_compute_map(args)
     mesh = induce_mesh(cloud, sphere_map)
     fileio.write_mesh(mesh, args.output)
     print(f"wrote {mesh.n_faces} triangles to {args.output}")
     if args.report:
         sphere_mesh = sphere_triangulation(sphere_map)
-        report = quality_report(mesh, sphere_mesh)
-        with open(args.report, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(
-            f"mean |delta| {report.mean_abs_delta:.4f} deg, "
-            f"Delaunay ratio {report.delaunay_ratio:.4f}"
-        )
+        _write_report(quality_report(mesh, sphere_mesh), args.report)
     return 0
 
 
 def cmd_quad(args):
-    from . import fileio
-    from .meshing import quad_mesh
-
     cloud, sphere_map = _load_or_compute_map(args)
     mesh = quad_mesh(sphere_map, args.resolution)
     fileio.write_mesh(mesh, args.output)
@@ -194,9 +189,6 @@ def cmd_quad(args):
 
 
 def cmd_multilevel(args):
-    from . import fileio
-    from .meshing import multilevel
-
     cloud, sphere_map = _load_or_compute_map(args)
     meshes = multilevel(sphere_map, args.levels, args.base_subdivisions)
     for mesh in meshes:
@@ -207,30 +199,17 @@ def cmd_multilevel(args):
 
 
 def cmd_metrics(args):
-    from . import fileio
-    from .mesh import SurfaceMesh
-    from .meshing import sphere_triangulation
-    from .metrics import mean_curvature, quality_report
-
     cloud = fileio.read_cloud(args.input)
     sphere_map = fileio.read_map(args.map_path, cloud)
     sphere_mesh = sphere_triangulation(sphere_map)
     source_mesh = SurfaceMesh(cloud.points, sphere_mesh.faces)
     curvature = mean_curvature(cloud, k=args.k)
     report = quality_report(source_mesh, sphere_mesh, curvature=curvature)
-    with open(args.report, "w") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(
-        f"mean |delta| {report.mean_abs_delta:.4f} deg, "
-        f"Delaunay ratio {report.delaunay_ratio:.4f}"
-    )
+    _write_report(report, args.report)
     return 0
 
 
 def cmd_bench_weights(args):
-    from .experiment import run_disk_experiment
-
     result = run_disk_experiment(
         n=args.n, a=args.mobius_a, seed=args.seed, k=args.k
     )
@@ -257,12 +236,6 @@ COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
-    from .errors import PipelineError, SphereMeshError
-
     start = time.time()
     try:
         code = COMMANDS[args.command](args)

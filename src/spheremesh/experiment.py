@@ -69,9 +69,8 @@ class DiskExperimentResult:
         }
 
 
-def run_disk_experiment(n=2000, a=0.3, weights=BENCH_WEIGHTS, seed=0,
-                        k=DEFAULT_K):
-    """Position-recovery errors of each weight on one seeded disk cloud."""
+def run_disk_experiment(n=2000, a=0.3, seed=0, k=DEFAULT_K):
+    """Position-recovery errors of each BENCH_WEIGHTS weight on a seeded disk."""
     start = time.time()
     points, boundary = disk_cloud(n, seed=seed)
     z = points[:, 0] + 1j * points[:, 1]
@@ -82,7 +81,7 @@ def run_disk_experiment(n=2000, a=0.3, weights=BENCH_WEIGHTS, seed=0,
     )
     pinned = np.flatnonzero(boundary)
     results = []
-    for kind in weights:
+    for kind in BENCH_WEIGHTS:
         operator = assemble_lb(image, k=k, weight_spec=Weight(kind))
         recovered = solve(ConstrainedSystem(operator, pinned, z[pinned]))
         err = np.abs(recovered - z)

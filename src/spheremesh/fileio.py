@@ -236,10 +236,10 @@ def _write_rows(fh, rows, row_fmt):
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_mesh(mesh, path, fmt=None):
-    """Write a mesh as OBJ (default) or ASCII PLY, by format or extension."""
+def write_mesh(mesh, path):
+    """Write a mesh as OBJ or ASCII PLY, chosen by the path's extension."""
     path = Path(path)
-    fmt = fmt or path.suffix.lstrip(".").lower() or "obj"
+    fmt = path.suffix.lstrip(".").lower() or "obj"
     if fmt == "obj":
         _write_obj(mesh, path)
     elif fmt == "ply":
@@ -283,14 +283,34 @@ def _read_obj_mesh(path):
             if parts[0] == "v":
                 verts.append(_obj_vertex(parts, path, lineno))
             elif parts[0] == "f":
-                idx = _parse(int, [p.split("/")[0] for p in parts[1:]], path, lineno)
-                faces.append([i - 1 for i in idx])
+                ids = _parse(int, [p.split("/")[0] for p in parts[1:]], path, lineno)
+                faces.append((lineno, ids))
     if not faces:
         raise FileFormatError(f"{path}: no faces found")
-    arity = len(faces[0])
-    if any(len(f) != arity for f in faces):
-        raise FileFormatError(f"{path}: mixed face arities are unsupported")
-    return SurfaceMesh(np.array(verts), np.array(faces, dtype=np.intp))
+    return _checked_mesh(np.array(verts), faces, 1, path)
+
+
+def _checked_mesh(verts, rows, base, path):
+    """SurfaceMesh of ``verts`` and the face ``rows``, (line number,
+    vertex ids) pairs with ids counted from ``base``.  A row of the
+    wrong arity or with an id outside the vertices raises
+    FileFormatError naming its line."""
+    for lineno, ids in rows:
+        if len(ids) != len(rows[0][1]) or len(ids) not in (3, 4):
+            raise FileFormatError(
+                f"{path}: line {lineno}: face has {len(ids)} vertex ids; "
+                "faces must be all triangles or all quads"
+            )
+    lines, faces = zip(*rows)
+    ids = np.array(faces, dtype=np.intp)
+    high = len(verts) + base
+    rows, cols = np.nonzero((ids < base) | (ids >= high))
+    if rows.size:
+        raise FileFormatError(
+            f"{path}: line {lines[rows[0]]}: vertex id {ids[rows[0], cols[0]]} "
+            f"is outside [{base}, {high})"
+        )
+    return SurfaceMesh(verts, ids - base)
 
 
 def _read_ply_mesh(path):
@@ -305,13 +325,10 @@ def _read_ply_mesh(path):
             if name == "vertex":
                 verts = _ascii_xyz(rows, len(props), _xyz_columns(props, path), path)
             elif name == "face":
-                faces = [_ply_face(parts, path, row) for row, parts in rows]
-    if verts is None or faces is None:
+                faces = [(row, _ply_face(parts, path, row)) for row, parts in rows]
+    if verts is None or not faces:
         raise FileFormatError(f"{path}: PLY mesh needs vertex and face elements")
-    arity = len(faces[0])
-    if any(len(f) != arity for f in faces):
-        raise FileFormatError(f"{path}: mixed face arities are unsupported")
-    return SurfaceMesh(verts, np.array(faces, dtype=np.intp))
+    return _checked_mesh(verts, faces, 0, path)
 
 
 def _ply_face(parts, path, lineno):

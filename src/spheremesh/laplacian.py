@@ -215,7 +215,7 @@ class SparseOperator:
         return self.matrix.shape[0]
 
 
-def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed"), index=None):
+def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed")):
     """Assemble the discrete Laplace-Beltrami operator of a cloud.
 
     The cloud is centered and scaled to bounding radius 1 internally so
@@ -229,19 +229,15 @@ def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed"), index=None):
     k : int
         Stencil size (neighbors including the center).
     weight_spec : Weight
-    index : SpatialIndex, optional
-        Reuse an existing index over ``cloud``.
 
     Returns
     -------
     SparseOperator
     """
     normalized, _, radius = cloud.normalized()
-    if index is None:
-        index = build_index(cloud)
     # neighbor sets and their (distance, id) order are invariant under the
-    # uniform rescaling, so the raw-cloud index can be queried directly
-    nbr_idx, nbr_dist = index.knn_arrays(k)
+    # uniform rescaling, so the raw cloud can be indexed directly
+    nbr_idx, nbr_dist = build_index(cloud).knn_arrays(k)
     frames = build_frames(normalized.points, nbr_idx, nbr_dist / radius)
     return assemble_lb_from_frames(frames, weight_spec, scale=radius)
 

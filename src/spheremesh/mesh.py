@@ -4,6 +4,8 @@ import numpy as np
 
 from .errors import MeshError
 
+AREA_TOL = 1e-14  # degenerate face: area <= AREA_TOL * (max |coordinate|)^2
+
 
 class SurfaceMesh:
     """Vertices plus consistently oriented faces.
@@ -125,7 +127,7 @@ class SurfaceMesh:
             out[:, e] = np.arctan2(cross, dot)
         return out
 
-    def validate_closed_genus0(self, area_tol=1e-14):
+    def validate_closed_genus0(self):
         """Raise MeshError unless closed, genus-0, consistently oriented,
         outward, and free of degenerate faces."""
         if not self.is_closed():
@@ -138,5 +140,5 @@ class SurfaceMesh:
         if self.signed_volume() <= 0:
             raise MeshError("mesh is oriented inward (negative volume)")
         scale = float(np.abs(self.vertices).max()) or 1.0
-        if self.n_faces and self.face_areas().min() <= area_tol * scale * scale:
+        if self.n_faces and self.face_areas().min() <= AREA_TOL * scale * scale:
             raise MeshError("mesh contains a degenerate (zero-area) face")

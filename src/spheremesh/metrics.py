@@ -77,15 +77,13 @@ def mean_curvature_from_coefficients(coefficients):
     return k / (2.0 * w2 * np.sqrt(w2))
 
 
-def mean_curvature(cloud, k=DEFAULT_K, weight_spec=None, frames=None):
+def mean_curvature(cloud, k=DEFAULT_K):
     """Approximated mean curvature at every cloud point (model units)."""
-    if frames is None:
-        index = build_index(cloud)
-        idx, dist = index.knn_arrays(k)
-        frames = build_frames(cloud.points, idx, dist)
+    idx, dist = build_index(cloud).knn_arrays(k)
+    frames = build_frames(cloud.points, idx, dist)
     coeffs, _ = _height_fit(
         frames.coords, frames.neighbor_dists, frames.heights,
-        frames.neighbor_ids[:, 0], weight_spec or Weight("proposed"),
+        frames.neighbor_ids[:, 0], Weight("proposed"),
     )
     return mean_curvature_from_coefficients(coeffs)
 

@@ -24,6 +24,7 @@ from .solve import ConstrainedSystem, solve
 from .weights import Weight
 
 THIRD_PI = np.pi / 3.0
+_TRIPLE_CHUNK = 512  # stencils scanned per step of most_regular_triple
 
 
 @dataclass
@@ -108,7 +109,7 @@ def triangle_regularity(a, b, c):
     return np.where(area2 > 1e-14 * longest2, reg, np.inf)
 
 
-def most_regular_triple(points, frames, chunk=512):
+def most_regular_triple(points, frames):
     """Most regular triangle among all (center, neighbor i, neighbor j).
 
     Scans every point's stencil pairs; exact ties resolve to the
@@ -154,14 +155,14 @@ def most_regular_triple(points, frames, chunk=512):
 
     # seed the bound with the exact score of the first chunk's
     # lowest-ratio triangle: the winner and its ties score no worse
-    first = nbr[:chunk]
+    first = nbr[:_TRIPLE_CHUNK]
     ratios = edge_ratios(first)
     seed = np.unravel_index(np.argmin(ratios), ratios.shape)
     bound = _ratio_bound(float(score(first, *seed)))
     best_reg = np.inf
     best = None
-    for start in range(0, n, chunk):
-        ids = nbr[start:start + chunk]
+    for start in range(0, n, _TRIPLE_CHUNK):
+        ids = nbr[start:start + _TRIPLE_CHUNK]
         ratios = edge_ratios(ids)
         # flatnonzero keeps the (row, pair) scan order of the survivors,
         # so the first-occurrence argmin keeps the documented tie rule

@@ -49,7 +49,7 @@ class ConstrainedSystem:
     operator: object  # SparseOperator
     pinned_ids: np.ndarray
     pinned_values: np.ndarray
-    free_ids: np.ndarray = field(default=None)
+    free_ids: np.ndarray = field(init=False)  # sorted ids of the unpinned points
 
     def __post_init__(self):
         ids = np.asarray(self.pinned_ids)
@@ -78,18 +78,17 @@ class ConstrainedSystem:
             raise SolveError(f"pinned value of point {bad} is not finite")
         if np.unique(self.pinned_ids).size != self.pinned_ids.size:
             raise SolveError("pinned ids repeat")
-        if self.free_ids is None:
-            mask = np.ones(n, dtype=bool)
-            mask[self.pinned_ids] = False
-            self.free_ids = np.flatnonzero(mask)
+        mask = np.ones(n, dtype=bool)
+        mask[self.pinned_ids] = False
+        self.free_ids = np.flatnonzero(mask)
 
 
-def solve(system, tol=DEFAULT_TOL):
+def solve(system):
     """Solve the constrained system; returns the full complex field.
 
     Pinned entries are reproduced exactly.  The free-row residual of the
-    returned field is checked against ``tol`` times the right-hand-side
-    scale.
+    returned field is checked against ``DEFAULT_TOL`` times the
+    right-hand-side scale.
 
     Raises
     ------
@@ -111,7 +110,7 @@ def solve(system, tol=DEFAULT_TOL):
     # out is zero on the free points here, so this is -(B @ pinned values)
     rhs = -(rows @ parts)
     scale = float(np.hypot(rhs[:, 0], rhs[:, 1]).max())
-    bound = max(tol * scale, 1e-300)
+    bound = max(DEFAULT_TOL * scale, 1e-300)
     a = rows.tocsc()[:, free]
 
     factor = "float32"
@@ -146,7 +145,7 @@ def solve(system, tol=DEFAULT_TOL):
         )
     if residual > bound:
         raise SolveError(
-            f"residual {residual:.3g} exceeds tolerance {tol:g} * {scale:.3g}",
+            f"residual {residual:.3g} exceeds tolerance {DEFAULT_TOL:g} * {scale:.3g}",
             residual=residual,
         )
     return out

@@ -43,6 +43,13 @@ class TestUsageErrors:
             run_cli(["synth", "sphere", "--bogus", "-o", "x.xyz"])
         assert exc.value.code == 2
 
+    def test_threads_flag_is_gone(self, small_sphere_file, tmp_path):
+        # thread pools are sized when numpy loads, before any flag is read
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--threads", "1", "param", str(small_sphere_file),
+                     "-o", str(tmp_path / "m.txt")])
+        assert exc.value.code == 2
+
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli([])
@@ -153,3 +160,4 @@ class TestPipelineCommands:
         assert meta["epsilon"] == 1e-4
         assert meta["r_percent"] == 10.0
         assert meta["weight"] == "proposed"
+        assert meta["max_ns_iters"] == 100

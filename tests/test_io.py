@@ -148,7 +148,7 @@ class TestObj:
     def test_mesh_roundtrip_ply(self, tmp_path):
         mesh = icosphere(2)
         path = tmp_path / "m.ply"
-        write_mesh(mesh, path, fmt="ply")
+        write_mesh(mesh, path)
         back = read_mesh(path)
         assert back.n_vertices == mesh.n_vertices
         np.testing.assert_array_equal(back.faces, mesh.faces)
@@ -196,6 +196,7 @@ PLY_HEADER = (
     "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
 )  # the vertex rows start at line 10, the face row at line 13
 OBJ_BODY = "v 0 0 0\nv {}\nv 0 1 0\nf 1 2 3\n"
+OBJ_FACE = OBJ_BODY.format("1 0 0").replace("f 1 2 3", "f {}")  # face at line 4
 PLY_BODY = "0 0 0\n{}\n0 1 0\n{}\n"
 
 MALFORMED = [
@@ -214,6 +215,18 @@ MALFORMED = [
                  "line 3: ", id="ply-unparsable-element-count"),
     pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 0 0", "3 0 1"),
                  "line 13: face row lists 2 of 3 ids", id="ply-short-face-row"),
+    pytest.param(read_mesh, "m.obj", OBJ_FACE.format("1 2 9"),
+                 "line 4: vertex id 9 is outside [1, 4)", id="obj-face-id-too-large"),
+    pytest.param(read_mesh, "m.obj", OBJ_FACE.format("0 1 2"),
+                 "line 4: vertex id 0 is outside [1, 4)", id="obj-face-zero-based"),
+    pytest.param(read_mesh, "m.obj", OBJ_FACE.format("1 2"),
+                 "line 4: face has 2 vertex ids", id="obj-two-id-face"),
+    pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 0 0", "3 0 1 7"),
+                 "line 13: vertex id 7 is outside [0, 3)", id="ply-face-id-too-large"),
+    pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 0 0", "3 0 1 -1"),
+                 "line 13: vertex id -1 is outside [0, 3)", id="ply-face-id-negative"),
+    pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 0 0", "2 0 1"),
+                 "line 13: face has 2 vertex ids", id="ply-two-id-face"),
 ]
 
 

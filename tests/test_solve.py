@@ -220,3 +220,21 @@ class TestSystemValidation:
         _, op, _ = disk_system(spacing=0.3)
         with pytest.raises(SolveError, match="pinned value of point 4 is not finite"):
             ConstrainedSystem(op, [3, 4], [1.0, bad])
+
+    def test_free_ids_are_the_complement_of_the_pinned(self):
+        _, op, boundary = disk_system(spacing=0.3)
+        ids = boundary[::-1]  # order of the pinned ids does not matter
+        system = ConstrainedSystem(op, ids, np.ones(len(ids)))
+        np.testing.assert_array_equal(
+            system.free_ids, np.setdiff1d(np.arange(op.n), ids)
+        )
+
+    def test_free_ids_and_tolerance_are_not_settable(self):
+        # a caller-given free set could leave unknowns pinned at 0, and a
+        # NaN tolerance would switch the residual check off
+        _, op, boundary = disk_system(spacing=0.3)
+        values = np.ones(len(boundary))
+        with pytest.raises(TypeError):
+            ConstrainedSystem(op, boundary, values, free_ids=np.arange(3))
+        with pytest.raises(TypeError):
+            solve(ConstrainedSystem(op, boundary, values), tol=float("nan"))
