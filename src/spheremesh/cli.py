@@ -170,6 +170,7 @@ def cmd_param(args):
 
 
 def cmd_mesh(args):
+    fileio.mesh_format(args.output)  # a bad extension fails before the solve
     cloud, sphere_map = _load_or_compute_map(args)
     mesh = induce_mesh(cloud, sphere_map)
     fileio.write_mesh(mesh, args.output)
@@ -181,6 +182,7 @@ def cmd_mesh(args):
 
 
 def cmd_quad(args):
+    fileio.mesh_format(args.output)
     cloud, sphere_map = _load_or_compute_map(args)
     mesh = quad_mesh(sphere_map, args.resolution)
     fileio.write_mesh(mesh, args.output)

@@ -126,24 +126,23 @@ class SpatialIndex:
         self.cloud = cloud
         self._tree = cKDTree(cloud.points)
 
-    def knn_arrays(self, k):
-        """k-NN of every point at once.
+    def knn_arrays(self, k, rows=slice(None)):
+        """k-NN of the points ``rows`` (a slice or a list of ids; every
+        point by default), one row per point.
+
+        Each row is ranked on its own, so a row's neighbors do not
+        depend on which other rows are asked for.
 
         Returns
         -------
-        indices : (n, k) int ndarray, column 0 is the point itself
-        distances : (n, k) float ndarray, ascending per row
+        indices : (m, k) int ndarray, column 0 is the point itself
+        distances : (m, k) float ndarray, ascending per row
         """
-        return self._ranked(slice(None), k)
-
-    def _ranked(self, centers, k):
-        """k-NN of the cloud points ``centers`` (a slice or a list of
-        ids), one row per center."""
         n = self.cloud.n
         if k > n:
             raise CloudError(f"insufficient points: k={k} > n={n}")
         pts = self.cloud.points
-        q = pts[centers]
+        q = pts[rows]
         extra = min(n, k + 8)
         while True:
             _, cand = self._tree.query(q, k=extra)
@@ -166,7 +165,7 @@ def build_index(cloud):
 
 def knn(index, center, k):
     """k-nearest neighborhood of the cloud point ``center`` (inclusive)."""
-    idx, dist = index._ranked([center], k)
+    idx, dist = index.knn_arrays(k, [center])
     if idx[0, 0] != center:
         # the center ties with a distinct point at distance 0 is impossible
         # (duplicates are rejected), so this is always the self-match
@@ -175,7 +174,7 @@ def knn(index, center, k):
 
 
 class FrameSet:
-    """Per-point PCA tangent frames for a whole cloud, stored batched.
+    """PCA tangent frames of a batch of stencils (one per center point).
 
     Attributes
     ----------
@@ -239,7 +238,7 @@ class LocalFrame:
 
 
 def build_frames(points, neighbor_ids, neighbor_dists):
-    """PCA tangent frames for all points, vectorized.
+    """PCA tangent frames of the stencils ``neighbor_ids``, vectorized.
 
     The covariance is taken about the mean of the neighbor positions
     (more stable for one-sided neighborhoods than centering at the

@@ -236,16 +236,27 @@ def _write_rows(fh, rows, row_fmt):
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
+def mesh_format(path):
+    """The mesh format ``write_mesh`` picks for ``path``: 'obj' (also for
+    no extension) or 'ply'.
+
+    Raises
+    ------
+    FileFormatError
+        Any other extension; the message names the path.
+    """
+    fmt = Path(path).suffix.lstrip(".").lower() or "obj"
+    if fmt not in ("obj", "ply"):
+        raise FileFormatError(
+            f"{path}: unknown mesh format {fmt!r} (use .obj or .ply)"
+        )
+    return fmt
+
+
 def write_mesh(mesh, path):
     """Write a mesh as OBJ or ASCII PLY, chosen by the path's extension."""
-    path = Path(path)
-    fmt = path.suffix.lstrip(".").lower() or "obj"
-    if fmt == "obj":
-        _write_obj(mesh, path)
-    elif fmt == "ply":
-        _write_ply(mesh, path)
-    else:
-        raise FileFormatError(f"unknown mesh format {fmt!r}")
+    writer = _write_obj if mesh_format(path) == "obj" else _write_ply
+    writer(mesh, path)
 
 
 def _write_obj(mesh, path):

@@ -29,6 +29,7 @@ the tests by central differences of the divergence form and by the
 sphere eigenvalue identity Delta x_i = -2 x_i.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,11 @@ BASIS_DIM = 6  # {1, x, y, x^2, xy, y^2}
 MIN_STENCIL = 7  # must exceed the basis dimension
 MAX_CONDITION = 1e12
 DEFAULT_K = 25
+# stencils per block of the stencil pass: the (block, k, 6) fit arrays
+# stay a few MB whatever the cloud size
+_BLOCK = 2048
+
+logger = logging.getLogger(__name__)
 
 
 def design_matrix(coords):
@@ -77,6 +83,9 @@ def _height_fit(coords, dists, heights, centers, weight_spec):
     derivative_rows : (n, 5, k) ndarray
         d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2 at the center, acting on
         neighbor samples.
+    condition : (n,) ndarray
+        Condition number of each weighted normal-equation matrix, the
+        quantity checked against MAX_CONDITION.
     """
     n, k = dists.shape
     if k < MIN_STENCIL:
@@ -107,10 +116,9 @@ def _height_fit(coords, dists, heights, centers, weight_spec):
     g = g * unscale[:, :, None]
     coeffs = np.einsum("npk,nk->np", g, heights)
     # the derivative rows are rows 1-5 of G (f_xx = 2 c3, f_yy = 2 c5),
-    # scaled in place: a fresh (n, 5, k) copy stays resident on the heap
-    # and raises the peak memory of the LU solves that follow
+    # scaled in place rather than copied
     g[:, 3::2] *= 2.0
-    return coeffs, g[:, 1:]
+    return coeffs, g[:, 1:], cond
 
 
 @dataclass
@@ -136,7 +144,7 @@ def _derivatives(c):
 def mls_fit(frame, weight_spec=Weight("proposed")):
     """Fit the frame's height function; return coefficients and the
     derivative rows for arbitrary samples on the same stencil."""
-    coeffs, drows = _height_fit(
+    coeffs, drows, _ = _height_fit(
         frame.local_coords[None], frame.neighbor_dists[None],
         frame.heights[None], [frame.center], weight_spec,
     )
@@ -201,18 +209,43 @@ def lb_row(frame, fit):
 
 
 class SparseOperator:
-    """Row-compressed n-by-n operator holding the discrete LB matrix.
+    """Row-compressed operator holding rows of the discrete LB matrix.
 
     Row s has nonzeros only on the k-stencil of point s.  The matrix
     annihilates constants up to the LS ridge (tested, not enforced).
+    ``condition`` holds the stencil condition number of each row.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, condition=None):
         self.matrix = matrix.tocsr()
+        self.condition = condition
 
     @property
     def n(self):
         return self.matrix.shape[0]
+
+
+def assemble_lb_from_frames(frames, weight_spec=Weight("proposed"), scale=1.0,
+                            n_cols=None):
+    """LB rows of the frames' stencils (coordinates already in whatever
+    scale the frames carry; ``scale`` maps rows back).
+
+    Returns an (frames.n, n_cols) operator, square by default; the
+    column ids are sorted within each row.
+    """
+    n, k = frames.heights.shape
+    coeffs, drows, condition = _height_fit(
+        frames.coords, frames.neighbor_dists, frames.heights,
+        frames.neighbor_ids[:, 0], weight_spec,
+    )
+    rows = _lb_rows(coeffs, drows) / (scale * scale)
+    indptr = np.arange(0, n * k + 1, k)
+    matrix = sparse.csr_matrix(
+        (rows.ravel(), frames.neighbor_ids.ravel(), indptr),
+        shape=(n, n if n_cols is None else n_cols),
+    )
+    matrix.sum_duplicates()
+    return SparseOperator(matrix, condition)
 
 
 def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed")):
@@ -237,23 +270,69 @@ def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed")):
     normalized, _, radius = cloud.normalized()
     # neighbor sets and their (distance, id) order are invariant under the
     # uniform rescaling, so the raw cloud can be indexed directly
-    nbr_idx, nbr_dist = build_index(cloud).knn_arrays(k)
-    frames = build_frames(normalized.points, nbr_idx, nbr_dist / radius)
-    return assemble_lb_from_frames(frames, weight_spec, scale=radius)
-
-
-def assemble_lb_from_frames(frames, weight_spec=Weight("proposed"), scale=1.0):
-    """Assemble the LB operator from prebuilt frames (coordinates already
-    in whatever scale the frames carry; ``scale`` maps rows back)."""
-    n, k = frames.heights.shape
-    coeffs, drows = _height_fit(
-        frames.coords, frames.neighbor_dists, frames.heights,
-        frames.neighbor_ids[:, 0], weight_spec,
+    operator, _, _ = lb_pass(
+        normalized.points, build_index(cloud), k, weight_spec, scale=radius
     )
-    rows = _lb_rows(coeffs, drows) / (scale * scale)
+    return operator
+
+
+def stencil_blocks(points, index, k, scale=1.0, frames_fn=build_frames):
+    """PCA frames of every point's k-stencil, in blocks of ``_BLOCK``
+    consecutive point ids.
+
+    ``index`` answers the k-NN queries and ``points`` (the same cloud,
+    divided by ``scale``) give the frame coordinates.  Yields
+    ``(rows, frames)`` with ``rows`` the slice of ids of the block.
+    """
+    n = len(points)
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, min(start + _BLOCK, n))
+        ids, dists = index.knn_arrays(k, rows)
+        yield rows, frames_fn(points, ids, dists / scale)
+
+
+def lb_pass(points, index, k, weight_spec=Weight("proposed"), scale=1.0,
+            frames_fn=build_frames, assemble_fn=assemble_lb_from_frames):
+    """Assemble the LB operator in one pass over blocks of stencils.
+
+    Each block of ``stencil_blocks`` is fitted and its rows written
+    into the preallocated CSR arrays; only the neighbor ids, the LB
+    values, the normals and the condition numbers outlive a block.
+    Every per-stencil kernel works row by row, so the operator does not
+    depend on the block size, and the first bad stencil in id order
+    raises.  ``frames_fn`` and ``assemble_fn`` let a caller route the
+    per-block calls through its own names.
+
+    Returns
+    -------
+    operator : SparseOperator
+    neighbor_ids : (n, k) int ndarray
+    normals : (n, 3) ndarray
+        The frame normal ``e3`` of every point (sign arbitrary).
+    """
+    n = len(points)
+    neighbor_ids = np.empty((n, k), dtype=np.intp)
+    normals = np.empty((n, 3))
+    condition = np.empty(n)
+    data = np.empty(n * k)
+    # column ids are below n, so int32 holds them; scipy widens if nnz
+    # itself outgrows int32
+    indices = np.empty(n * k, dtype=np.int32)
+    for rows, frames in stencil_blocks(points, index, k, scale, frames_fn):
+        block = assemble_fn(frames, weight_spec, scale, n_cols=n)
+        flat = slice(rows.start * k, rows.stop * k)
+        data[flat] = block.matrix.data
+        indices[flat] = block.matrix.indices
+        neighbor_ids[rows] = frames.neighbor_ids
+        normals[rows] = frames.e3
+        condition[rows] = block.condition
     indptr = np.arange(0, n * k + 1, k)
-    matrix = sparse.csr_matrix(
-        (rows.ravel(), frames.neighbor_ids.ravel(), indptr), shape=(n, n)
-    )
-    matrix.sum_duplicates()
-    return SparseOperator(matrix)
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "lb assembly: n=%d k=%d blocks=%d nnz=%d condition_max=%.3g "
+            "condition_median=%.3g",
+            n, k, -(-n // _BLOCK), matrix.nnz, condition.max(),
+            np.median(condition),
+        )
+    return SparseOperator(matrix, condition), neighbor_ids, normals

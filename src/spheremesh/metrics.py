@@ -5,9 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import build_frames, build_index
+from .cloud import build_index
 from .errors import MeshError
-from .laplacian import DEFAULT_K, _derivatives, _graph_metric, _height_fit
+from .laplacian import (
+    DEFAULT_K, _derivatives, _graph_metric, _height_fit, stencil_blocks,
+)
 from .weights import Weight
 
 DELAUNAY_SLACK = 1e-12
@@ -79,13 +81,14 @@ def mean_curvature_from_coefficients(coefficients):
 
 def mean_curvature(cloud, k=DEFAULT_K):
     """Approximated mean curvature at every cloud point (model units)."""
-    idx, dist = build_index(cloud).knn_arrays(k)
-    frames = build_frames(cloud.points, idx, dist)
-    coeffs, _ = _height_fit(
-        frames.coords, frames.neighbor_dists, frames.heights,
-        frames.neighbor_ids[:, 0], Weight("proposed"),
-    )
-    return mean_curvature_from_coefficients(coeffs)
+    curvature = np.empty(cloud.n)
+    for rows, frames in stencil_blocks(cloud.points, build_index(cloud), k):
+        coeffs, _, _ = _height_fit(
+            frames.coords, frames.neighbor_dists, frames.heights,
+            frames.neighbor_ids[:, 0], Weight("proposed"),
+        )
+        curvature[rows] = mean_curvature_from_coefficients(coeffs)
+    return curvature
 
 
 def quality_report(source_mesh, sphere_mesh, curvature=None):

@@ -71,6 +71,23 @@ class TestUsageErrors:
                         "-o", str(tmp_path / "m.txt")])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["mesh", "quad"])
+    def test_unknown_mesh_format_fails_before_the_solve(
+        self, command, small_sphere_file, tmp_path, capsys, monkeypatch
+    ):
+        import spheremesh.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("parameterize ran before the format check")
+
+        monkeypatch.setattr(cli, "parameterize", no_solve)
+        out = tmp_path / "x.stl"
+        code = run_cli([command, str(small_sphere_file), "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and "'stl'" in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def small_sphere_file(tmp_path_factory):

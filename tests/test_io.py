@@ -154,6 +154,13 @@ class TestObj:
         np.testing.assert_array_equal(back.faces, mesh.faces)
         assert back.euler_characteristic() == 2
 
+    def test_unknown_format_names_the_path(self, tmp_path):
+        path = tmp_path / "m.stl"
+        message = re.escape(f"{path}: unknown mesh format 'stl'")
+        with pytest.raises(FileFormatError, match=message):
+            write_mesh(icosphere(1), path)
+        assert not path.exists()
+
 
 class TestMapSerialization:
     def test_roundtrip_with_metadata(self, tmp_path):

@@ -1,10 +1,15 @@
+import logging
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import spheremesh.laplacian as laplacian
 from spheremesh import (
     CloudError,
+    DegenerateNeighborhoodError,
     IllConditionedStencilError,
     LocalFrame,
     PointCloud,
@@ -14,9 +19,13 @@ from spheremesh import (
     build_index,
     lb_coefficients,
     lb_row,
+    mean_curvature,
     mls_fit,
+    parameterize,
 )
-from spheremesh.laplacian import assemble_lb_from_frames
+from spheremesh.cloud import SpatialIndex
+from spheremesh.laplacian import assemble_lb_from_frames, lb_pass
+from spheremesh.synth import blob_cloud
 
 from conftest import uniform_sphere
 
@@ -298,3 +307,127 @@ class TestAssemble:
         cloud = PointCloud(uniform_sphere(10, seed=14))
         with pytest.raises(CloudError, match="insufficient points"):
             assemble_lb(cloud, k=11)
+
+
+def planted_cloud(stencil, at=40):
+    """A 100-point sphere cloud with the rows of ``stencil`` inserted at
+    ids ``at``.. and moved far off, so that they form each other's
+    k-stencil for k = len(stencil)."""
+    pts = uniform_sphere(100, seed=23)
+    return PointCloud(np.vstack([pts[:at], stencil + [5.0, 0.0, 0.0], pts[at:]]))
+
+
+class TestStencilPass:
+    """The blocked pass gives the same answer whatever the block size."""
+
+    def test_operator_and_curvature_do_not_depend_on_block_size(self, monkeypatch):
+        cloud = blob_cloud(700, seed=3)
+        results = []
+        for size in (7, 700, 10_000):
+            monkeypatch.setattr(laplacian, "_BLOCK", size)
+            op, ids, normals = lb_pass(cloud.points, build_index(cloud), 25)
+            results.append((assemble_lb(cloud).matrix, mean_curvature(cloud),
+                            op.condition, ids, normals))
+        (m0, h0, c0, ids0, n0), *rest = results
+        for m, h, c, ids, normals in rest:
+            assert m.indices.dtype == m0.indices.dtype
+            assert np.array_equal(m.indptr, m0.indptr)
+            assert np.array_equal(m.indices, m0.indices)
+            assert np.array_equal(m.data, m0.data)
+            for got, want in ((h, h0), (c, c0), (ids, ids0), (normals, n0)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("size", [7, 300])
+    def test_blocked_rows_match_whole_cloud_frames(self, size, monkeypatch):
+        monkeypatch.setattr(laplacian, "_BLOCK", size)
+        cloud = PointCloud(uniform_sphere(300, seed=24))
+        index = build_index(cloud)
+        op, ids, normals = lb_pass(cloud.points, index, 15)
+        frames = build_frames(cloud.points, *index.knn_arrays(15))
+        whole = assemble_lb_from_frames(frames)
+        assert np.array_equal(op.matrix.data, whole.matrix.data)
+        assert np.array_equal(op.matrix.indices, whole.matrix.indices)
+        assert np.array_equal(ids, frames.neighbor_ids)
+        assert np.array_equal(normals, frames.e3)
+        assert np.array_equal(op.condition, whole.condition)
+
+    def test_queries_stay_within_one_block(self, monkeypatch):
+        # no whole-cloud k-NN (and so no whole-cloud frames) on the
+        # assembly, curvature or parameterization paths
+        monkeypatch.setattr(laplacian, "_BLOCK", 64)
+        asked = []
+        original = SpatialIndex.knn_arrays
+
+        def recording(self, k, rows=slice(None)):
+            ids, dists = original(self, k, rows)
+            asked.append(len(ids))
+            return ids, dists
+
+        monkeypatch.setattr(SpatialIndex, "knn_arrays", recording)
+        cloud = blob_cloud(300, seed=5)
+        for run in (assemble_lb, mean_curvature, parameterize):
+            asked.clear()
+            run(cloud)
+            assert max(asked) <= 64
+            assert sum(asked) >= cloud.n
+
+    @staticmethod
+    def failures(cloud, error, monkeypatch):
+        """Messages of assemble_lb and mean_curvature at block size 7,
+        then at one block for the whole cloud."""
+        messages = []
+        for size in (7, cloud.n):
+            monkeypatch.setattr(laplacian, "_BLOCK", size)
+            for run in (assemble_lb, mean_curvature):
+                with pytest.raises(error) as exc:
+                    run(cloud, k=10)
+                messages.append(str(exc.value))
+        return messages
+
+    def test_ill_conditioned_stencil_in_a_later_block(self, monkeypatch):
+        # ten coplanar points on one circle: the circle is a conic, so
+        # the degree-2 design matrix loses rank, but PCA sees a plane
+        theta = 2.0 * np.pi * np.arange(10) / 10
+        ring = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(10)])
+        messages = self.failures(
+            planted_cloud(0.1 * ring), IllConditionedStencilError, monkeypatch
+        )
+        for message in messages:
+            assert re.match(r"ill-conditioned stencil at point 40 \(condition ",
+                            message)
+        # assemble_lb fits the normalized cloud, mean_curvature the raw
+        # one: their condition figures differ, each is the same at both sizes
+        assert messages[:2] == messages[2:]
+
+    def test_collinear_stencil_in_a_later_block(self, monkeypatch):
+        line = np.column_stack([0.1 * np.arange(10), np.zeros(10), np.zeros(10)])
+        messages = self.failures(
+            planted_cloud(line), DegenerateNeighborhoodError, monkeypatch
+        )
+        assert messages[0].startswith("degenerate neighborhood at point 40 ")
+        assert messages[:2] == messages[2:]
+
+    def test_debug_line_per_assembly(self, caplog, monkeypatch):
+        monkeypatch.setattr(laplacian, "_BLOCK", 128)
+        cloud = PointCloud(uniform_sphere(300, seed=25))
+        with caplog.at_level(logging.DEBUG, logger="spheremesh.laplacian"):
+            op = assemble_lb(cloud, k=15)
+        (record,) = caplog.records
+        message = record.getMessage()
+        for field_ in ("n=300 ", "k=15 ", "blocks=3 ", "nnz=4500 ",
+                       f"condition_max={op.condition.max():.3g} ",
+                       f"condition_median={np.median(op.condition):.3g}"):
+            assert field_ in message
+        assert 1.0 <= op.condition.min() <= op.condition.max() < 1e12
+
+    def test_peak_memory_stays_per_block(self):
+        # numpy reports its buffers to tracemalloc, so the peak is
+        # deterministic; whole-cloud (n, 25, 6) fit arrays read ~147 MB
+        cloud = blob_cloud(20000, seed=0)
+        tracemalloc.start()
+        try:
+            assemble_lb(cloud)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6

@@ -1,5 +1,4 @@
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,7 +116,7 @@ class TestMostRegularTriple:
         index = build_index(cloud)
         idx, dist = index.knn_arrays(8)
         frames = build_frames(pts, idx, dist)
-        ids, targets = most_regular_triple(pts, frames)
+        ids, targets = most_regular_triple(pts, frames.neighbor_ids, frames.e3)
         _, (s, i, j) = brute_force_triple(pts, idx)
         want = [idx[s, 0], idx[s, i], idx[s, j]]
         np.testing.assert_array_equal(ids, want)
@@ -132,7 +131,7 @@ class TestMostRegularTriple:
         cloud = PointCloud(pts)
         idx, dist = build_index(cloud).knn_arrays(7)
         frames = build_frames(pts, idx, dist)
-        ids, _ = most_regular_triple(pts, frames)
+        ids, _ = most_regular_triple(pts, frames.neighbor_ids, frames.e3)
         assert set(ids) == {5, 6, 7}
 
     def test_targets_preserve_angles(self):
@@ -140,7 +139,7 @@ class TestMostRegularTriple:
         cloud = PointCloud(pts)
         idx, dist = build_index(cloud).knn_arrays(9)
         frames = build_frames(pts, idx, dist)
-        ids, targets = most_regular_triple(pts, frames)
+        ids, targets = most_regular_triple(pts, frames.neighbor_ids, frames.e3)
         a = triangle_regularity(pts[ids[0]], pts[ids[1]], pts[ids[2]])
         t3 = np.column_stack([targets.real, targets.imag, np.zeros(3)])
         b = triangle_regularity(t3[0], t3[1], t3[2])
@@ -162,7 +161,9 @@ class TestMostRegularTriple:
             return triangle_regularity(a, b, c)
 
         monkeypatch.setattr(param_module, "triangle_regularity", counting)
-        ids, targets = most_regular_triple(cloud.points, frames)
+        ids, targets = most_regular_triple(
+            cloud.points, frames.neighbor_ids, frames.e3
+        )
         np.testing.assert_array_equal(ids, want_ids)
         np.testing.assert_array_equal(targets, want_targets)
         # the bound must leave only a small share of the 3000 x 276 pairs
@@ -182,7 +183,7 @@ class TestMostRegularTriple:
         pts[high:high + 3] = tri + [8.0, 0.0, 0.0]
         idx, dist = build_index(PointCloud(pts)).knn_arrays(7)
         frames = build_frames(pts, idx, dist)
-        ids, _ = most_regular_triple(pts, frames)
+        ids, _ = most_regular_triple(pts, frames.neighbor_ids, frames.e3)
         first = min(low, high)
         assert set(ids) == {first, first + 1, first + 2}
         np.testing.assert_array_equal(ids, chunked_scan_triple(pts, frames)[0])
@@ -191,11 +192,11 @@ class TestMostRegularTriple:
         n, k = 30, 6
         pts = np.column_stack([0.1 * np.arange(n), np.zeros(n), np.zeros(n)])
         nbr = (np.arange(n)[:, None] + np.arange(k)) % n
-        frames = SimpleNamespace(neighbor_ids=nbr, e3=np.tile([0.0, 0, 1], (n, 1)))
+        normals = np.tile([0.0, 0, 1], (n, 1))
         with pytest.raises(
             SphereMeshError, match="no non-degenerate stencil triangle found"
         ):
-            most_regular_triple(pts, frames)
+            most_regular_triple(pts, nbr, normals)
 
     def test_targets_normalized(self):
         p = np.array([[0.0, 0, 0], [3.0, 0, 0], [0.4, 2.0, 0]])
@@ -229,14 +230,18 @@ def sphere_setup():
 class TestPipelineStages:
     def test_initial_map_reproduces_pins(self, sphere_setup):
         cloud, index, frames, op = sphere_setup
-        ids, targets = most_regular_triple(cloud.points, frames)
+        ids, targets = most_regular_triple(
+            cloud.points, frames.neighbor_ids, frames.e3
+        )
         phi = initial_map(op, ids, targets)
         np.testing.assert_array_equal(phi[ids], targets)
         assert np.isfinite(phi).all()
 
     def test_south_correction_images_on_sphere(self, sphere_setup):
         cloud, index, frames, op = sphere_setup
-        ids, targets = most_regular_triple(cloud.points, frames)
+        ids, targets = most_regular_triple(
+            cloud.points, frames.neighbor_ids, frames.e3
+        )
         phi = initial_map(op, ids, targets)
         images = south_correction(op, phi)
         np.testing.assert_allclose(
@@ -283,7 +288,9 @@ class TestPipelineStages:
         idx, dist = build_index(cloud).knn_arrays(25)
         frames = build_frames(cloud.points, idx, dist)
         op = assemble_lb_from_frames(frames)
-        ids, targets = most_regular_triple(cloud.points, frames)
+        ids, targets = most_regular_triple(
+            cloud.points, frames.neighbor_ids, frames.e3
+        )
         phi = initial_map(op, ids, targets)
 
         def mean_delta(images):
