@@ -270,7 +270,7 @@ def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed")):
     normalized, _, radius = cloud.normalized()
     # neighbor sets and their (distance, id) order are invariant under the
     # uniform rescaling, so the raw cloud can be indexed directly
-    operator, _, _ = lb_pass(
+    operator, _ = lb_pass(
         normalized.points, build_index(cloud), k, weight_spec, scale=radius
     )
     return operator
@@ -297,7 +297,7 @@ def lb_pass(points, index, k, weight_spec=Weight("proposed"), scale=1.0,
 
     Each block of ``stencil_blocks`` is fitted and its rows written
     into the preallocated CSR arrays; only the neighbor ids, the LB
-    values, the normals and the condition numbers outlive a block.
+    values and the condition numbers outlive a block.
     Every per-stencil kernel works row by row, so the operator does not
     depend on the block size, and the first bad stencil in id order
     raises.  ``frames_fn`` and ``assemble_fn`` let a caller route the
@@ -307,12 +307,11 @@ def lb_pass(points, index, k, weight_spec=Weight("proposed"), scale=1.0,
     -------
     operator : SparseOperator
     neighbor_ids : (n, k) int ndarray
-    normals : (n, 3) ndarray
-        The frame normal ``e3`` of every point (sign arbitrary).
+        Every point's stencil, center first, for the regular-triple
+        search.
     """
     n = len(points)
     neighbor_ids = np.empty((n, k), dtype=np.intp)
-    normals = np.empty((n, 3))
     condition = np.empty(n)
     data = np.empty(n * k)
     # column ids are below n, so int32 holds them; scipy widens if nnz
@@ -324,7 +323,6 @@ def lb_pass(points, index, k, weight_spec=Weight("proposed"), scale=1.0,
         data[flat] = block.matrix.data
         indices[flat] = block.matrix.indices
         neighbor_ids[rows] = frames.neighbor_ids
-        normals[rows] = frames.e3
         condition[rows] = block.condition
     indptr = np.arange(0, n * k + 1, k)
     matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
@@ -335,4 +333,4 @@ def lb_pass(points, index, k, weight_spec=Weight("proposed"), scale=1.0,
             n, k, -(-n // _BLOCK), matrix.nnz, condition.max(),
             np.median(condition),
         )
-    return SparseOperator(matrix, condition), neighbor_ids, normals
+    return SparseOperator(matrix, condition), neighbor_ids

@@ -145,9 +145,16 @@ class SphereInterpolator:
         return hit, bary
 
     def locate(self, samples):
-        """(face id, barycentric weights) per unit-sphere sample."""
+        """(face id, barycentric weights) per row of an (m, 3) array of
+        nonzero finite directions; any other input raises MeshError."""
         s = np.asarray(samples, dtype=np.float64)
-        s = s / np.linalg.norm(s, axis=1, keepdims=True)
+        if s.ndim != 2 or s.shape[1] != 3:
+            raise MeshError(f"samples must be an (m, 3) array, got shape {s.shape}")
+        norm = np.linalg.norm(s, axis=1, keepdims=True)
+        bad = np.flatnonzero(~((norm > 0.0) & (norm < np.inf)))
+        if bad.size:
+            raise MeshError(f"sample {bad[0]} {s[bad[0]]} is zero-length or not finite")
+        s = s / norm
         faces = np.empty(len(s), dtype=np.intp)
         bary = np.empty((len(s), 3))
         for lo in range(0, len(s), _CHUNK):
@@ -260,6 +267,8 @@ def icosphere(subdivisions=0):
 
     Vertex counts run 12, 42, 162, 642, 2562, ... (x4 faces per level).
     """
+    if subdivisions < 0:
+        raise MeshError(f"subdivisions must be nonnegative, got {subdivisions}")
     verts = ICOSAHEDRON_VERTICES / np.linalg.norm(
         ICOSAHEDRON_VERTICES, axis=1, keepdims=True
     )
@@ -335,8 +344,8 @@ def multilevel(sphere_map, levels, base_subdivisions=3):
     """
     if levels < 0:
         raise MeshError("levels must be nonnegative")
-    interp = SphereInterpolator(sphere_map)
     sphere = icosphere(base_subdivisions)
+    interp = SphereInterpolator(sphere_map)
     out = []
     for level in range(levels + 1):
         out.append(SurfaceMesh(interp(sphere.vertices), sphere.faces))

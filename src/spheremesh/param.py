@@ -8,6 +8,7 @@ the plane each time) until the images stop moving.  A final Mobius
 scaling balances the point distribution around the two poles.
 """
 
+import numbers
 import time
 import warnings
 from contextlib import contextmanager
@@ -18,6 +19,7 @@ import numpy as np
 from .cloud import PointCloud, build_frames, build_index, knn
 from .errors import PipelineError, SphereMeshError
 from .laplacian import DEFAULT_K, assemble_lb_from_frames, lb_pass
+from .mesh import SurfaceMesh
 from .meshing import spherical_delaunay
 from .projections import inv_north, inv_south, is_infinite, proj_north, proj_south
 from .solve import ConstrainedSystem, solve
@@ -39,10 +41,14 @@ class ParamConfig:
     weight: Weight = field(default_factory=lambda: Weight("proposed"))
 
     def validate(self):
+        for name in ("k", "max_ns_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.r_percent < 50.0:
             raise ValueError(f"r_percent must be in (0, 50), got {self.r_percent}")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.k < 7:
             raise ValueError("k must be at least 7")
         if self.max_ns_iters < 1:
@@ -77,44 +83,31 @@ def regularity(angles):
     return float(np.abs(a - THIRD_PI).sum())
 
 
-def triangle_angles(a, b, c):
-    """Angles of 3D triangles (leading dimensions broadcast)."""
-    ab, ac, bc = b - a, c - a, c - b
-
-    def angle(u, v):
-        return np.arctan2(
-            np.linalg.norm(np.cross(u, v), axis=-1), np.einsum("...i,...i", u, v)
-        )
-
-    alpha = angle(ab, ac)
-    beta = angle(-ab, bc)
-    return alpha, beta, np.pi - alpha - beta
-
-
 def triangle_regularity(a, b, c):
-    """Regularity of 3D triangles; degenerate (zero-area) ones get +inf."""
+    """Regularity of 3D triangles (leading dimensions broadcast);
+    degenerate (zero-area) ones get +inf."""
     a, b, c = (np.asarray(x, dtype=np.float64) for x in (a, b, c))
-    alpha, beta, gamma = triangle_angles(a, b, c)
+    ab, ac, bc = b - a, c - a, c - b
+    area2 = np.linalg.norm(np.cross(ab, ac), axis=-1)
+    alpha = np.arctan2(area2, np.einsum("...i,...i", ab, ac))
+    beta = np.arctan2(
+        np.linalg.norm(np.cross(-ab, bc), axis=-1), np.einsum("...i,...i", -ab, bc)
+    )
+    gamma = np.pi - alpha - beta
     reg = (
         np.abs(alpha - THIRD_PI) + np.abs(beta - THIRD_PI) + np.abs(gamma - THIRD_PI)
     )
-    area2 = np.linalg.norm(np.cross(b - a, c - a), axis=-1)
     longest2 = np.maximum(
-        np.einsum("...i,...i", b - a, b - a),
-        np.maximum(
-            np.einsum("...i,...i", c - a, c - a),
-            np.einsum("...i,...i", c - b, c - b),
-        ),
+        np.einsum("...i,...i", ab, ab),
+        np.maximum(np.einsum("...i,...i", ac, ac), np.einsum("...i,...i", bc, bc)),
     )
     return np.where(area2 > 1e-14 * longest2, reg, np.inf)
 
 
-def most_regular_triple(points, neighbor_ids, normals):
+def most_regular_triple(points, neighbor_ids):
     """Most regular triangle among all (center, neighbor i, neighbor j).
 
-    ``neighbor_ids`` (n, k) holds each point's stencil, center first;
-    ``normals`` (n, 3) the frame normal of each point, which orients
-    the targets.
+    ``neighbor_ids`` (n, k) holds each point's stencil, center first.
 
     Scans every point's stencil pairs; exact ties resolve to the
     lexicographically smallest (point id, pair) via first-occurrence
@@ -128,8 +121,9 @@ def most_regular_triple(points, neighbor_ids, normals):
         Point ids (a1, a2, a3) of the winning triple.
     targets : (3,) complex ndarray
         Similarity copy of the triple in the plane: same angles,
-        centroid at the origin, longest edge scaled to 1, oriented like
-        the winning center's tangent frame.
+        centroid at the origin, longest edge scaled to 1,
+        counterclockwise.  The map's orientation is fixed later, by
+        ``_fix_orientation``.
     """
     nbr = neighbor_ids
     n, k = nbr.shape
@@ -184,10 +178,9 @@ def most_regular_triple(points, neighbor_ids, normals):
     a1 = int(nbr[row, 0])
     a2 = int(nbr[row, pi_idx[pair]])
     a3 = int(nbr[row, pj_idx[pair]])
-    targets = _similarity_targets(
-        points[a1], points[a2], points[a3], normals[row]
+    return np.array([a1, a2, a3]), _similarity_targets(
+        points[a1], points[a2], points[a3]
     )
-    return np.array([a1, a2, a3]), targets
 
 
 def _ratio_bound(reg):
@@ -205,16 +198,14 @@ def _ratio_bound(reg):
     return (np.sin(high) / np.sin(low)) ** 2 * (1.0 + 1e-6)
 
 
-def _similarity_targets(p1, p2, p3, normal):
-    """Place a similar copy of the 3D triangle in the complex plane."""
+def _similarity_targets(p1, p2, p3):
+    """Place a similar copy of the 3D triangle in the complex plane,
+    counterclockwise (positive signed area)."""
     l12 = np.linalg.norm(p2 - p1)
     l13 = np.linalg.norm(p3 - p1)
     l23 = np.linalg.norm(p3 - p2)
     x3 = (l12 * l12 + l13 * l13 - l23 * l23) / (2.0 * l12)
     y3 = np.sqrt(max(l13 * l13 - x3 * x3, 0.0))
-    orient = np.dot(np.cross(p2 - p1, p3 - p1), normal)
-    if orient < 0:
-        y3 = -y3
     b = np.array([0.0, l12, x3 + 1j * y3], dtype=np.complex128)
     b -= b.mean()
     return b / max(l12, l13, l23)
@@ -234,12 +225,21 @@ def initial_map(operator, triple_ids, targets):
     return solve(ConstrainedSystem(operator, triple_ids, targets))
 
 
+def _half_step(operator, images, project, unproject, r_percent):
+    """Project the images, pin the outermost r% of the plane, solve the
+    Laplace equation and lift back.  Pole hits carry the infinity
+    marker; they stay free, so no infinite value reaches the system."""
+    w = project(images)
+    pinned = _outermost(w, r_percent)
+    return unproject(solve(ConstrainedSystem(operator, pinned, w[pinned])))
+
+
 def south_correction(operator, phi, r_percent=10.0):
     """South-pole correction of the initial planar field.
 
-    Lifts phi to the sphere, re-projects from the south pole (the
-    high-distortion north cap lands innermost), re-solves the Laplace
-    equation pinning the outermost low-distortion slice, and lifts back.
+    Lifts phi to the sphere and runs the south half-step: the
+    high-distortion north cap lands innermost, and the outermost
+    low-distortion slice is pinned.
 
     The initial field concentrates everything far from the pinned
     triple in a tiny cluster (conformal crowding), so the plane is
@@ -247,21 +247,18 @@ def south_correction(operator, phi, r_percent=10.0):
     inversion then unfolds it across the whole plane.  A translation is
     conformal, so the composition stays a valid correction step.
     """
-    phi = phi - phi.mean()
-    w = proj_south(inv_north(phi))
-    pinned = _outermost(w, r_percent)
-    psi = solve(ConstrainedSystem(operator, pinned, w[pinned]))
-    return inv_south(psi)
+    return _half_step(
+        operator, inv_north(phi - phi.mean()), proj_south, inv_south, r_percent
+    )
 
 
 def ns_iterate(operator, images, config=None):
     """North-South reiteration until images stabilize.
 
-    Each round solves the Laplace equation after the north projection
-    and again after the south projection, pinning the outermost
-    r-percent of the plane each time.  Stops when the mean squared
-    movement of the images drops below epsilon; non-convergence within
-    the iteration cap is a warning, and the least-moved iterate is kept.
+    Each round runs the north half-step and then the south one.  Stops
+    when the mean squared movement of the images drops below epsilon;
+    non-convergence within the iteration cap is a warning, and the
+    least-moved iterate is kept.
 
     Returns
     -------
@@ -273,16 +270,8 @@ def ns_iterate(operator, images, config=None):
     converged = False
     for _ in range(config.max_ns_iters):
         previous = images
-        for project, unproject in (
-            (proj_north, inv_north),
-            (proj_south, inv_south),
-        ):
-            w = project(images)
-            pinned = _outermost(w, config.r_percent)
-            # pole hits carry the infinity marker; they stay free
-            # unknowns so no infinite value ever reaches the system
-            field_ = solve(ConstrainedSystem(operator, pinned, w[pinned]))
-            images = unproject(field_)
+        images = _half_step(operator, images, proj_north, inv_north, config.r_percent)
+        images = _half_step(operator, images, proj_south, inv_south, config.r_percent)
         movement = float(np.mean(np.sum((images - previous) ** 2, axis=1)))
         history.append(movement)
         if movement < best[0]:
@@ -336,7 +325,8 @@ def balance(images, index, k=DEFAULT_K):
 def _fix_orientation(images, points):
     """Mirror the sphere if the induced mesh came out inside-out.
 
-    The hull of the images is outward-oriented by construction; if that
+    This is the one place the map's orientation is decided.  The hull
+    of the images is outward-oriented by construction; if that
     connectivity encloses negative volume over the original points, the
     parameterization is a reflection and negating x fixes it (the same
     connectivity with reversed winding is the mirrored hull exactly).
@@ -346,11 +336,7 @@ def _fix_orientation(images, points):
     MeshError when the hull leaves out an image.
     """
     faces = spherical_delaunay(images).faces
-    v = points - points.mean(axis=0)
-    volume = np.einsum(
-        "ij,ij->i", v[faces[:, 0]], np.cross(v[faces[:, 1]], v[faces[:, 2]])
-    ).sum()
-    if volume < 0:
+    if SurfaceMesh(points - points.mean(axis=0), faces).signed_volume() < 0:
         images = images.copy()
         images[:, 0] = -images[:, 0]
         faces = faces[:, ::-1].copy()
@@ -390,15 +376,13 @@ def parameterize(cloud, config=None):
         index = build_index(normalized)
         # the per-block calls go through this module's names, where a
         # caller (the bench tracer) can wrap them
-        operator, nbr_ids, normals = lb_pass(
+        operator, nbr_ids = lb_pass(
             normalized.points, index, config.k, config.weight,
             frames_fn=build_frames, assemble_fn=assemble_lb_from_frames,
         )
     with _stage("regular triple", timings):
-        triple_ids, targets = most_regular_triple(
-            normalized.points, nbr_ids, normals
-        )
-        del nbr_ids, normals
+        triple_ids, targets = most_regular_triple(normalized.points, nbr_ids)
+        del nbr_ids
     with _stage("initial map", timings):
         phi = initial_map(operator, triple_ids, targets)
     with _stage("south correction", timings):

@@ -1,0 +1,32 @@
+"""The benchmark's tracer (bench/tracing.py) wraps library functions by
+name; every library layer it lists must still see a call."""
+
+import sys
+from pathlib import Path
+
+from spheremesh import (
+    induce_mesh,
+    multilevel,
+    parameterize,
+    quad_mesh,
+    quality_report,
+    sphere_triangulation,
+)
+from spheremesh.synth import blob_cloud
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import tracing  # noqa: E402
+
+
+def test_tracer_sees_every_library_layer():
+    cloud = blob_cloud(500, 0)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        m = parameterize(cloud)
+        quality_report(induce_mesh(cloud, m), sphere_triangulation(m))
+        multilevel(m, 1)
+        quad_mesh(m, 4)
+    calls = tracer.calls()
+    # this test writes no files
+    layers = [name for name in tracing.LAYERS if not name.startswith("fileio.")]
+    assert [name for name in layers if calls[name] == 0] == []

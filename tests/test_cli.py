@@ -148,6 +148,14 @@ class TestPipelineCommands:
         assert (tmp_path / "lvl_42.obj").exists()
         assert (tmp_path / "lvl_162.obj").exists()
 
+    def test_multilevel_negative_base_exit_1(self, small_sphere_file, tmp_path,
+                                             capsys):
+        code = run_cli(["multilevel", str(small_sphere_file), "--levels", "1",
+                        "--base-subdivisions", "-1", "-o", str(tmp_path / "lvl")])
+        assert code == 1
+        assert "subdivisions must be nonnegative" in capsys.readouterr().err
+        assert not list(tmp_path.glob("lvl_*"))
+
     def test_metrics_command(self, small_sphere_file, tmp_path):
         map_path = tmp_path / "map.txt"
         run_cli(["param", str(small_sphere_file), "-o", str(map_path)])

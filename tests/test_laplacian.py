@@ -325,16 +325,16 @@ class TestStencilPass:
         results = []
         for size in (7, 700, 10_000):
             monkeypatch.setattr(laplacian, "_BLOCK", size)
-            op, ids, normals = lb_pass(cloud.points, build_index(cloud), 25)
+            op, ids = lb_pass(cloud.points, build_index(cloud), 25)
             results.append((assemble_lb(cloud).matrix, mean_curvature(cloud),
-                            op.condition, ids, normals))
-        (m0, h0, c0, ids0, n0), *rest = results
-        for m, h, c, ids, normals in rest:
+                            op.condition, ids))
+        (m0, h0, c0, ids0), *rest = results
+        for m, h, c, ids in rest:
             assert m.indices.dtype == m0.indices.dtype
             assert np.array_equal(m.indptr, m0.indptr)
             assert np.array_equal(m.indices, m0.indices)
             assert np.array_equal(m.data, m0.data)
-            for got, want in ((h, h0), (c, c0), (ids, ids0), (normals, n0)):
+            for got, want in ((h, h0), (c, c0), (ids, ids0)):
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("size", [7, 300])
@@ -342,13 +342,12 @@ class TestStencilPass:
         monkeypatch.setattr(laplacian, "_BLOCK", size)
         cloud = PointCloud(uniform_sphere(300, seed=24))
         index = build_index(cloud)
-        op, ids, normals = lb_pass(cloud.points, index, 15)
+        op, ids = lb_pass(cloud.points, index, 15)
         frames = build_frames(cloud.points, *index.knn_arrays(15))
         whole = assemble_lb_from_frames(frames)
         assert np.array_equal(op.matrix.data, whole.matrix.data)
         assert np.array_equal(op.matrix.indices, whole.matrix.indices)
         assert np.array_equal(ids, frames.neighbor_ids)
-        assert np.array_equal(normals, frames.e3)
         assert np.array_equal(op.condition, whole.condition)
 
     def test_queries_stay_within_one_block(self, monkeypatch):

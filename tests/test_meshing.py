@@ -257,6 +257,24 @@ class TestInterpolation:
             interp(samples), np.einsum("ij,ijk->ik", bary, corners), rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("row", [
+        [0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0],
+    ])
+    def test_bad_sample_rejected_by_row(self, row):
+        m = identity_map(uniform_sphere(200, seed=3))
+        samples = uniform_sphere(10, seed=4)
+        samples[6] = row
+        with pytest.raises(MeshError, match="sample 6 .* zero-length or not finite"):
+            SphereInterpolator(m).locate(samples)
+        with pytest.raises(MeshError, match="sample 6"):
+            interpolate_to_cloud(m, samples)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 3, 3)])
+    def test_samples_must_be_m_by_3(self, shape):
+        m = identity_map(uniform_sphere(200, seed=3))
+        with pytest.raises(MeshError, match=r"\(m, 3\) array"):
+            SphereInterpolator(m).locate(np.ones(shape))
+
 
 class TestCubeSphere:
     def test_resolution_one_is_cube(self):
@@ -384,6 +402,14 @@ class TestMultilevel:
         extra = np.vstack([ico.vertices, [[0.0, 0.0, 0.0]]])
         with pytest.raises(MeshError, match="every vertex"):
             loop_subdivide(SurfaceMesh(extra, ico.faces))
+
+    @pytest.mark.parametrize("subdivisions", [-1, -2])
+    def test_negative_subdivisions_rejected(self, subdivisions):
+        with pytest.raises(MeshError, match="subdivisions must be nonnegative"):
+            icosphere(subdivisions)
+        m = identity_map(uniform_sphere(200, seed=3))
+        with pytest.raises(MeshError, match="subdivisions must be nonnegative"):
+            multilevel(m, 1, base_subdivisions=subdivisions)
 
     def test_multilevel_vertex_counts(self):
         pts = uniform_sphere(3000, seed=12)

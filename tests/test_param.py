@@ -106,7 +106,7 @@ def chunked_scan_triple(points, frames, chunk=512):
             best_reg, best = float(reg.ravel()[flat]), (start + row, pair)
     row, pair = best
     ids = np.array([nbr[row, 0], nbr[row, pi_idx[pair]], nbr[row, pj_idx[pair]]])
-    return ids, _similarity_targets(*points[ids], frames.e3[row])
+    return ids, _similarity_targets(*points[ids])
 
 
 class TestMostRegularTriple:
@@ -116,7 +116,7 @@ class TestMostRegularTriple:
         index = build_index(cloud)
         idx, dist = index.knn_arrays(8)
         frames = build_frames(pts, idx, dist)
-        ids, targets = most_regular_triple(pts, frames.neighbor_ids, frames.e3)
+        ids, targets = most_regular_triple(pts, frames.neighbor_ids)
         _, (s, i, j) = brute_force_triple(pts, idx)
         want = [idx[s, 0], idx[s, i], idx[s, j]]
         np.testing.assert_array_equal(ids, want)
@@ -131,7 +131,7 @@ class TestMostRegularTriple:
         cloud = PointCloud(pts)
         idx, dist = build_index(cloud).knn_arrays(7)
         frames = build_frames(pts, idx, dist)
-        ids, _ = most_regular_triple(pts, frames.neighbor_ids, frames.e3)
+        ids, _ = most_regular_triple(pts, frames.neighbor_ids)
         assert set(ids) == {5, 6, 7}
 
     def test_targets_preserve_angles(self):
@@ -139,7 +139,7 @@ class TestMostRegularTriple:
         cloud = PointCloud(pts)
         idx, dist = build_index(cloud).knn_arrays(9)
         frames = build_frames(pts, idx, dist)
-        ids, targets = most_regular_triple(pts, frames.neighbor_ids, frames.e3)
+        ids, targets = most_regular_triple(pts, frames.neighbor_ids)
         a = triangle_regularity(pts[ids[0]], pts[ids[1]], pts[ids[2]])
         t3 = np.column_stack([targets.real, targets.imag, np.zeros(3)])
         b = triangle_regularity(t3[0], t3[1], t3[2])
@@ -161,9 +161,7 @@ class TestMostRegularTriple:
             return triangle_regularity(a, b, c)
 
         monkeypatch.setattr(param_module, "triangle_regularity", counting)
-        ids, targets = most_regular_triple(
-            cloud.points, frames.neighbor_ids, frames.e3
-        )
+        ids, targets = most_regular_triple(cloud.points, frames.neighbor_ids)
         np.testing.assert_array_equal(ids, want_ids)
         np.testing.assert_array_equal(targets, want_targets)
         # the bound must leave only a small share of the 3000 x 276 pairs
@@ -183,7 +181,7 @@ class TestMostRegularTriple:
         pts[high:high + 3] = tri + [8.0, 0.0, 0.0]
         idx, dist = build_index(PointCloud(pts)).knn_arrays(7)
         frames = build_frames(pts, idx, dist)
-        ids, _ = most_regular_triple(pts, frames.neighbor_ids, frames.e3)
+        ids, _ = most_regular_triple(pts, frames.neighbor_ids)
         first = min(low, high)
         assert set(ids) == {first, first + 1, first + 2}
         np.testing.assert_array_equal(ids, chunked_scan_triple(pts, frames)[0])
@@ -192,28 +190,27 @@ class TestMostRegularTriple:
         n, k = 30, 6
         pts = np.column_stack([0.1 * np.arange(n), np.zeros(n), np.zeros(n)])
         nbr = (np.arange(n)[:, None] + np.arange(k)) % n
-        normals = np.tile([0.0, 0, 1], (n, 1))
         with pytest.raises(
             SphereMeshError, match="no non-degenerate stencil triangle found"
         ):
-            most_regular_triple(pts, nbr, normals)
+            most_regular_triple(pts, nbr)
 
     def test_targets_normalized(self):
         p = np.array([[0.0, 0, 0], [3.0, 0, 0], [0.4, 2.0, 0]])
-        b = _similarity_targets(p[0], p[1], p[2], np.array([0.0, 0, 1.0]))
+        b = _similarity_targets(p[0], p[1], p[2])
         assert abs(b.mean()) < 1e-15
         sides = [abs(b[0] - b[1]), abs(b[1] - b[2]), abs(b[2] - b[0])]
         assert max(sides) == pytest.approx(1.0)
 
-    def test_target_orientation_follows_normal(self):
-        p = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.3, 0.8, 0]])
-        up = _similarity_targets(p[0], p[1], p[2], np.array([0.0, 0, 1.0]))
-        down = _similarity_targets(p[0], p[1], p[2], np.array([0.0, 0, -1.0]))
-        def signed_area(b):
-            u, v = b[1] - b[0], b[2] - b[0]
-            return u.real * v.imag - u.imag * v.real
-
-        assert signed_area(up) > 0 > signed_area(down)
+    def test_targets_are_counterclockwise(self):
+        # the targets carry no orientation: every order and mirror image
+        # of a triangle gives positive signed area
+        rng = np.random.default_rng(8)
+        for p in rng.normal(size=(20, 3, 3)):
+            for q in (p, p[::-1], p * [-1.0, 1.0, 1.0]):
+                b = _similarity_targets(*q)
+                u, v = b[1] - b[0], b[2] - b[0]
+                assert u.real * v.imag - u.imag * v.real > 0
 
 
 @pytest.fixture(scope="module")
@@ -230,18 +227,14 @@ def sphere_setup():
 class TestPipelineStages:
     def test_initial_map_reproduces_pins(self, sphere_setup):
         cloud, index, frames, op = sphere_setup
-        ids, targets = most_regular_triple(
-            cloud.points, frames.neighbor_ids, frames.e3
-        )
+        ids, targets = most_regular_triple(cloud.points, frames.neighbor_ids)
         phi = initial_map(op, ids, targets)
         np.testing.assert_array_equal(phi[ids], targets)
         assert np.isfinite(phi).all()
 
     def test_south_correction_images_on_sphere(self, sphere_setup):
         cloud, index, frames, op = sphere_setup
-        ids, targets = most_regular_triple(
-            cloud.points, frames.neighbor_ids, frames.e3
-        )
+        ids, targets = most_regular_triple(cloud.points, frames.neighbor_ids)
         phi = initial_map(op, ids, targets)
         images = south_correction(op, phi)
         np.testing.assert_allclose(
@@ -288,9 +281,7 @@ class TestPipelineStages:
         idx, dist = build_index(cloud).knn_arrays(25)
         frames = build_frames(cloud.points, idx, dist)
         op = assemble_lb_from_frames(frames)
-        ids, targets = most_regular_triple(
-            cloud.points, frames.neighbor_ids, frames.e3
-        )
+        ids, targets = most_regular_triple(cloud.points, frames.neighbor_ids)
         phi = initial_map(op, ids, targets)
 
         def mean_delta(images):
@@ -425,6 +416,28 @@ class TestParameterize:
             ParamConfig(k=5).validate()
         with pytest.raises(ValueError):
             ParamConfig(epsilon=0.0).validate()
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            ParamConfig(epsilon=epsilon).validate()
+
+    @pytest.mark.parametrize("field", ["k", "max_ns_iters"])
+    def test_non_integer_counts_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ParamConfig(**{field: 25.0}).validate()
+        # numpy integers are integers
+        ParamConfig(**{field: np.int64(25)}).validate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mirrored_cloud_gives_mirrored_map(self, seed):
+        # the orientation is decided once, by the induced volume, so a
+        # mirror image of the cloud maps to the mirror image of its map
+        cloud = blob_cloud(1500, seed)
+        mirror = np.array([-1.0, 1.0, 1.0])
+        m = parameterize(cloud)
+        mirrored = parameterize(PointCloud(cloud.points * mirror))
+        assert np.array_equal(mirrored.images, m.images * mirror)
 
     def test_stage_timings_recorded(self):
         pts = uniform_sphere(400, seed=16)
