@@ -9,11 +9,12 @@ starts cap its BLAS thread pools.
 
 import argparse
 import json
+import math
 import sys
 import time
 
 from . import fileio, synth
-from .errors import PipelineError, SphereMeshError
+from .errors import SphereMeshError
 from .experiment import run_disk_experiment
 from .mesh import SurfaceMesh
 from .meshing import induce_mesh, multilevel, quad_mesh, sphere_triangulation
@@ -25,6 +26,29 @@ WEIGHT_CHOICES = (
     "proposed", "special", "exponential", "gaussian", "wendland",
     "inverse-square", "constant",
 )
+PARAM_FLAGS = {"k": "--k", "r_percent": "--r-percent", "epsilon": "--epsilon",
+               "max_ns_iters": "--max-iters"}  # ParamConfig field -> flag
+
+
+def _checked(convert, ok, expected):
+    """An argparse type: ``convert(text)``, which must satisfy ``ok``."""
+    def parse(text):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+POINT_COUNT = _checked(int, lambda n: n >= 4, "an integer of at least 4")
+SEMI_AXES = _checked(
+    lambda text: tuple(float(v) for v in text.split(",")),
+    lambda axes: len(axes) == 3 and all(0 < a < math.inf for a in axes),
+    "three positive semi-axes a,b,c",
+)
+MOBIUS_A = _checked(float, lambda a: -1 < a < 1, "a number in (-1, 1)")
 
 
 def build_parser():
@@ -46,13 +70,14 @@ def build_parser():
         p.add_argument("--weight", choices=WEIGHT_CHOICES,
                        default=defaults.weight.kind)
         p.add_argument("--max-iters", type=int, default=defaults.max_ns_iters,
+                       dest="max_ns_iters",
                        help="N-S iteration cap (default %(default)s)")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic cloud")
     p.add_argument("kind", choices=("sphere", "ellipsoid", "blob"))
-    p.add_argument("-n", type=int, default=5000)
+    p.add_argument("-n", type=POINT_COUNT, default=5000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--axes", default="2,1,1",
+    p.add_argument("--axes", type=SEMI_AXES, default=(2.0, 1.0, 1.0),
                    help="ellipsoid semi-axes a,b,c (default 2,1,1)")
     p.add_argument("--displacement", type=float, default=0.3,
                    help="blob peak radial displacement (default 0.3)")
@@ -100,29 +125,19 @@ def build_parser():
     p.add_argument("--k", type=int, default=defaults.k)
 
     p = sub.add_parser("bench-weights", help="disk conformal-recovery table")
-    p.add_argument("-n", type=int, default=2000)
+    p.add_argument("-n", type=POINT_COUNT, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mobius-a", type=float, default=0.3)
+    p.add_argument("--mobius-a", type=MOBIUS_A, default=0.3)
     p.add_argument("--k", type=int, default=defaults.k)
     p.add_argument("-o", "--output", help="write the error table JSON here")
     return parser
-
-
-def _config_from(args):
-    return ParamConfig(
-        k=args.k,
-        r_percent=args.r_percent,
-        epsilon=args.epsilon,
-        max_ns_iters=args.max_iters,
-        weight=Weight(args.weight),
-    )
 
 
 def _load_or_compute_map(args):
     cloud = fileio.read_cloud(args.input)
     if getattr(args, "map_path", None):
         return cloud, fileio.read_map(args.map_path, cloud)
-    return cloud, parameterize(cloud, _config_from(args))
+    return cloud, parameterize(cloud, args.config)
 
 
 def _write_report(report, path):
@@ -140,8 +155,7 @@ def cmd_synth(args):
     if args.kind == "sphere":
         cloud = synth.sphere_cloud(args.n, seed=args.seed)
     elif args.kind == "ellipsoid":
-        axes = tuple(float(v) for v in args.axes.split(","))
-        cloud = synth.ellipsoid_cloud(args.n, axes=axes, seed=args.seed)
+        cloud = synth.ellipsoid_cloud(args.n, axes=args.axes, seed=args.seed)
     else:
         cloud = synth.blob_cloud(
             args.n, seed=args.seed, max_displacement=args.displacement
@@ -159,9 +173,8 @@ def cmd_synth(args):
 
 def cmd_param(args):
     cloud = fileio.read_cloud(args.input)
-    config = _config_from(args)
-    sphere_map = parameterize(cloud, config)
-    fileio.write_map(sphere_map, args.output, config=config)
+    sphere_map = parameterize(cloud, args.config)
+    fileio.write_map(sphere_map, args.output, config=args.config)
     print(
         f"parameterized {cloud.n} points in {sphere_map.iterations} N-S "
         f"iterations (converged={sphere_map.converged}); wrote {args.output}"
@@ -237,17 +250,21 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one command: exit 2 for a bad flag, 1 for a bad file or a
+    failed computation (a PipelineError names its stage), else 0."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "max_ns_iters"):
+        args.config = ParamConfig(weight=Weight(args.weight),
+                                  **{f: getattr(args, f) for f in PARAM_FLAGS})
+        try:
+            args.config.validate()
+        except ValueError as exc:  # each message starts with the field
+            parser.error(f"argument {PARAM_FLAGS[str(exc).split()[0]]}: {exc}")
     start = time.time()
     try:
         code = COMMANDS[args.command](args)
-    except PipelineError as exc:
-        print(f"error in pipeline {exc}", file=sys.stderr)
-        return 1
-    except SphereMeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SphereMeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if code == 0:

@@ -1,15 +1,19 @@
 """File ingestion and serialization.
 
-Clouds read from XYZ (ASCII triples, ``#`` comments), PLY (ASCII or
-binary little-endian vertices, extra properties ignored) and OBJ
-(v-lines; faces ignored with a warning).  Meshes write to OBJ or ASCII
-PLY and round-trip with identical topology.  Floats serialize with 17
-significant digits, so writes are bit-reproducible.
+Clouds read from XYZ (ASCII triples), PLY (ASCII or binary
+little-endian vertices, extra properties ignored) and OBJ (v-lines;
+faces ignored with a warning).  Meshes read from and write to OBJ or
+ASCII PLY and round-trip with identical topology.  Floats serialize
+with 17 significant digits, so writes are bit-reproducible.
+
+One scanner, ``_lines``, reads XYZ, OBJ and map tables and takes
+``#`` comments on any line.  Clouds and meshes share one reader per
+format, ``_read_obj`` and ``_read_ply``.  A malformed file raises
+FileFormatError naming the path and the line (or PLY vertex).
 
 Every writer formats its vertex, face and map rows in blocks of
 ``_BLOCK_ROWS`` rows: one ``%`` over a block's values, one write per
-block, with the same bytes as one formatted line per row.  Reads still
-parse line by line.
+block, with the same bytes as one formatted line per row.
 """
 
 import json
@@ -20,20 +24,29 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import PointCloud, find_duplicate
-from .errors import FileFormatError
+from .errors import CloudError, FileFormatError
 from .mesh import SurfaceMesh
 
 FLOAT_FMT = "%.17g"
 _XYZ_ROW = f"{FLOAT_FMT} {FLOAT_FMT} {FLOAT_FMT}\n"
 _BLOCK_ROWS = 4096  # rows formatted per write; bounds the temporaries
 
-_PLY_SCALARS = {
-    "char": ("b", 1), "uchar": ("B", 1), "int8": ("b", 1), "uint8": ("B", 1),
-    "short": ("h", 2), "ushort": ("H", 2), "int16": ("h", 2), "uint16": ("H", 2),
-    "int": ("i", 4), "uint": ("I", 4), "int32": ("i", 4), "uint32": ("I", 4),
-    "float": ("f", 4), "float32": ("f", 4),
-    "double": ("d", 8), "float64": ("d", 8),
+_PLY_SCALARS = {  # PLY type -> numpy type code
+    "char": "b", "uchar": "B", "int8": "b", "uint8": "B",
+    "short": "h", "ushort": "H", "int16": "h", "uint16": "H",
+    "int": "i", "uint": "I", "int32": "i", "uint32": "I",
+    "float": "f", "float32": "f", "double": "d", "float64": "d",
 }
+
+
+def _lines(path):
+    """(line number, fields) of each line of a text file that is not
+    blank once a ``#`` comment is cut off."""
+    with open(path, "r") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = raw.split("#", 1)[0].split()
+            if fields:
+                yield lineno, fields
 
 
 def _parse(convert, fields, path, lineno):
@@ -49,73 +62,66 @@ def read_cloud(path):
     """Read a point cloud; format chosen by extension (.xyz/.ply/.obj)."""
     path = Path(path)
     suffix = path.suffix.lower()
+    lines = None  # line number of each point; PLY points go by vertex id
     if suffix == ".ply":
-        points, lines = _read_ply_vertices(path)
+        points, _ = _read_ply(path, faces=False)
     elif suffix == ".obj":
-        points, lines = _read_obj_vertices(path)
+        points, lines, faces = _read_obj(path)
+        if faces:
+            warnings.warn(f"{path}: ignored {len(faces)} face lines while reading "
+                          "a cloud", stacklevel=2)
     else:
         points, lines = _read_xyz(path)
     if len(points) < 4:
         raise FileFormatError(f"{path}: needs at least 4 points, got {len(points)}")
-    points = np.asarray(points, dtype=np.float64)
-    dup = find_duplicate(points)
-    if dup is not None:
-        raise FileFormatError(
-            f"{path}: duplicate point at {lines[dup[0]]} and {lines[dup[1]]}"
-        )
-    return PointCloud(points)
+    try:
+        return PointCloud(points)
+    except CloudError as exc:  # non-finite or duplicate points: say where
+        points = np.asarray(points, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))[:1]
+        where = [f"vertex {i}" if lines is None else f"line {lines[i]}"
+                 for i in (bad if bad.size else find_duplicate(points))]
+        problem = "non-finite coordinates" if bad.size else "duplicate point"
+        raise FileFormatError(f"{path}: {problem} at {' and '.join(where)}") from exc
 
 
 def _read_xyz(path):
     points, lines = [], []
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) < 3:
-                raise FileFormatError(f"{path}: line {lineno}: expected 'x y z'")
-            points.append(_parse(float, parts[:3], path, lineno))
-            lines.append(f"line {lineno}")
+    for lineno, fields in _lines(path):
+        if len(fields) < 3:
+            raise FileFormatError(f"{path}: line {lineno}: expected 'x y z'")
+        points.append(_parse(float, fields[:3], path, lineno))
+        lines.append(lineno)
     return points, lines
 
 
-def _read_obj_vertices(path):
-    points, lines = [], []
-    skipped_faces = 0
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                points.append(_obj_vertex(parts, path, lineno))
-                lines.append(f"line {lineno}")
-            elif parts[0] == "f":
-                skipped_faces += 1
-    if skipped_faces:
-        warnings.warn(
-            f"{path}: ignored {skipped_faces} face lines while reading a cloud",
-            stacklevel=3,
-        )
-    return points, lines
+def _read_obj(path):
+    """The v-line coordinates of an OBJ file, the line number of each,
+    and its f-lines as (line number, fields after the 'f') pairs."""
+    verts, lines, faces = [], [], []
+    for lineno, fields in _lines(path):
+        if fields[0] == "v":
+            if len(fields) < 4:
+                raise FileFormatError(f"{path}: line {lineno}: expected 'v x y z'")
+            verts.append(_parse(float, fields[1:4], path, lineno))
+            lines.append(lineno)
+        elif fields[0] == "f":
+            faces.append((lineno, fields[1:]))
+    return verts, lines, faces
 
 
-def _obj_vertex(parts, path, lineno):
-    """Coordinates of the OBJ v-line split into parts."""
-    if len(parts) < 4:
-        raise FileFormatError(f"{path}: line {lineno}: v-line needs 3 coordinates")
-    return _parse(float, parts[1:4], path, lineno)
+def _expect(ok, usage, path, lineno):
+    if not ok:
+        raise FileFormatError(f"{path}: line {lineno}: expected '{usage}'")
 
 
 def _parse_ply_header(fh, path):
-    magic = fh.readline().strip()
-    if magic != b"ply":
+    """Format, elements and last line number of a PLY header.  Each
+    element is (name, count, properties), each property (name, type,
+    list count type or None, header line number)."""
+    if fh.readline().strip() != b"ply":
         raise FileFormatError(f"{path}: not a PLY file")
-    fmt = None
-    elements = []  # (name, count, [(prop name, type, list count type)])
-    lineno = 1
+    fmt, elements, lineno = None, [], 1
     while True:
         raw = fh.readline()
         lineno += 1
@@ -125,21 +131,25 @@ def _parse_ply_header(fh, path):
         if not parts or parts[0] == "comment":
             continue
         if parts[0] == "format":
+            _expect(len(parts) > 1, "format <format> <version>", path, lineno)
             fmt = parts[1]
         elif parts[0] == "element":
-            if len(parts) != 3:
-                raise FileFormatError(
-                    f"{path}: line {lineno}: expected 'element <name> <count>'"
-                )
+            _expect(len(parts) == 3, "element <name> <count>", path, lineno)
             (count,) = _parse(int, parts[2:], path, lineno)
             elements.append((parts[1], count, []))
         elif parts[0] == "property":
             if not elements:
                 raise FileFormatError(f"{path}: line {lineno}: property before element")
-            if parts[1] == "list":
-                elements[-1][2].append((parts[4], parts[3], parts[2]))
+            if parts[1:2] == ["list"]:
+                _expect(len(parts) > 4, "property list <count type> <item type> <name>",
+                        path, lineno)
+                if elements[-1][0] == "vertex":
+                    raise FileFormatError(
+                        f"{path}: line {lineno}: list property in the vertex element")
+                elements[-1][2].append((parts[4], parts[3], parts[2], lineno))
             else:
-                elements[-1][2].append((parts[2], parts[1], None))
+                _expect(len(parts) > 2, "property <type> <name>", path, lineno)
+                elements[-1][2].append((parts[2], parts[1], None, lineno))
         elif parts[0] == "end_header":
             break
         else:
@@ -149,43 +159,67 @@ def _parse_ply_header(fh, path):
     return fmt, elements, lineno
 
 
-def _read_ply_vertices(path):
+def _read_ply(path, faces):
+    """The (n, 3) vertex positions of a PLY file and, when ``faces`` is
+    set, the rows of its ASCII face element as (line number, fields)
+    pairs.  One pass over the header's elements; a cloud read stops
+    after the vertices."""
     with open(path, "rb") as fh:
         fmt, elements, lineno = _parse_ply_header(fh, path)
+        if faces and fmt != "ascii":
+            raise FileFormatError(f"{path}: mesh reading supports ASCII PLY only")
+        verts, body = None, {}  # ASCII rows of the other elements, by name
         for name, count, props in elements:
             if name == "vertex":
-                break
-            if fmt == "ascii":
-                _ascii_rows(fh, count, lineno, path)
-                lineno += count
-                continue
-            if any(p[2] is not None for p in props):
-                raise FileFormatError(
-                    f"{path}: list-typed element {name!r} precedes vertices "
-                    "in a binary PLY"
-                )
-            width = sum(_PLY_SCALARS[p[1]][1] for p in props)
-            fh.seek(count * width, 1)
-        else:
-            raise FileFormatError(f"{path}: no vertex element")
-        cols = _xyz_columns(props, path)
-        if fmt == "ascii":
-            rows = _ascii_rows(fh, count, lineno, path)
-            pts = _ascii_xyz(rows, len(props), cols, path)
-        else:
-            dtype = np.dtype(
-                [(p[0], "<" + _PLY_SCALARS[p[1]][0]) for p in props]
+                verts = _ply_vertices(fh, fmt, count, props, lineno, path)
+                if not faces:
+                    break
+            elif fmt == "ascii":
+                body[name] = _ascii_rows(fh, count, lineno, path)
+            else:
+                fh.seek(count * _binary_dtype(name, props, path).itemsize, 1)
+            lineno += count
+    if verts is None:
+        raise FileFormatError(f"{path}: no vertex element")
+    return verts, body.get("face", [])
+
+
+def _ply_vertices(fh, fmt, count, props, lineno, path):
+    """(count, 3) x, y, z of the PLY vertex element of ``props`` whose
+    data start after line ``lineno``."""
+    names = [p[0] for p in props]
+    for needed in "xyz":
+        if needed not in names:
+            raise FileFormatError(f"{path}: vertex lacks property {needed!r}")
+    cols = [names.index(ax) for ax in "xyz"]
+    if fmt == "ascii":
+        pts = np.empty((count, 3))
+        for i, (row, fields) in enumerate(_ascii_rows(fh, count, lineno, path)):
+            if len(fields) < len(props):
+                raise FileFormatError(f"{path}: line {row}: truncated vertex row")
+            pts[i] = _parse(float, [fields[c] for c in cols], path, row)
+        return pts
+    dtype = _binary_dtype("vertex", props, path)
+    raw = fh.read(count * dtype.itemsize)
+    if len(raw) < count * dtype.itemsize:
+        raise FileFormatError(f"{path}: binary vertex data truncated")
+    data = np.frombuffer(raw, dtype=dtype, count=count)
+    return np.column_stack([data[f"f{c}"].astype(np.float64) for c in cols])
+
+
+def _binary_dtype(name, props, path):
+    """The little-endian numpy dtype of one row of binary element
+    ``name``, whose ``props`` must be scalars of known types."""
+    for _, ptype, count_type, header_line in props:
+        if count_type is not None:
+            raise FileFormatError(
+                f"{path}: list-typed element {name!r} precedes vertices in a binary PLY"
             )
-            raw = fh.read(count * dtype.itemsize)
-            if len(raw) < count * dtype.itemsize:
-                raise FileFormatError(f"{path}: binary vertex data truncated")
-            data = np.frombuffer(raw, dtype=dtype, count=count)
-            pts = np.column_stack(
-                [data["x"].astype(np.float64), data["y"].astype(np.float64),
-                 data["z"].astype(np.float64)]
+        if ptype not in _PLY_SCALARS:
+            raise FileFormatError(
+                f"{path}: line {header_line}: unknown PLY type {ptype!r}"
             )
-    labels = [f"vertex {i}" for i in range(len(pts))]
-    return pts, labels
+    return np.dtype([("", "<" + _PLY_SCALARS[p[1]]) for p in props])
 
 
 def _ascii_rows(fh, count, lineno, path):
@@ -199,26 +233,6 @@ def _ascii_rows(fh, count, lineno, path):
             raise FileFormatError(f"{path}: line {lineno}: truncated element")
         rows.append((lineno, parts))
     return rows
-
-
-def _xyz_columns(props, path):
-    """Positions of the x, y and z properties of a PLY vertex element."""
-    names = [p[0] for p in props]
-    for needed in "xyz":
-        if needed not in names:
-            raise FileFormatError(f"{path}: vertex lacks property {needed!r}")
-    return [names.index(ax) for ax in "xyz"]
-
-
-def _ascii_xyz(rows, width, cols, path):
-    """(n, 3) positions from ASCII PLY vertex rows (``_ascii_rows``) of
-    ``width`` properties, x, y and z at columns ``cols``."""
-    pts = np.empty((len(rows), 3))
-    for i, (lineno, parts) in enumerate(rows):
-        if len(parts) < width:
-            raise FileFormatError(f"{path}: line {lineno}: truncated vertex row")
-        pts[i] = _parse(float, [parts[c] for c in cols], path, lineno)
-    return pts
 
 
 def write_cloud(points, path):
@@ -280,24 +294,16 @@ def read_mesh(path):
     """Read an OBJ or ASCII-PLY mesh (vertices and faces)."""
     path = Path(path)
     if path.suffix.lower() == ".ply":
-        return _read_ply_mesh(path)
-    return _read_obj_mesh(path)
-
-
-def _read_obj_mesh(path):
-    verts, faces = [], []
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                verts.append(_obj_vertex(parts, path, lineno))
-            elif parts[0] == "f":
-                ids = _parse(int, [p.split("/")[0] for p in parts[1:]], path, lineno)
-                faces.append((lineno, ids))
-    if not faces:
+        verts, rows = _read_ply(path, faces=True)
+        if not rows:
+            raise FileFormatError(f"{path}: PLY mesh needs vertex and face elements")
+        faces = [(row, _ply_face(fields, path, row)) for row, fields in rows]
+        return _checked_mesh(verts, faces, 0, path)
+    verts, _, rows = _read_obj(path)
+    if not rows:
         raise FileFormatError(f"{path}: no faces found")
+    faces = [(row, _parse(int, [f.split("/")[0] for f in fields], path, row))
+             for row, fields in rows]
     return _checked_mesh(np.array(verts), faces, 1, path)
 
 
@@ -322,24 +328,6 @@ def _checked_mesh(verts, rows, base, path):
             f"is outside [{base}, {high})"
         )
     return SurfaceMesh(verts, ids - base)
-
-
-def _read_ply_mesh(path):
-    with open(path, "rb") as fh:
-        fmt, elements, lineno = _parse_ply_header(fh, path)
-        if fmt != "ascii":
-            raise FileFormatError(f"{path}: mesh reading supports ASCII PLY only")
-        verts, faces = None, None
-        for name, count, props in elements:
-            rows = _ascii_rows(fh, count, lineno, path)
-            lineno += count
-            if name == "vertex":
-                verts = _ascii_xyz(rows, len(props), _xyz_columns(props, path), path)
-            elif name == "face":
-                faces = [(row, _ply_face(parts, path, row)) for row, parts in rows]
-    if verts is None or not faces:
-        raise FileFormatError(f"{path}: PLY mesh needs vertex and face elements")
-    return _checked_mesh(verts, faces, 0, path)
 
 
 def _ply_face(parts, path, lineno):
@@ -369,13 +357,7 @@ def write_map(sphere_map, path, config=None):
         "movement_history": [float(h) for h in sphere_map.history],
     }
     if config is not None:
-        meta.update(
-            k=config.k,
-            r_percent=config.r_percent,
-            epsilon=config.epsilon,
-            weight=config.weight.kind,
-            max_ns_iters=config.max_ns_iters,
-        )
+        meta.update(vars(config), weight=config.weight.kind)
     if sphere_map.stage_seconds is not None:
         meta["stage_seconds"] = {
             k: float(v) for k, v in sphere_map.stage_seconds.items()
@@ -391,38 +373,38 @@ def read_map(path, cloud):
 
     images = np.zeros((cloud.n, 3))
     first_line = {}  # id -> line that set it
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise FileFormatError(f"{path}: line {lineno}: expected 'id x y z'")
-            (i,) = _parse(int, parts[:1], path, lineno)
-            xyz = _parse(float, parts[1:], path, lineno)
-            if not 0 <= i < cloud.n:
-                raise FileFormatError(
-                    f"{path}: line {lineno}: id {i} is outside [0, {cloud.n})"
-                )
-            if i in first_line:
-                raise FileFormatError(
-                    f"{path}: line {lineno}: id {i} repeats line {first_line[i]}"
-                )
-            if not all(map(math.isfinite, xyz)):
-                raise FileFormatError(f"{path}: line {lineno}: non-finite image")
-            first_line[i] = lineno
-            images[i] = xyz
+    for lineno, fields in _lines(path):
+        if len(fields) != 4:
+            raise FileFormatError(f"{path}: line {lineno}: expected 'id x y z'")
+        (i,) = _parse(int, fields[:1], path, lineno)
+        xyz = _parse(float, fields[1:], path, lineno)
+        if not 0 <= i < cloud.n:
+            raise FileFormatError(
+                f"{path}: line {lineno}: id {i} is outside [0, {cloud.n})"
+            )
+        if i in first_line:
+            raise FileFormatError(
+                f"{path}: line {lineno}: id {i} repeats line {first_line[i]}"
+            )
+        if not all(map(math.isfinite, xyz)):
+            raise FileFormatError(f"{path}: line {lineno}: non-finite image")
+        first_line[i] = lineno
+        images[i] = xyz
     if len(first_line) != cloud.n:
         raise FileFormatError(
             f"{path}: map has {len(first_line)} entries for a cloud of {cloud.n}"
         )
     meta_path = Path(str(path) + ".json")
-    history, converged = [], True
+    meta = {}
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        history = meta.get("movement_history", [])
-        converged = meta.get("converged", True)
+        try:
+            meta = json.loads(meta_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"{meta_path}: not valid JSON ({exc})") from exc
+        if not isinstance(meta, dict):
+            raise FileFormatError(f"{meta_path}: expected a JSON object")
+    history = meta.get("movement_history", [])
     return SphericalMap(
         cloud=cloud, images=images, history=history,
-        iterations=len(history), converged=converged,
+        iterations=len(history), converged=meta.get("converged", True),
     )

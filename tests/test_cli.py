@@ -37,7 +37,37 @@ class TestSynthCommand:
         assert 0 < np.abs(a - b).max() <= 0.03 * radius + 1e-12
 
 
+BAD_FLAGS = [
+    pytest.param(["param", "{cloud}", "-o", "{out}", "--k", "5"], "--k", id="k"),
+    pytest.param(["param", "{cloud}", "-o", "{out}", "--r-percent", "60"], "--r-percent",
+                 id="r-percent"),
+    pytest.param(["param", "{cloud}", "-o", "{out}", "--epsilon", "nan"], "--epsilon",
+                 id="epsilon"),
+    pytest.param(["param", "{cloud}", "-o", "{out}", "--max-iters", "0"], "--max-iters",
+                 id="max-iters"),
+    pytest.param(["synth", "ellipsoid", "--axes", "1,x,2", "-o", "{out}"], "--axes",
+                 id="axes-not-numbers"),
+    pytest.param(["synth", "ellipsoid", "--axes", "1,2", "-o", "{out}"], "--axes",
+                 id="axes-two"),
+    pytest.param(["synth", "sphere", "-n", "-5", "-o", "{out}"], "-n", id="n"),
+    pytest.param(["bench-weights", "--mobius-a", "1.5", "-o", "{out}"], "--mobius-a",
+                 id="mobius-a"),
+]
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv, flag", BAD_FLAGS)
+    def test_bad_flag_value_exits_2_before_any_file(self, tmp_path, capsys, argv, flag):
+        # the cloud does not exist, so reading it before the check would exit 1
+        paths = dict(cloud=tmp_path / "cloud.xyz", out=tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            run_cli([arg.format(**paths) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: argument {flag}: " in err.splitlines()[-1]
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["synth", "sphere", "--bogus", "-o", "x.xyz"])

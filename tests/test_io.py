@@ -47,6 +47,24 @@ class TestXyz:
         with pytest.raises(FileFormatError, match="line 3 and line 5"):
             read_cloud(path)
 
+    def test_successful_read_checks_duplicates_once(self, tmp_path, monkeypatch):
+        import spheremesh.cloud
+        import spheremesh.fileio
+
+        calls = []
+        find_duplicate = spheremesh.cloud.find_duplicate
+
+        def counted(points):
+            calls.append(len(points))
+            return find_duplicate(points)
+
+        monkeypatch.setattr(spheremesh.cloud, "find_duplicate", counted)
+        monkeypatch.setattr(spheremesh.fileio, "find_duplicate", counted)
+        path = tmp_path / "c.xyz"
+        path.write_text(TETRA)
+        assert read_cloud(path).n == 4
+        assert calls == [4]
+
     def test_too_few_points(self, tmp_path):
         path = tmp_path / "c.xyz"
         path.write_text("0 0 0\n1 0 0\n0 1 0\n")
@@ -96,6 +114,16 @@ class TestPly:
         assert cloud.n == 10000
         np.testing.assert_allclose(cloud.points, pts.astype(np.float64))
 
+    def test_binary_skips_scalar_element_before_vertices(self, tmp_path):
+        pts = np.array(TETRA.split(), dtype=np.float64).reshape(4, 3)
+        camera = np.array([(7.5, 200), (-1.0, 3)], dtype=[("a", "<f4"), ("b", "u1")])
+        header = CLOUD_PLY.format(
+            BINARY, "element camera 2\nproperty float a\nproperty uchar b\n"
+        )
+        path = tmp_path / "c.ply"
+        path.write_bytes(header.encode() + camera.tobytes() + pts.astype("<f8").tobytes())
+        np.testing.assert_array_equal(read_cloud(path).points, pts)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "c.ply"
         path.write_text("ply\nformat ascii 1.0\nnonsense here\nend_header\n")
@@ -110,6 +138,13 @@ class TestObj:
         with pytest.warns(UserWarning, match="ignored 1 face"):
             cloud = read_cloud(path)
         assert cloud.n == 4
+
+    def test_inline_comments(self, tmp_path):
+        path = tmp_path / "c.obj"
+        path.write_text("v 0 0 0 # origin\nv 1 0 0\nv 0 1 0\nv 0 0 1#top\nf 1 2 3 # base\n")
+        mesh = read_mesh(path)
+        np.testing.assert_array_equal(mesh.vertices[3], [0, 0, 1])
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
 
     def test_mesh_roundtrip_obj(self, tmp_path):
         mesh = icosphere(1)
@@ -205,6 +240,14 @@ PLY_HEADER = (
 OBJ_BODY = "v 0 0 0\nv {}\nv 0 1 0\nf 1 2 3\n"
 OBJ_FACE = OBJ_BODY.format("1 0 0").replace("f 1 2 3", "f {}")  # face at line 4
 PLY_BODY = "0 0 0\n{}\n0 1 0\n{}\n"
+CLOUD_PLY = (
+    "ply\nformat {}\n{}element vertex 4\n"
+    "property double x\nproperty double y\nproperty double z\nend_header\n"
+)  # format, then any elements before the vertices
+ASCII, BINARY = "ascii 1.0", "binary_little_endian 1.0"
+LIST_PROPERTY = "property list uchar int vertex_indices\n"
+FACE_ELEMENT = "element face 1\n" + LIST_PROPERTY
+OBJ_CLOUD = "".join(f"v {row}\n" for row in TETRA.splitlines())
 
 MALFORMED = [
     pytest.param(read_mesh, "m.obj", OBJ_BODY.format("1 0 x"), "line 2: ",
@@ -234,6 +277,63 @@ MALFORMED = [
                  "line 13: vertex id -1 is outside [0, 3)", id="ply-face-id-negative"),
     pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 0 0", "2 0 1"),
                  "line 13: face has 2 vertex ids", id="ply-two-id-face"),
+    pytest.param(read_cloud, "c.ply", "plx\n" + TETRA, "not a PLY file",
+                 id="ply-bad-magic"),
+    pytest.param(read_cloud, "c.ply", "ply\nformat ascii 1.0\nelement vertex 4\n",
+                 "line 4: header ended early", id="ply-header-ended-early"),
+    pytest.param(read_cloud, "c.ply", CLOUD_PLY.format("binary_big_endian 1.0", ""),
+                 "unsupported PLY format 'binary_big_endian'", id="ply-big-endian"),
+    pytest.param(read_cloud, "c.ply", "ply\nformat ascii 1.0\nproperty float x\n",
+                 "line 3: property before element", id="ply-property-before-element"),
+    pytest.param(read_cloud, "c.ply", "ply\nformat ascii 1.0\nelement vertex\n",
+                 "line 3: expected 'element <name> <count>'", id="ply-element-without-count"),
+    pytest.param(read_cloud, "c.ply",
+                 CLOUD_PLY.format(ASCII, "").replace("property double z\n", "")
+                 + "0 0\n1 0\n0 1\n1 1\n",
+                 "vertex lacks property 'z'", id="ply-vertex-without-z"),
+    pytest.param(read_cloud, "c.ply",
+                 CLOUD_PLY.format(ASCII, "").replace("vertex", "point") + TETRA,
+                 "no vertex element", id="ply-no-vertex-element"),
+    pytest.param(read_cloud, "c.ply", CLOUD_PLY.format(BINARY, FACE_ELEMENT),
+                 "list-typed element 'face' precedes vertices in a binary PLY",
+                 id="ply-binary-list-before-vertices"),
+    pytest.param(read_cloud, "c.ply", CLOUD_PLY.format(BINARY, "") + "\0" * 95,
+                 "binary vertex data truncated", id="ply-binary-truncated"),
+    pytest.param(read_cloud, "c.ply", CLOUD_PLY.format(ASCII, "") + TETRA[:-6],
+                 "line 11: truncated element", id="ply-ascii-truncated"),
+    pytest.param(read_mesh, "m.ply", CLOUD_PLY.format(BINARY, ""),
+                 "mesh reading supports ASCII PLY only", id="ply-mesh-binary"),
+    pytest.param(read_mesh, "m.ply", CLOUD_PLY.format(ASCII, "") + TETRA,
+                 "PLY mesh needs vertex and face elements", id="ply-mesh-without-faces"),
+    pytest.param(read_mesh, "m.obj", OBJ_BODY.format("1 0 0").replace("f 1 2 3\n", ""),
+                 "no faces found", id="obj-mesh-without-faces"),
+    pytest.param(read_cloud, "c.ply", "ply\nformat\n",
+                 "line 2: expected 'format <format> <version>'", id="ply-format-without-value"),
+    pytest.param(read_cloud, "c.ply", CLOUD_PLY.format(ASCII, "").replace("double z", "double"),
+                 "line 6: expected 'property <type> <name>'", id="ply-property-without-name"),
+    pytest.param(read_cloud, "c.ply",
+                 CLOUD_PLY.format(ASCII, FACE_ELEMENT.replace(" int vertex_indices", "")),
+                 "line 4: expected 'property list <count type> <item type> <name>'",
+                 id="ply-list-property-without-types"),
+    pytest.param(read_cloud, "c.ply", CLOUD_PLY.format(BINARY, "").replace("double x", "half x"),
+                 "line 4: unknown PLY type 'half'", id="ply-binary-unknown-vertex-type"),
+    pytest.param(read_cloud, "c.ply",
+                 CLOUD_PLY.format(BINARY, "element camera 1\nproperty half a\n"),
+                 "line 4: unknown PLY type 'half'", id="ply-binary-unknown-skipped-type"),
+    pytest.param(read_cloud, "c.ply",
+                 CLOUD_PLY.format(ASCII, "").replace("end_header", LIST_PROPERTY + "end_header")
+                 + "".join(row + " 1 7\n" for row in TETRA.splitlines()),
+                 "line 7: list property in the vertex element", id="ply-ascii-vertex-list"),
+    pytest.param(read_cloud, "c.ply",
+                 CLOUD_PLY.format(BINARY, "").replace("property double x\n", LIST_PROPERTY),
+                 "line 4: list property in the vertex element", id="ply-binary-vertex-list"),
+    pytest.param(read_cloud, "c.xyz", TETRA.replace("1 0 0", "1 nan 0"),
+                 "non-finite coordinates at line 2", id="xyz-nan"),
+    pytest.param(read_cloud, "c.obj", "# c\n" + OBJ_CLOUD.replace("0 0 1", "0 0 inf"),
+                 "non-finite coordinates at line 5", id="obj-inf"),
+    pytest.param(read_cloud, "c.ply",
+                 CLOUD_PLY.format(ASCII, "") + TETRA.replace("0 1 0", "0 -inf 0"),
+                 "non-finite coordinates at vertex 2", id="ply-inf"),
 ]
 
 
@@ -325,6 +425,22 @@ class TestReadMapValidation:
         path = tmp_path / "map.txt"
         write_map(m, path)
         return cloud, path, path.read_text().splitlines(keepends=True)
+
+    def test_inline_comment(self, written):
+        cloud, path, lines = written
+        lines[2] = lines[2].rstrip("\n") + "  # checked by hand\n"
+        path.write_text("# id x y z\n" + "".join(lines))
+        np.testing.assert_array_equal(read_map(path, cloud).images, cloud.points)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"converged": true,', "not valid JSON"), ("[0.5]", "expected a JSON object"),
+    ])
+    def test_bad_sidecar_names_the_json_path(self, written, text, message):
+        cloud, path, _ = written
+        sidecar = path.with_name(path.name + ".json")
+        sidecar.write_text(text)
+        with pytest.raises(FileFormatError, match=re.escape(f"{sidecar}: {message}")):
+            read_map(path, cloud)
 
     def test_repeated_id_rejected(self, written):
         cloud, path, lines = written
