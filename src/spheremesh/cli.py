@@ -43,6 +43,8 @@ def _checked(convert, ok, expected):
 
 
 POINT_COUNT = _checked(int, lambda n: n >= 4, "an integer of at least 4")
+COUNT = _checked(int, lambda n: n >= 0, "a non-negative integer")
+AMPLITUDE = _checked(float, lambda x: 0 <= x < math.inf, "a non-negative number")
 SEMI_AXES = _checked(
     lambda text: tuple(float(v) for v in text.split(",")),
     lambda axes: len(axes) == 3 and all(0 < a < math.inf for a in axes),
@@ -81,9 +83,9 @@ def build_parser():
                    help="ellipsoid semi-axes a,b,c (default 2,1,1)")
     p.add_argument("--displacement", type=float, default=0.3,
                    help="blob peak radial displacement (default 0.3)")
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--noise", type=AMPLITUDE, default=0.0,
                    help="uniform noise amplitude relative to bounding radius")
-    p.add_argument("--holes", type=int, default=0,
+    p.add_argument("--holes", type=COUNT, default=0,
                    help="punch this many disk holes (topological noise)")
     p.add_argument("--hole-radius", type=float, default=0.15)
     p.add_argument("-o", "--output", required=True)
@@ -254,13 +256,19 @@ def main(argv=None):
     failed computation (a PipelineError names its stage), else 0."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "max_ns_iters"):
-        args.config = ParamConfig(weight=Weight(args.weight),
-                                  **{f: getattr(args, f) for f in PARAM_FLAGS})
-        try:
-            args.config.validate()
-        except ValueError as exc:  # each message starts with the field
-            parser.error(f"argument {PARAM_FLAGS[str(exc).split()[0]]}: {exc}")
+    # every command's ParamConfig flags (metrics and bench-weights have
+    # only --k) go through one validator
+    flags = {f: getattr(args, f) for f in PARAM_FLAGS if hasattr(args, f)}
+    if hasattr(args, "weight"):
+        flags["weight"] = Weight(args.weight)
+    args.config = ParamConfig(**flags)
+    try:
+        args.config.validate()
+    except ValueError as exc:  # each message starts with the field
+        parser.error(f"argument {PARAM_FLAGS[str(exc).split()[0]]}: {exc}")
+    if args.command == "bench-weights" and args.n < args.k:
+        parser.error(f"argument -n: expected at least --k = {args.k} points, "
+                     f"got {args.n}")
     start = time.time()
     try:
         code = COMMANDS[args.command](args)

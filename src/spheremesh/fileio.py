@@ -404,7 +404,16 @@ def read_map(path, cloud):
         if not isinstance(meta, dict):
             raise FileFormatError(f"{meta_path}: expected a JSON object")
     history = meta.get("movement_history", [])
+    if type(history) is not list or not all(
+        type(v) in (int, float) and math.isfinite(v) for v in history
+    ):
+        raise FileFormatError(
+            f"{meta_path}: movement_history must be a list of finite numbers"
+        )
+    converged = meta.get("converged", True)
+    if type(converged) is not bool:
+        raise FileFormatError(f"{meta_path}: converged must be true or false")
     return SphericalMap(
         cloud=cloud, images=images, history=history,
-        iterations=len(history), converged=meta.get("converged", True),
+        iterations=len(history), converged=converged,
     )

@@ -111,7 +111,7 @@ def disk_cloud(n, seed=0, jitter=0.35):
         pts = pts + rng.uniform(-jitter * g, jitter * g, pts.shape)
         inside = np.hypot(pts[:, 0], pts[:, 1]) < 1.0 - 0.8 * g
         interior = pts[inside]
-        m = int(np.ceil(2.0 * np.pi / g))
+        m = min(int(np.ceil(2.0 * np.pi / g)), n)  # a tiny n is all ring
         if len(interior) + m >= n:
             break
         g *= 0.97

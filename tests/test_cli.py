@@ -52,6 +52,16 @@ BAD_FLAGS = [
     pytest.param(["synth", "sphere", "-n", "-5", "-o", "{out}"], "-n", id="n"),
     pytest.param(["bench-weights", "--mobius-a", "1.5", "-o", "{out}"], "--mobius-a",
                  id="mobius-a"),
+    pytest.param(["synth", "sphere", "--holes", "-1", "-o", "{out}"], "--holes",
+                 id="holes"),
+    pytest.param(["synth", "sphere", "--noise", "-1", "-o", "{out}"], "--noise",
+                 id="noise"),
+    pytest.param(["bench-weights", "-n", "10", "-o", "{out}"], "-n",
+                 id="bench-weights-n-below-k"),
+    pytest.param(["bench-weights", "--k", "5", "-o", "{out}"], "--k",
+                 id="bench-weights-k"),
+    pytest.param(["metrics", "{cloud}", "--map", "{out}", "--report", "{out}",
+                  "--k", "5"], "--k", id="metrics-k"),
 ]
 
 

@@ -434,6 +434,12 @@ class TestReadMapValidation:
 
     @pytest.mark.parametrize("text, message", [
         ('{"converged": true,', "not valid JSON"), ("[0.5]", "expected a JSON object"),
+        ('{"movement_history": 5}', "movement_history must be a list of finite numbers"),
+        ('{"movement_history": [0.1, "x"]}', "movement_history must be a list"),
+        ('{"movement_history": [1e-3, NaN]}', "movement_history must be a list"),
+        ('{"movement_history": [true]}', "movement_history must be a list"),
+        ('{"converged": 1}', "converged must be true or false"),
+        ('{"converged": "yes"}', "converged must be true or false"),
     ])
     def test_bad_sidecar_names_the_json_path(self, written, text, message):
         cloud, path, _ = written
@@ -441,6 +447,13 @@ class TestReadMapValidation:
         sidecar.write_text(text)
         with pytest.raises(FileFormatError, match=re.escape(f"{sidecar}: {message}")):
             read_map(path, cloud)
+
+    def test_sidecar_fields_read_back(self, written):
+        cloud, path, _ = written
+        sidecar = path.with_name(path.name + ".json")
+        sidecar.write_text('{"movement_history": [0.5, 2e-5], "converged": false}')
+        m = read_map(path, cloud)
+        assert (m.history, m.iterations, m.converged) == ([0.5, 2e-5], 2, False)
 
     def test_repeated_id_rejected(self, written):
         cloud, path, lines = written

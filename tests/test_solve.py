@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from spheremesh import (
     PointCloud,
     SolveError,
     assemble_lb,
+    param,
+    parameterize,
     solve,
 )
 from spheremesh.laplacian import SparseOperator
 from spheremesh.solve import DEFAULT_TOL
+from spheremesh.synth import blob_cloud
 
 from conftest import disk_grid
 
@@ -185,6 +189,34 @@ class TestMixedPrecision:
         assert "factor=float32" in record.getMessage()
         assert np.isfinite(out).all()
         np.testing.assert_array_equal(out[boundary], values)
+
+    def test_traced_peak_holds_one_copy_of_the_free_rows(self, monkeypatch, caplog):
+        # The peak is the float32 cast of the free rows: the float64 rows
+        # (8 B value + 4 B int32 column per nonzero) and their float32 copy
+        # (4 + 4), 20 B per nonzero, next to under 80 B per point: the
+        # field, the right-hand side and the refinement buffer (16 B each)
+        # and the row pointers of both copies.  At k = 25 nonzeros a row
+        # that is below 20 + 80 / 25 = 23.2 B per nonzero; a stored float64
+        # reduced matrix (12 B) or a complex copy of the rows (20 B) beside
+        # the factor input would break the bound.  SuperLU's own workspace
+        # is allocated in C and not traced.
+        systems = []
+
+        def recorded(system):
+            systems.append(system)
+            return solve(system)
+
+        monkeypatch.setattr(param, "solve", recorded)
+        parameterize(blob_cloud(5000, seed=0))
+        caplog.set_level(logging.INFO, logger="spheremesh.solve")  # no L, U copies
+        for system in systems[:2]:
+            tracemalloc.start()
+            try:
+                solve(system)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 24 * system.operator.matrix.nnz
 
 
 class TestSystemValidation:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from spheremesh.synth import (
     add_noise,
@@ -56,3 +57,9 @@ class TestGenerators:
         np.testing.assert_allclose(r[boundary], 1.0, atol=1e-12)
         assert r[~boundary].max() < 1.0
         assert np.all(pts[:, 2] == 0.0)
+
+    @pytest.mark.parametrize("n", [4, 10, 11, 12])
+    def test_tiny_disk_keeps_the_count(self, n):
+        # the ring alone would outnumber n: it is cut to n points
+        pts, boundary = disk_cloud(n, seed=0)
+        assert len(pts) == len(boundary) == n
