@@ -17,7 +17,7 @@ from . import fileio, synth
 from .errors import SphereMeshError
 from .experiment import run_disk_experiment
 from .mesh import SurfaceMesh
-from .meshing import induce_mesh, multilevel, quad_mesh, sphere_triangulation
+from .meshing import multilevel, quad_mesh, sphere_triangulation
 from .metrics import mean_curvature, quality_report
 from .param import ParamConfig, parameterize
 from .weights import Weight
@@ -44,6 +44,7 @@ def _checked(convert, ok, expected):
 
 POINT_COUNT = _checked(int, lambda n: n >= 4, "an integer of at least 4")
 COUNT = _checked(int, lambda n: n >= 0, "a non-negative integer")
+POSITIVE = _checked(int, lambda n: n >= 1, "a positive integer")
 AMPLITUDE = _checked(float, lambda x: 0 <= x < math.inf, "a non-negative number")
 SEMI_AXES = _checked(
     lambda text: tuple(float(v) for v in text.split(",")),
@@ -106,15 +107,15 @@ def build_parser():
 
     p = sub.add_parser("quad", help="quad-mesh a cloud via parameterization")
     p.add_argument("input")
-    p.add_argument("--resolution", type=int, default=16)
+    p.add_argument("--resolution", type=POSITIVE, default=16)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--map", dest="map_path")
     add_param_flags(p)
 
     p = sub.add_parser("multilevel", help="multilevel representations")
     p.add_argument("input")
-    p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--base-subdivisions", type=int, default=3)
+    p.add_argument("--levels", type=COUNT, default=4)
+    p.add_argument("--base-subdivisions", type=COUNT, default=3)
     p.add_argument("-o", "--output", required=True,
                    help="prefix; writes <prefix>_<nverts>.obj per level")
     p.add_argument("--map", dest="map_path")
@@ -187,11 +188,11 @@ def cmd_param(args):
 def cmd_mesh(args):
     fileio.mesh_format(args.output)  # a bad extension fails before the solve
     cloud, sphere_map = _load_or_compute_map(args)
-    mesh = induce_mesh(cloud, sphere_map)
+    sphere_mesh = sphere_triangulation(sphere_map)
+    mesh = SurfaceMesh(cloud.points, sphere_mesh.faces)
     fileio.write_mesh(mesh, args.output)
     print(f"wrote {mesh.n_faces} triangles to {args.output}")
     if args.report:
-        sphere_mesh = sphere_triangulation(sphere_map)
         _write_report(quality_report(mesh, sphere_mesh), args.report)
     return 0
 

@@ -57,15 +57,14 @@ class PointCloud:
     def n(self):
         return self.points.shape[0]
 
-    def __len__(self):
-        return self.points.shape[0]
-
     def centroid(self):
         return self.points.mean(axis=0)
 
     def bounding_radius(self):
-        """Largest distance from the centroid to any point."""
-        return float(np.linalg.norm(self.points - self.centroid(), axis=1).max())
+        """Largest distance from the centroid to any point; inf if the
+        squared distances overflow."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.points - self.centroid(), axis=1).max())
 
     def normalized(self):
         """Centroid-centered copy scaled to bounding radius 1.
@@ -76,11 +75,18 @@ class PointCloud:
         center : (3,) ndarray
         radius : float
             Original points are ``center + radius * cloud.points``.
+
+        Raises
+        ------
+        CloudError
+            If the extent is zero or overflows to infinity.
         """
         center = self.centroid()
         radius = self.bounding_radius()
-        if radius == 0.0:
-            raise CloudError("cloud has zero extent")
+        if not 0.0 < radius < np.inf:
+            raise CloudError(
+                f"cloud extent {radius} is not a positive finite number"
+            )
         return PointCloud((self.points - center) / radius), center, radius
 
 
@@ -102,15 +108,6 @@ class NeighborSet:
     center: int
     indices: np.ndarray  # (k,) point ids, indices[0] == center
     distances: np.ndarray  # (k,) ascending, distances[0] == 0
-
-    @property
-    def k(self):
-        return self.indices.shape[0]
-
-    @property
-    def radius(self):
-        """Distance to the farthest neighbor (the MLS weight scale h)."""
-        return float(self.distances[-1])
 
 
 class SpatialIndex:
@@ -166,13 +163,10 @@ def build_index(cloud):
 def knn(index, center, k):
     """k-nearest neighborhood of the cloud point ``center`` (inclusive)."""
     idx, dist = index.knn_arrays(k, [center])
-    if idx[0, 0] != center:
-        # the center ties with a distinct point at distance 0 is impossible
-        # (duplicates are rejected), so this is always the self-match
-        raise CloudError(f"point {center} did not match itself")
     return NeighborSet(center=int(center), indices=idx[0], distances=dist[0])
 
 
+@dataclass(eq=False)
 class FrameSet:
     """PCA tangent frames of a batch of stencils (one per center point).
 
@@ -189,20 +183,13 @@ class FrameSet:
     neighbor_ids, neighbor_dists : (n, k) ndarray
     """
 
-    def __init__(self, e1, e2, e3, coords, heights, neighbor_ids, neighbor_dists):
-        self.e1, self.e2, self.e3 = e1, e2, e3
-        self.coords = coords
-        self.heights = heights
-        self.neighbor_ids = neighbor_ids
-        self.neighbor_dists = neighbor_dists
-
-    @property
-    def n(self):
-        return self.e1.shape[0]
-
-    @property
-    def k(self):
-        return self.coords.shape[1]
+    e1: np.ndarray
+    e2: np.ndarray
+    e3: np.ndarray
+    coords: np.ndarray
+    heights: np.ndarray
+    neighbor_ids: np.ndarray
+    neighbor_dists: np.ndarray
 
     def frame(self, i):
         basis = np.vstack([self.e1[i], self.e2[i], self.e3[i]])
@@ -227,14 +214,6 @@ class LocalFrame:
     heights: np.ndarray  # (k,)
     neighbor_ids: np.ndarray  # (k,)
     neighbor_dists: np.ndarray  # (k,)
-
-    @property
-    def k(self):
-        return self.heights.shape[0]
-
-    @property
-    def radius(self):
-        return float(self.neighbor_dists[-1])
 
 
 def build_frames(points, neighbor_ids, neighbor_dists):

@@ -225,20 +225,18 @@ class SparseOperator:
         return self.matrix.shape[0]
 
 
-def assemble_lb_from_frames(frames, weight_spec=Weight("proposed"), scale=1.0,
-                            n_cols=None):
-    """LB rows of the frames' stencils (coordinates already in whatever
-    scale the frames carry; ``scale`` maps rows back).
+def assemble_lb_from_frames(frames, weight_spec=Weight("proposed"), n_cols=None):
+    """LB rows of the frames' stencils, in the units of their coordinates.
 
-    Returns an (frames.n, n_cols) operator, square by default; the
-    column ids are sorted within each row.
+    Returns an (n, n_cols) operator for n frames, square by default;
+    the column ids are sorted within each row.
     """
     n, k = frames.heights.shape
     coeffs, drows, condition = _height_fit(
         frames.coords, frames.neighbor_dists, frames.heights,
         frames.neighbor_ids[:, 0], weight_spec,
     )
-    rows = _lb_rows(coeffs, drows) / (scale * scale)
+    rows = _lb_rows(coeffs, drows)
     indptr = np.arange(0, n * k + 1, k)
     matrix = sparse.csr_matrix(
         (rows.ravel(), frames.neighbor_ids.ravel(), indptr),
@@ -251,10 +249,10 @@ def assemble_lb_from_frames(frames, weight_spec=Weight("proposed"), scale=1.0,
 def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed")):
     """Assemble the discrete Laplace-Beltrami operator of a cloud.
 
-    The cloud is centered and scaled to bounding radius 1 internally so
-    all fit tolerances are scale-free; rows are mapped back to the
-    original scale (uniform scaling by 1/sigma multiplies the surface
-    Laplacian by sigma^2).
+    The stencils are found and fitted on ``cloud.normalized()``
+    (centered, bounding radius 1), so all fit tolerances are
+    scale-free; the values are then mapped back once (uniform scaling
+    by 1/sigma multiplies the surface Laplacian by sigma^2).
 
     Parameters
     ----------
@@ -268,32 +266,30 @@ def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed")):
     SparseOperator
     """
     normalized, _, radius = cloud.normalized()
-    # neighbor sets and their (distance, id) order are invariant under the
-    # uniform rescaling, so the raw cloud can be indexed directly
-    operator, _ = lb_pass(
-        normalized.points, build_index(cloud), k, weight_spec, scale=radius
-    )
+    operator, _ = lb_pass(normalized.points, build_index(normalized), k, weight_spec)
+    operator.matrix.data /= radius**2
     return operator
 
 
-def stencil_blocks(points, index, k, scale=1.0, frames_fn=build_frames):
+def stencil_blocks(points, index, k, frames_fn=build_frames):
     """PCA frames of every point's k-stencil, in blocks of ``_BLOCK``
     consecutive point ids.
 
-    ``index`` answers the k-NN queries and ``points`` (the same cloud,
-    divided by ``scale``) give the frame coordinates.  Yields
+    ``index`` is the spatial index of ``points``; it answers the k-NN
+    queries, and the frames are in the units of ``points``.  Yields
     ``(rows, frames)`` with ``rows`` the slice of ids of the block.
     """
     n = len(points)
     for start in range(0, n, _BLOCK):
         rows = slice(start, min(start + _BLOCK, n))
-        ids, dists = index.knn_arrays(k, rows)
-        yield rows, frames_fn(points, ids, dists / scale)
+        yield rows, frames_fn(points, *index.knn_arrays(k, rows))
 
 
-def lb_pass(points, index, k, weight_spec=Weight("proposed"), scale=1.0,
+def lb_pass(points, index, k, weight_spec=Weight("proposed"),
             frames_fn=build_frames, assemble_fn=assemble_lb_from_frames):
-    """Assemble the LB operator in one pass over blocks of stencils.
+    """Assemble the LB operator of ``points`` in one pass over blocks of
+    stencils, in the units of ``points``; ``index`` is their spatial
+    index.
 
     Each block of ``stencil_blocks`` is fitted and its rows written
     into the preallocated CSR arrays; only the neighbor ids, the LB
@@ -317,8 +313,8 @@ def lb_pass(points, index, k, weight_spec=Weight("proposed"), scale=1.0,
     # column ids are below n, so int32 holds them; scipy widens if nnz
     # itself outgrows int32
     indices = np.empty(n * k, dtype=np.int32)
-    for rows, frames in stencil_blocks(points, index, k, scale, frames_fn):
-        block = assemble_fn(frames, weight_spec, scale, n_cols=n)
+    for rows, frames in stencil_blocks(points, index, k, frames_fn):
+        block = assemble_fn(frames, weight_spec, n_cols=n)
         flat = slice(rows.start * k, rows.stop * k)
         data[flat] = block.matrix.data
         indices[flat] = block.matrix.indices

@@ -80,15 +80,23 @@ def mean_curvature_from_coefficients(coefficients):
 
 
 def mean_curvature(cloud, k=DEFAULT_K):
-    """Approximated mean curvature at every cloud point (model units)."""
+    """Approximated mean curvature at every cloud point (model units).
+
+    The stencils are found and fitted on ``cloud.normalized()``, as
+    for the LB operator, and the curvature is mapped back once
+    (uniform scaling by 1/sigma multiplies it by sigma).
+    """
+    normalized, _, radius = cloud.normalized()
     curvature = np.empty(cloud.n)
-    for rows, frames in stencil_blocks(cloud.points, build_index(cloud), k):
+    for rows, frames in stencil_blocks(
+        normalized.points, build_index(normalized), k
+    ):
         coeffs, _, _ = _height_fit(
             frames.coords, frames.neighbor_dists, frames.heights,
             frames.neighbor_ids[:, 0], Weight("proposed"),
         )
         curvature[rows] = mean_curvature_from_coefficients(coeffs)
-    return curvature
+    return curvature / radius
 
 
 def quality_report(source_mesh, sphere_mesh, curvature=None):

@@ -13,12 +13,7 @@ def sphere_cloud(n, seed=0):
     """n points uniform on the unit sphere."""
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 3))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    while np.any(norms < 1e-12):  # essentially never
-        bad = norms[:, 0] < 1e-12
-        v[bad] = rng.normal(size=(int(bad.sum()), 3))
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
-    return PointCloud(v / norms)
+    return PointCloud(v / np.linalg.norm(v, axis=1, keepdims=True))
 
 
 def ellipsoid_cloud(n, axes=(2.0, 1.0, 1.0), seed=0):

@@ -36,6 +36,16 @@ class TestSynthCommand:
         radius = np.linalg.norm(a - a.mean(axis=0), axis=1).max()
         assert 0 < np.abs(a - b).max() <= 0.03 * radius + 1e-12
 
+    def test_ellipsoid_axes(self, tmp_path):
+        out = tmp_path / "ell.xyz"
+        assert run_cli(["synth", "ellipsoid", "-n", "500", "--seed", "4",
+                        "--axes", "3,2,0.5", "-o", str(out)]) == 0
+        pts = np.loadtxt(out)
+        assert pts.shape == (500, 3)
+        np.testing.assert_allclose(
+            np.sum((pts / [3.0, 2.0, 0.5]) ** 2, axis=1), 1.0, atol=1e-12
+        )
+
 
 BAD_FLAGS = [
     pytest.param(["param", "{cloud}", "-o", "{out}", "--k", "5"], "--k", id="k"),
@@ -62,6 +72,12 @@ BAD_FLAGS = [
                  id="bench-weights-k"),
     pytest.param(["metrics", "{cloud}", "--map", "{out}", "--report", "{out}",
                   "--k", "5"], "--k", id="metrics-k"),
+    pytest.param(["quad", "{cloud}", "-o", "{out}", "--resolution", "0"], "--resolution",
+                 id="quad-resolution"),
+    pytest.param(["multilevel", "{cloud}", "-o", "{out}", "--levels", "-1"], "--levels",
+                 id="multilevel-levels"),
+    pytest.param(["multilevel", "{cloud}", "-o", "{out}", "--base-subdivisions", "-1"],
+                 "--base-subdivisions", id="multilevel-base-subdivisions"),
 ]
 
 
@@ -172,6 +188,29 @@ class TestPipelineCommands:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["mesh", "{cloud}", "-o", "{out}.obj", "--map", "{map}", "--report", "{out}.json"],
+        ["mesh", "{cloud}", "-o", "{out}.obj", "--map", "{map}"],
+        ["metrics", "{cloud}", "--map", "{map}", "--report", "{out}.json"],
+    ], ids=["mesh-report", "mesh", "metrics"])
+    def test_saved_map_builds_one_hull(self, command, small_sphere_file, tmp_path,
+                                       monkeypatch):
+        import spheremesh.meshing as meshing
+
+        map_path = tmp_path / "map.txt"
+        run_cli(["param", str(small_sphere_file), "-o", str(map_path)])
+        calls = []
+        original = meshing.convex_hull
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(meshing, "convex_hull", counting)
+        paths = dict(cloud=small_sphere_file, map=map_path, out=tmp_path / "out")
+        assert run_cli([arg.format(**paths) for arg in command]) == 0
+        assert len(calls) == 1
+
     def test_quad_command(self, small_sphere_file, tmp_path):
         out = tmp_path / "quad.obj"
         code = run_cli(["quad", str(small_sphere_file), "--resolution", "4",
@@ -188,13 +227,12 @@ class TestPipelineCommands:
         assert (tmp_path / "lvl_42.obj").exists()
         assert (tmp_path / "lvl_162.obj").exists()
 
-    def test_multilevel_negative_base_exit_1(self, small_sphere_file, tmp_path,
-                                             capsys):
-        code = run_cli(["multilevel", str(small_sphere_file), "--levels", "1",
-                        "--base-subdivisions", "-1", "-o", str(tmp_path / "lvl")])
-        assert code == 1
-        assert "subdivisions must be nonnegative" in capsys.readouterr().err
-        assert not list(tmp_path.glob("lvl_*"))
+    def test_multilevel_zero_levels_writes_the_base(self, small_sphere_file, tmp_path):
+        prefix = tmp_path / "lvl"
+        code = run_cli(["multilevel", str(small_sphere_file), "--levels", "0",
+                        "--base-subdivisions", "1", "-o", str(prefix)])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.glob("lvl_*")) == ["lvl_42.obj"]
 
     def test_metrics_command(self, small_sphere_file, tmp_path):
         map_path = tmp_path / "map.txt"

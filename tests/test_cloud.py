@@ -39,6 +39,12 @@ class TestPointCloud:
         with pytest.raises(CloudError):
             PointCloud(pts)
 
+    @pytest.mark.parametrize("factor, extent", [(1e160, "inf"), (1e-170, "0.0")])
+    def test_normalized_names_an_extent_out_of_range(self, factor, extent):
+        # the squared distances overflow to inf or underflow to 0
+        with pytest.raises(CloudError, match=f"cloud extent {extent} is not a positive"):
+            PointCloud(TETRA * factor).normalized()
+
     def test_normalized_roundtrip(self):
         rng = np.random.default_rng(3)
         cloud = PointCloud(rng.normal(size=(50, 3)) * 7.0 + 100.0)

@@ -470,6 +470,14 @@ class TestReadMapValidation:
         with pytest.raises(FileFormatError, match=outside):
             read_map(path, cloud)
 
+    @pytest.mark.parametrize("row", ["4 0 1\n", "4 0 1 0 0\n"], ids=["short", "long"])
+    def test_row_not_id_x_y_z_rejected(self, written, row):
+        cloud, path, lines = written
+        lines[4] = row
+        path.write_text("".join(lines))
+        with pytest.raises(FileFormatError, match="line 5: expected 'id x y z'"):
+            read_map(path, cloud)
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_coordinate_rejected(self, written, bad):
         cloud, path, lines = written

@@ -12,6 +12,7 @@ from spheremesh import (
     DegenerateNeighborhoodError,
     IllConditionedStencilError,
     LocalFrame,
+    PipelineError,
     PointCloud,
     Weight,
     assemble_lb,
@@ -258,6 +259,20 @@ class TestAssemble:
             op2.matrix.toarray() * 25.0, op1.matrix.toarray(), atol=1e-9 * 1e3
         )
 
+    @pytest.mark.parametrize("run", [assemble_lb, mean_curvature, parameterize])
+    def test_extent_that_overflows_is_named(self, run):
+        cloud = PointCloud(blob_cloud(300, seed=0).points * 1e160)
+        with pytest.raises((CloudError, PipelineError),
+                           match="cloud extent inf is not a positive finite number"):
+            run(cloud)
+
+    def test_curvature_of_a_tiny_cloud(self):
+        # the raw stencils' covariances would underflow to 0
+        pts = uniform_sphere(500, seed=11)
+        want = mean_curvature(PointCloud(pts))
+        got = mean_curvature(PointCloud(pts * 1e-160))
+        np.testing.assert_allclose(got * 1e-160, want, rtol=1e-12)
+
     def test_normal_flip_invariance(self):
         pts = uniform_sphere(400, seed=12)
         cloud = PointCloud(pts)
@@ -394,8 +409,8 @@ class TestStencilPass:
         for message in messages:
             assert re.match(r"ill-conditioned stencil at point 40 \(condition ",
                             message)
-        # assemble_lb fits the normalized cloud, mean_curvature the raw
-        # one: their condition figures differ, each is the same at both sizes
+        # assemble_lb and mean_curvature both fit the normalized cloud;
+        # each message is the same at both block sizes
         assert messages[:2] == messages[2:]
 
     def test_collinear_stencil_in_a_later_block(self, monkeypatch):

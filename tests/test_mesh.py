@@ -9,7 +9,28 @@ TETRA_V = np.array(
 TETRA_F = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
 
 
+def torus(nu=8, nv=6, major=2.0, minor=1.0):
+    """Closed, consistently oriented triangulated torus (Euler characteristic 0)."""
+    u, v = np.meshgrid(2 * np.pi * np.arange(nu) / nu, 2 * np.pi * np.arange(nv) / nv,
+                       indexing="ij")
+    ring = major + minor * np.cos(v)
+    vertices = np.column_stack([(ring * np.cos(u)).ravel(), (ring * np.sin(u)).ravel(),
+                                (minor * np.sin(v)).ravel()])
+    i, j = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
+    a, b = i * nv + j, (i + 1) % nu * nv + j
+    c, d = (i + 1) % nu * nv + (j + 1) % nv, i * nv + (j + 1) % nv
+    faces = np.concatenate([np.stack([a, b, c], -1).reshape(-1, 3),
+                            np.stack([a, c, d], -1).reshape(-1, 3)])
+    return SurfaceMesh(vertices, faces)
+
+
 class TestSurfaceMesh:
+    def test_torus_is_not_genus0(self):
+        mesh = torus()
+        assert mesh.is_closed() and mesh.is_oriented()
+        with pytest.raises(MeshError, match="Euler characteristic 0 != 2"):
+            mesh.validate_closed_genus0()
+
     def test_tetra_properties(self):
         mesh = SurfaceMesh(TETRA_V, TETRA_F)
         assert mesh.euler_characteristic() == 2

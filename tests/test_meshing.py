@@ -78,6 +78,14 @@ class TestInduceMesh:
         np.testing.assert_array_equal(induced.faces, direct.faces)
         np.testing.assert_array_equal(induced.vertices, pts)
 
+    def test_cached_faces_must_cover_every_point(self):
+        pts = uniform_sphere(100, seed=2)
+        m = identity_map(pts)
+        faces = spherical_delaunay(pts).faces
+        m.delaunay_faces = faces[~np.any(faces == 0, axis=1)]
+        with pytest.raises(MeshError, match="cached triangulation does not cover"):
+            sphere_triangulation(m)
+
     def test_every_point_is_a_vertex(self):
         pts = uniform_sphere(800, seed=3) * np.array([2.0, 1.0, 1.0])
         cloud = PointCloud(pts)
@@ -277,6 +285,10 @@ class TestInterpolation:
 
 
 class TestCubeSphere:
+    def test_resolution_zero_rejected(self):
+        with pytest.raises(MeshError, match="resolution must be at least 1"):
+            cube_sphere(0)
+
     def test_resolution_one_is_cube(self):
         mesh = cube_sphere(1)
         assert mesh.n_vertices == 8
@@ -410,6 +422,11 @@ class TestMultilevel:
         m = identity_map(uniform_sphere(200, seed=3))
         with pytest.raises(MeshError, match="subdivisions must be nonnegative"):
             multilevel(m, 1, base_subdivisions=subdivisions)
+
+    def test_negative_levels_rejected(self):
+        m = identity_map(uniform_sphere(200, seed=3))
+        with pytest.raises(MeshError, match="levels must be nonnegative"):
+            multilevel(m, -1)
 
     def test_multilevel_vertex_counts(self):
         pts = uniform_sphere(3000, seed=12)

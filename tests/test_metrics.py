@@ -102,6 +102,11 @@ class TestDelaunayRatio:
         mesh = induce_mesh(cloud, parameterize(cloud))
         assert delaunay_ratio(mesh) == reference_delaunay_ratio(mesh)
 
+    def test_single_triangle_has_no_interior_edge(self):
+        mesh = SurfaceMesh(np.eye(3), np.array([[0, 1, 2]]))
+        with pytest.raises(MeshError, match="no interior edges"):
+            delaunay_ratio(mesh)
+
     def test_open_patch_skips_boundary_edges(self):
         ico = icosphere(1)
         patch = SurfaceMesh(ico.vertices, ico.faces[1:])

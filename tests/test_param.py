@@ -343,6 +343,14 @@ class TestBalance:
         assert abs(d_p1 - d_s1) <= 1e-9 * max(d_p1, d_s1)
         assert abs(d_p1 * d_s1 - d_p0 * d_s0) <= 1e-9 * d_p0 * d_s0
 
+    def test_degenerate_pole_neighborhood_rejected(self):
+        # every image on one point: both pole spreads are 0
+        index = build_index(PointCloud(uniform_sphere(50, seed=1)))
+        images = np.tile([1.0, 0.0, 0.0], (50, 1))
+        with pytest.raises(SphereMeshError,
+                           match=r"degenerate pole neighborhood \(d_p=0.0, d_s=0.0\)"):
+            balance(images, index, 25)
+
     def test_cross_ratio_preserved(self):
         pts = uniform_sphere(300, seed=11)
         cloud = PointCloud(pts)

@@ -1,3 +1,4 @@
+import importlib
 import logging
 import re
 import tracemalloc
@@ -252,6 +253,21 @@ class TestSystemValidation:
         _, op, _ = disk_system(spacing=0.3)
         with pytest.raises(SolveError, match="pinned value of point 4 is not finite"):
             ConstrainedSystem(op, [3, 4], [1.0, bad])
+
+    def test_repeated_ids_rejected(self):
+        _, op, _ = disk_system(spacing=0.3)
+        with pytest.raises(SolveError, match="pinned ids repeat"):
+            ConstrainedSystem(op, [3, 5, 3], [1.0, 2.0, 3.0])
+
+    def test_residual_beyond_tolerance_raises(self, monkeypatch):
+        # the package's ``solve`` attribute is the function, so fetch the module
+        monkeypatch.setattr(importlib.import_module("spheremesh.solve"), "DEFAULT_TOL", 0.0)
+        cloud, op, boundary = disk_system(spacing=0.3)
+        values = cloud.points[boundary, 0] + 1j * cloud.points[boundary, 1]
+        with pytest.raises(SolveError, match=r"exceeds tolerance 0 \* ") as exc:
+            solve(ConstrainedSystem(op, boundary, values))
+        assert exc.value.residual > 0
+        assert str(exc.value).startswith(f"residual {exc.value.residual:.3g} ")
 
     def test_free_ids_are_the_complement_of_the_pinned(self):
         _, op, boundary = disk_system(spacing=0.3)
