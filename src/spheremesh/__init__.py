@@ -64,13 +64,9 @@ from .param import (
     SphericalMap,
     balance,
     initial_map,
-    most_regular_triple,
     ns_iterate,
     parameterize,
     pole_distances,
-    regularity,
-    south_correction,
-    triangle_regularity,
 )
 from .solve import ConstrainedSystem, solve
 from .weights import Weight

@@ -61,10 +61,15 @@ class PointCloud:
         return self.points.mean(axis=0)
 
     def bounding_radius(self):
-        """Largest distance from the centroid to any point; inf if the
-        squared distances overflow."""
-        with np.errstate(over="ignore"):
-            return float(np.linalg.norm(self.points - self.centroid(), axis=1).max())
+        """Largest distance from the centroid to any point.  The offsets
+        are scaled by their largest absolute value before they are
+        squared, so that no representable distance reads 0 or inf."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            offsets = self.points - self.centroid()
+            scale = np.abs(offsets).max()
+            if not 0.0 < scale < np.inf:
+                return float(scale)
+            return float(scale * np.linalg.norm(offsets / scale, axis=1).max())
 
     def normalized(self):
         """Centroid-centered copy scaled to bounding radius 1.

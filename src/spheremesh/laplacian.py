@@ -36,7 +36,7 @@ import numpy as np
 from scipy import sparse
 
 from .cloud import build_frames, build_index
-from .errors import IllConditionedStencilError
+from .errors import CloudError, IllConditionedStencilError
 from .weights import Weight, stencil_weights
 
 BASIS_DIM = 6  # {1, x, y, x^2, xy, y^2}
@@ -266,34 +266,41 @@ def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed")):
     SparseOperator
     """
     normalized, _, radius = cloud.normalized()
-    operator, _ = lb_pass(normalized.points, build_index(normalized), k, weight_spec)
-    operator.matrix.data /= radius**2
+    operator = lb_pass(build_index(normalized), k, weight_spec)
+    data = operator.matrix.data
+    with np.errstate(over="ignore", under="ignore"):  # radius**2 overflows above 1e154
+        data /= radius
+        data /= radius
+    # a normal largest value keeps every value's digits relative to it
+    if not np.finfo(np.float64).tiny <= np.abs(data).max() < np.inf:
+        raise CloudError(f"cloud extent {radius:g} puts the operator values "
+                         "outside the float range")
     return operator
 
 
-def stencil_blocks(points, index, k, frames_fn=build_frames):
-    """PCA frames of every point's k-stencil, in blocks of ``_BLOCK``
-    consecutive point ids.
+def stencil_blocks(index, k, frames_fn=build_frames):
+    """PCA frames of every point's k-stencil in the cloud of the spatial
+    index ``index``, in blocks of ``_BLOCK`` consecutive point ids.
 
-    ``index`` is the spatial index of ``points``; it answers the k-NN
-    queries, and the frames are in the units of ``points``.  Yields
+    The frames are in the units of ``index.cloud``.  Yields
     ``(rows, frames)`` with ``rows`` the slice of ids of the block.
     """
+    points = index.cloud.points
     n = len(points)
     for start in range(0, n, _BLOCK):
         rows = slice(start, min(start + _BLOCK, n))
         yield rows, frames_fn(points, *index.knn_arrays(k, rows))
 
 
-def lb_pass(points, index, k, weight_spec=Weight("proposed"),
+def lb_pass(index, k, weight_spec=Weight("proposed"),
             frames_fn=build_frames, assemble_fn=assemble_lb_from_frames):
-    """Assemble the LB operator of ``points`` in one pass over blocks of
-    stencils, in the units of ``points``; ``index`` is their spatial
-    index.
+    """Assemble the LB operator of the cloud of the spatial index
+    ``index`` in one pass over blocks of stencils, in the units of
+    ``index.cloud``.
 
     Each block of ``stencil_blocks`` is fitted and its rows written
-    into the preallocated CSR arrays; only the neighbor ids, the LB
-    values and the condition numbers outlive a block.
+    into the preallocated CSR arrays; only the LB values, their column
+    ids and the condition numbers outlive a block.
     Every per-stencil kernel works row by row, so the operator does not
     depend on the block size, and the first bad stencil in id order
     raises.  ``frames_fn`` and ``assemble_fn`` let a caller route the
@@ -301,24 +308,19 @@ def lb_pass(points, index, k, weight_spec=Weight("proposed"),
 
     Returns
     -------
-    operator : SparseOperator
-    neighbor_ids : (n, k) int ndarray
-        Every point's stencil, center first, for the regular-triple
-        search.
+    SparseOperator
     """
-    n = len(points)
-    neighbor_ids = np.empty((n, k), dtype=np.intp)
+    n = index.cloud.n
     condition = np.empty(n)
     data = np.empty(n * k)
     # column ids are below n, so int32 holds them; scipy widens if nnz
     # itself outgrows int32
     indices = np.empty(n * k, dtype=np.int32)
-    for rows, frames in stencil_blocks(points, index, k, frames_fn):
+    for rows, frames in stencil_blocks(index, k, frames_fn):
         block = assemble_fn(frames, weight_spec, n_cols=n)
         flat = slice(rows.start * k, rows.stop * k)
         data[flat] = block.matrix.data
         indices[flat] = block.matrix.indices
-        neighbor_ids[rows] = frames.neighbor_ids
         condition[rows] = block.condition
     indptr = np.arange(0, n * k + 1, k)
     matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
@@ -329,4 +331,4 @@ def lb_pass(points, index, k, weight_spec=Weight("proposed"),
             n, k, -(-n // _BLOCK), matrix.nnz, condition.max(),
             np.median(condition),
         )
-    return SparseOperator(matrix, condition), neighbor_ids
+    return SparseOperator(matrix, condition)

@@ -88,9 +88,7 @@ def mean_curvature(cloud, k=DEFAULT_K):
     """
     normalized, _, radius = cloud.normalized()
     curvature = np.empty(cloud.n)
-    for rows, frames in stencil_blocks(
-        normalized.points, build_index(normalized), k
-    ):
+    for rows, frames in stencil_blocks(build_index(normalized), k):
         coeffs, _, _ = _height_fit(
             frames.coords, frames.neighbor_dists, frames.heights,
             frames.neighbor_ids[:, 0], Weight("proposed"),

@@ -1,11 +1,14 @@
 """Spherical conformal parameterization of genus-0 point clouds.
 
-The pipeline solves a planar Laplace equation pinned at the most
-regular stencil triple, lifts to the sphere by inverse stereographic
-projection, corrects the south side with a second pinned solve, then
-alternates north/south projected solves (pinning the outermost slice of
-the plane each time) until the images stop moving.  A final Mobius
-scaling balances the point distribution around the two poles.
+The pipeline punctures the cloud at one point, solves a planar Laplace
+equation that sends that point to infinity, and lifts the field to the
+sphere by inverse stereographic projection.  It then alternates
+south/north projected solves, each pinning the outermost slice of the
+plane and Mobius-centring the result, until the images stop moving up
+to a rotation.  A final Mobius scaling balances the point distribution
+around the two poles.  The paper's start, pinned at three points, crowds
+nearly every point into one cap; the README says why this module
+punctures and centres instead.
 """
 
 import numbers
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import PointCloud, build_frames, build_index, knn
+from .cloud import PointCloud, build_frames, build_index, knn, local_frame
 from .errors import PipelineError, SphereMeshError
 from .laplacian import DEFAULT_K, assemble_lb_from_frames, lb_pass
 from .mesh import SurfaceMesh
@@ -25,8 +28,9 @@ from .projections import inv_north, inv_south, is_infinite, proj_north, proj_sou
 from .solve import ConstrainedSystem, solve
 from .weights import Weight
 
-THIRD_PI = np.pi / 3.0
-_TRIPLE_CHUNK = 512  # stencils scanned per step of most_regular_triple
+# the two half-steps of a round, south first
+_CHARTS = ((proj_south, inv_south), (proj_north, inv_north))
+_CENTRING_STEPS = 100  # 2-7 steps on maps that converge
 
 
 @dataclass
@@ -37,7 +41,7 @@ class ParamConfig:
     k: int = DEFAULT_K
     r_percent: float = 10.0
     epsilon: float = 1e-4
-    max_ns_iters: int = 100
+    max_ns_iters: int = 16  # N-S comparisons; converging maps took <= 6
     weight: Weight = field(default_factory=lambda: Weight("proposed"))
 
     def validate(self):
@@ -61,7 +65,7 @@ class SphericalMap:
 
     cloud: PointCloud
     images: np.ndarray  # (n, 3) unit vectors
-    history: list  # mean squared movement per N-S iteration
+    history: list  # aligned movement of each N-S comparison (see ns_iterate)
     iterations: int
     converged: bool
     stage_seconds: dict = None  # wall clock per pipeline stage
@@ -70,145 +74,6 @@ class SphericalMap:
     @property
     def n(self):
         return self.images.shape[0]
-
-
-def regularity(angles):
-    """Deviation of three triangle angles from the equilateral ones.
-
-    Angles must be positive and sum to pi (checked to 1e-9).
-    """
-    a = np.asarray(angles, dtype=np.float64)
-    if a.shape != (3,) or np.any(a <= 0) or abs(a.sum() - np.pi) > 1e-9:
-        raise ValueError(f"not a valid triangle angle triple: {angles}")
-    return float(np.abs(a - THIRD_PI).sum())
-
-
-def triangle_regularity(a, b, c):
-    """Regularity of 3D triangles (leading dimensions broadcast);
-    degenerate (zero-area) ones get +inf."""
-    a, b, c = (np.asarray(x, dtype=np.float64) for x in (a, b, c))
-    ab, ac, bc = b - a, c - a, c - b
-    area2 = np.linalg.norm(np.cross(ab, ac), axis=-1)
-    alpha = np.arctan2(area2, np.einsum("...i,...i", ab, ac))
-    beta = np.arctan2(
-        np.linalg.norm(np.cross(-ab, bc), axis=-1), np.einsum("...i,...i", -ab, bc)
-    )
-    gamma = np.pi - alpha - beta
-    reg = (
-        np.abs(alpha - THIRD_PI) + np.abs(beta - THIRD_PI) + np.abs(gamma - THIRD_PI)
-    )
-    longest2 = np.maximum(
-        np.einsum("...i,...i", ab, ab),
-        np.maximum(np.einsum("...i,...i", ac, ac), np.einsum("...i,...i", bc, bc)),
-    )
-    return np.where(area2 > 1e-14 * longest2, reg, np.inf)
-
-
-def most_regular_triple(points, neighbor_ids):
-    """Most regular triangle among all (center, neighbor i, neighbor j).
-
-    ``neighbor_ids`` (n, k) holds each point's stencil, center first.
-
-    Scans every point's stencil pairs; exact ties resolve to the
-    lexicographically smallest (point id, pair) via first-occurrence
-    argmin over the id-ordered scan.  Only pairs whose edge-length
-    ratio is small enough to beat the best score so far are scored
-    exactly, so the winner is the one a full scan would pick.
-
-    Returns
-    -------
-    ids : (3,) int ndarray
-        Point ids (a1, a2, a3) of the winning triple.
-    targets : (3,) complex ndarray
-        Similarity copy of the triple in the plane: same angles,
-        centroid at the origin, longest edge scaled to 1,
-        counterclockwise.  The map's orientation is fixed later, by
-        ``_fix_orientation``.
-    """
-    nbr = neighbor_ids
-    n, k = nbr.shape
-    pi_idx, pj_idx = np.triu_indices(k - 1, 1)
-    pi_idx, pj_idx = pi_idx + 1, pj_idx + 1
-
-    def edge_ratios(ids):
-        # longest^2 / shortest^2 edge of every (center, i, j) triangle:
-        # center edges from the Gram matrix diagonal, the opposite edge
-        # by the law of cosines
-        rel = points[ids[:, 1:]] - points[ids[:, :1]]
-        gram = rel @ rel.transpose(0, 2, 1)
-        sq = np.einsum("cii->ci", gram)
-        di, dj = sq[:, pi_idx - 1], sq[:, pj_idx - 1]
-        dij = di + dj - 2.0 * gram[:, pi_idx - 1, pj_idx - 1]
-        longest = np.maximum(np.maximum(di, dj), dij)
-        shortest = np.minimum(np.minimum(di, dj), dij)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return longest / shortest
-
-    def score(ids, rows, pairs):
-        return triangle_regularity(
-            points[ids[rows, 0]],
-            points[ids[rows, pi_idx[pairs]]],
-            points[ids[rows, pj_idx[pairs]]],
-        )
-
-    # seed the bound with the exact score of the first chunk's
-    # lowest-ratio triangle: the winner and its ties score no worse
-    first = nbr[:_TRIPLE_CHUNK]
-    ratios = edge_ratios(first)
-    seed = np.unravel_index(np.argmin(ratios), ratios.shape)
-    bound = _ratio_bound(float(score(first, *seed)))
-    best_reg = np.inf
-    best = None
-    for start in range(0, n, _TRIPLE_CHUNK):
-        ids = nbr[start:start + _TRIPLE_CHUNK]
-        ratios = edge_ratios(ids)
-        # flatnonzero keeps the (row, pair) scan order of the survivors,
-        # so the first-occurrence argmin keeps the documented tie rule
-        survivors = np.flatnonzero(ratios <= bound)
-        rows, pairs = np.unravel_index(survivors, ratios.shape)
-        reg = score(ids, rows, pairs)
-        if reg.size and reg.min() < best_reg:
-            at = int(np.argmin(reg))
-            best_reg = float(reg[at])
-            best = (start + rows[at], pairs[at])
-            bound = _ratio_bound(best_reg)
-    if best is None or not np.isfinite(best_reg):
-        raise SphereMeshError("no non-degenerate stencil triangle found")
-    row, pair = best
-    a1 = int(nbr[row, 0])
-    a2 = int(nbr[row, pi_idx[pair]])
-    a3 = int(nbr[row, pj_idx[pair]])
-    return np.array([a1, a2, a3]), _similarity_targets(
-        points[a1], points[a2], points[a3]
-    )
-
-
-def _ratio_bound(reg):
-    """Largest longest^2 / shortest^2 edge ratio of a triangle whose
-    regularity is at most reg, with a relative slack of 1e-6 for rounding.
-
-    The signed angle deviations from pi/3 sum to zero, so regularity
-    <= reg puts every angle within reg/2 of pi/3; by the law of sines
-    the edge ratio is the ratio of the sines of the extreme angles.
-    """
-    low = THIRD_PI - reg / 2.0
-    if not low > 0.0:
-        return np.inf
-    high = min(THIRD_PI + reg / 2.0, np.pi / 2.0)
-    return (np.sin(high) / np.sin(low)) ** 2 * (1.0 + 1e-6)
-
-
-def _similarity_targets(p1, p2, p3):
-    """Place a similar copy of the 3D triangle in the complex plane,
-    counterclockwise (positive signed area)."""
-    l12 = np.linalg.norm(p2 - p1)
-    l13 = np.linalg.norm(p3 - p1)
-    l23 = np.linalg.norm(p3 - p2)
-    x3 = (l12 * l12 + l13 * l13 - l23 * l23) / (2.0 * l12)
-    y3 = np.sqrt(max(l13 * l13 - x3 * x3, 0.0))
-    b = np.array([0.0, l12, x3 + 1j * y3], dtype=np.complex128)
-    b -= b.mean()
-    return b / max(l12, l13, l23)
 
 
 def _outermost(w, r_percent):
@@ -220,73 +85,107 @@ def _outermost(w, r_percent):
     return finite[order[:count]]
 
 
-def initial_map(operator, triple_ids, targets):
-    """Planar harmonic field with the three regular-triple constraints."""
-    return solve(ConstrainedSystem(operator, triple_ids, targets))
+def initial_map(operator, index, k=DEFAULT_K):
+    """Punctured start: a planar harmonic field with one point at infinity.
+
+    The center c of the best-conditioned stencil is the puncture (Angenent,
+    Haker, Tannenbaum & Kikinis, IEEE TMI 1999).  A conformal map sending
+    c to infinity behaves like 1/w near c, so its 2k - 1 nearest points
+    are pinned to h/w, w being their coordinate in the PCA frame of that
+    neighbourhood and h = max |w|; pins of one stencil only leave 1/w
+    varying on the scale of the point spacing outside them, which can
+    fold the map.  c goes to the north pole.
+    """
+    c = int(np.argmin(operator.condition))
+    frame = local_frame(index.cloud, knn(index, c, min(2 * k, index.cloud.n)))
+    # signing each PCA axis by its third moment gives a mirrored cloud
+    # the same planar field, and so exactly the mirrored map
+    xy = frame.local_coords[1:]
+    w = (xy * np.where(np.sum(xy**3, axis=0) < 0, -1.0, 1.0)) @ np.array([1.0, 1j])
+    phi = solve(ConstrainedSystem(operator, frame.neighbor_ids[1:], np.abs(w).max() / w))
+    images = inv_north(phi)
+    images[c] = (0.0, 0.0, 1.0)
+    return images
+
+
+def _centred(images):
+    """Mobius-centre unit vectors: compose orientation-preserving ball
+    automorphisms until the mean image is below 1e-12 (Baden, Crane &
+    Kazhdan, "Mobius Registration", SGP 2018).  This fixes the Mobius
+    gauge up to a rotation.  The automorphism centred at a moves the
+    mean m to m - 2 (I - M) a to first order, M the second moment, so
+    each step tries the Newton centre a = (2 (I - M))^-1 m, and takes
+    a = m where that does not shrink the mean; a = m alone needs 20-30
+    steps, and stalls on elongated clouds.
+    """
+    for _ in range(_CENTRING_STEPS):
+        m = images.mean(axis=0)
+        if m @ m < 1e-24:
+            break
+        a = np.linalg.solve(2.0 * (np.eye(3) - images.T @ images / len(images)), m)
+        moved = _ball_map(images, a) if a @ a < 1.0 else images
+        if not np.sum(moved.mean(axis=0) ** 2) < m @ m:
+            moved = _ball_map(images, m)
+        images = moved
+    return images / np.linalg.norm(images, axis=1, keepdims=True)
+
+
+def _ball_map(images, a):
+    """The ball automorphism x -> (1 - |a|^2)(x - a) / |x - a|^2 - a,
+    which sends a to the origin, applied to unit vectors."""
+    d = images - a
+    return (1.0 - a @ a) / np.einsum("ij,ij->i", d, d)[:, None] * d - a
 
 
 def _half_step(operator, images, project, unproject, r_percent):
     """Project the images, pin the outermost r% of the plane, solve the
-    Laplace equation and lift back.  Pole hits carry the infinity
-    marker; they stay free, so no infinite value reaches the system."""
+    Laplace equation, lift back and centre.  Pole hits carry the
+    infinity marker and stay free."""
     w = project(images)
     pinned = _outermost(w, r_percent)
-    return unproject(solve(ConstrainedSystem(operator, pinned, w[pinned])))
+    return _centred(unproject(solve(ConstrainedSystem(operator, pinned, w[pinned]))))
 
 
-def south_correction(operator, phi, r_percent=10.0):
-    """South-pole correction of the initial planar field.
-
-    Lifts phi to the sphere and runs the south half-step: the
-    high-distortion north cap lands innermost, and the outermost
-    low-distortion slice is pinned.
-
-    The initial field concentrates everything far from the pinned
-    triple in a tiny cluster (conformal crowding), so the plane is
-    first translated to put that cluster at the origin: the composed
-    inversion then unfolds it across the whole plane.  A translation is
-    conformal, so the composition stays a valid correction step.
-    """
-    return _half_step(
-        operator, inv_north(phi - phi.mean()), proj_south, inv_south, r_percent
-    )
+def _aligned_movement(images, earlier):
+    """Mean squared movement from ``earlier`` to ``images`` after the
+    best aligning rotation (orthogonal Procrustes): centred maps are
+    unique only up to a rotation."""
+    u, _, vt = np.linalg.svd(earlier.T @ images)
+    if np.linalg.det(u @ vt) < 0:
+        u[:, -1] = -u[:, -1]
+    moved = earlier @ (u @ vt) - images
+    return float(np.mean(np.einsum("ij,ij->i", moved, moved)))
 
 
 def ns_iterate(operator, images, config=None):
-    """North-South reiteration until images stabilize.
+    """North-South reiteration until the images stop moving.
 
-    Each round runs the north half-step and then the south one.  Stops
-    when the mean squared movement of the images drops below epsilon;
-    non-convergence within the iteration cap is a warning, and the
-    least-moved iterate is kept.
+    Half-steps alternate between the south and the north projection,
+    south first.  Each iterate from the third on is compared with the
+    one two half-steps earlier, which used the same projection, and the
+    loop stops when that aligned movement is below epsilon.  After
+    ``max_ns_iters`` comparisons it warns and keeps the last iterate.
 
-    Returns
-    -------
-    (images, history, converged)
+    Returns ``(images, history, converged)``, with ``history`` the
+    aligned movement of every comparison.
     """
     config = config or ParamConfig()
-    best = (np.inf, images)
     history = []
-    converged = False
-    for _ in range(config.max_ns_iters):
-        previous = images
-        images = _half_step(operator, images, proj_north, inv_north, config.r_percent)
-        images = _half_step(operator, images, proj_south, inv_south, config.r_percent)
-        movement = float(np.mean(np.sum((images - previous) ** 2, axis=1)))
-        history.append(movement)
-        if movement < best[0]:
-            best = (movement, images)
-        if movement < config.epsilon:
-            converged = True
-            break
-    if not converged:
-        images = best[1]
-        warnings.warn(
-            f"N-S reiteration did not converge in {config.max_ns_iters} "
-            f"iterations (best movement {best[0]:.3g}); keeping best iterate",
-            stacklevel=2,
-        )
-    return images, history, converged
+    older = previous = None
+    for step in range(config.max_ns_iters + 2):
+        project, unproject = _CHARTS[step % 2]
+        images = _half_step(operator, images, project, unproject, config.r_percent)
+        if older is not None:
+            history.append(_aligned_movement(images, older))
+            if history[-1] < config.epsilon:
+                return images, history, True
+        older, previous = previous, images
+    warnings.warn(
+        f"N-S reiteration did not converge in {config.max_ns_iters} "
+        f"iterations (last movement {history[-1]:.3g}); keeping the last iterate",
+        stacklevel=2,
+    )
+    return images, history, False
 
 
 def pole_distances(images, index, k=DEFAULT_K):
@@ -359,9 +258,8 @@ def parameterize(cloud, config=None):
     """Full spherical conformal parameterization of a genus-0 cloud.
 
     Stages: LB assembly (k-NN, PCA frames and the MLS fit in one pass
-    over blocks of stencils), regular-triple search, initial planar
-    solve, south correction, N-S reiteration, balancing, orientation
-    fix.
+    over blocks of stencils), punctured initial map, N-S reiteration,
+    balancing, orientation fix.
     Errors carry the stage name.  Genus is the caller's responsibility,
     but globally planar inputs are rejected outright.
     """
@@ -376,17 +274,12 @@ def parameterize(cloud, config=None):
         index = build_index(normalized)
         # the per-block calls go through this module's names, where a
         # caller (the bench tracer) can wrap them
-        operator, nbr_ids = lb_pass(
-            normalized.points, index, config.k, config.weight,
+        operator = lb_pass(
+            index, config.k, config.weight,
             frames_fn=build_frames, assemble_fn=assemble_lb_from_frames,
         )
-    with _stage("regular triple", timings):
-        triple_ids, targets = most_regular_triple(normalized.points, nbr_ids)
-        del nbr_ids
     with _stage("initial map", timings):
-        phi = initial_map(operator, triple_ids, targets)
-    with _stage("south correction", timings):
-        images = south_correction(operator, phi, config.r_percent)
+        images = initial_map(operator, index, config.k)
     with _stage("north-south reiteration", timings):
         images, history, converged = ns_iterate(operator, images, config)
     with _stage("balancing", timings):

@@ -263,4 +263,4 @@ class TestPipelineCommands:
         assert meta["epsilon"] == 1e-4
         assert meta["r_percent"] == 10.0
         assert meta["weight"] == "proposed"
-        assert meta["max_ns_iters"] == 100
+        assert meta["max_ns_iters"] == 16

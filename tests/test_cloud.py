@@ -39,11 +39,13 @@ class TestPointCloud:
         with pytest.raises(CloudError):
             PointCloud(pts)
 
-    @pytest.mark.parametrize("factor, extent", [(1e160, "inf"), (1e-170, "0.0")])
-    def test_normalized_names_an_extent_out_of_range(self, factor, extent):
-        # the squared distances overflow to inf or underflow to 0
-        with pytest.raises(CloudError, match=f"cloud extent {extent} is not a positive"):
-            PointCloud(TETRA * factor).normalized()
+    @pytest.mark.parametrize("factor", [1e160, 1e-170])
+    def test_normalized_accepts_a_representable_extent(self, factor):
+        # the squared offsets would overflow to inf or underflow to 0
+        norm, _, radius = PointCloud(TETRA * factor).normalized()
+        want, _, unit = PointCloud(TETRA).normalized()
+        assert radius == pytest.approx(unit * factor, rel=1e-15)
+        np.testing.assert_allclose(norm.points, want.points, rtol=0, atol=1e-15)
 
     def test_normalized_roundtrip(self):
         rng = np.random.default_rng(3)

@@ -261,10 +261,39 @@ class TestAssemble:
 
     @pytest.mark.parametrize("run", [assemble_lb, mean_curvature, parameterize])
     def test_extent_that_overflows_is_named(self, run):
-        cloud = PointCloud(blob_cloud(300, seed=0).points * 1e160)
+        # antipodal pairs keep the centroid finite, but the distance of a
+        # corner from it exceeds the float range
+        corners = np.array([[1.0, 1, 1], [1, -1, 1], [1, 1, -1], [-1, 1, 1]])
+        cloud = PointCloud(np.stack([corners, -corners], axis=1).reshape(8, 3) * 1.5e308)
         with pytest.raises((CloudError, PipelineError),
                            match="cloud extent inf is not a positive finite number"):
             run(cloud)
+
+    def test_operator_of_a_huge_cloud(self):
+        # radius**2 overflows at this scale; two divisions by the radius
+        # keep the values
+        cloud = blob_cloud(300, seed=0)
+        want = assemble_lb(cloud).matrix
+        got = assemble_lb(PointCloud(cloud.points * 2e154)).matrix
+        assert np.array_equal(got.indices, want.indices)
+        scaled = want.data / 2e154 / 2e154
+        assert np.abs(got.data - scaled).max() <= 1e-12 * np.abs(scaled).max()
+
+    @pytest.mark.parametrize("factor", [1e160, 1e-165])
+    def test_operator_values_out_of_float_range_are_named(self, factor):
+        cloud = PointCloud(blob_cloud(300, seed=0).points * factor)
+        with pytest.raises(CloudError,
+                           match="puts the operator values outside the float range"):
+            assemble_lb(cloud)
+
+    def test_tiny_cloud_maps_and_has_curvature(self):
+        # the squared offsets of this cloud underflow to 0
+        cloud = blob_cloud(300, seed=0)
+        tiny = PointCloud(cloud.points * 1e-165)
+        assert parameterize(tiny).converged
+        want = mean_curvature(cloud)
+        np.testing.assert_allclose(mean_curvature(tiny) * 1e-165, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
     def test_curvature_of_a_tiny_cloud(self):
         # the raw stencils' covariances would underflow to 0
@@ -340,16 +369,16 @@ class TestStencilPass:
         results = []
         for size in (7, 700, 10_000):
             monkeypatch.setattr(laplacian, "_BLOCK", size)
-            op, ids = lb_pass(cloud.points, build_index(cloud), 25)
+            op = lb_pass(build_index(cloud), 25)
             results.append((assemble_lb(cloud).matrix, mean_curvature(cloud),
-                            op.condition, ids))
-        (m0, h0, c0, ids0), *rest = results
-        for m, h, c, ids in rest:
+                            op.condition))
+        (m0, h0, c0), *rest = results
+        for m, h, c in rest:
             assert m.indices.dtype == m0.indices.dtype
             assert np.array_equal(m.indptr, m0.indptr)
             assert np.array_equal(m.indices, m0.indices)
             assert np.array_equal(m.data, m0.data)
-            for got, want in ((h, h0), (c, c0), (ids, ids0)):
+            for got, want in ((h, h0), (c, c0)):
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("size", [7, 300])
@@ -357,12 +386,11 @@ class TestStencilPass:
         monkeypatch.setattr(laplacian, "_BLOCK", size)
         cloud = PointCloud(uniform_sphere(300, seed=24))
         index = build_index(cloud)
-        op, ids = lb_pass(cloud.points, index, 15)
+        op = lb_pass(index, 15)
         frames = build_frames(cloud.points, *index.knn_arrays(15))
         whole = assemble_lb_from_frames(frames)
         assert np.array_equal(op.matrix.data, whole.matrix.data)
         assert np.array_equal(op.matrix.indices, whole.matrix.indices)
-        assert np.array_equal(ids, frames.neighbor_ids)
         assert np.array_equal(op.condition, whole.condition)
 
     def test_queries_stay_within_one_block(self, monkeypatch):

@@ -241,10 +241,14 @@ class TestInterpolation:
         assert interp.snapped == len(samples)
 
     def test_snapped_counts_samples_no_face_contains(self):
-        # a 400-point 2:1:0.5 ellipsoid maps into one cap: the origin lies
-        # outside the hull, and most central rays miss it
-        pts = uniform_sphere(400, seed=7) * np.array([2.0, 1.0, 0.5])
-        m = parameterize(PointCloud(pts))
+        # a map crowded into one cap: the origin lies outside the hull,
+        # and most central rays miss it
+        pts = uniform_sphere(400, seed=7)
+        cap = pts - [0.0, 0.0, 3.0]
+        m = SphericalMap(
+            cloud=PointCloud(pts), images=cap / np.linalg.norm(cap, axis=1, keepdims=True),
+            history=[0.0], iterations=1, converged=True,
+        )
         interp = SphereInterpolator(m)
         samples = uniform_sphere(3000, seed=1)
         faces, bary = interp.locate(samples)
