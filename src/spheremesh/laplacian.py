@@ -43,9 +43,12 @@ BASIS_DIM = 6  # {1, x, y, x^2, xy, y^2}
 MIN_STENCIL = 7  # must exceed the basis dimension
 MAX_CONDITION = 1e12
 DEFAULT_K = 25
-# stencils per block of the stencil pass: the (block, k, 6) fit arrays
-# stay a few MB whatever the cloud size
-_BLOCK = 2048
+# stencils per block of the stencil pass.  One block's k-NN, frame and
+# fit temporaries take about 8 KB per stencil at k = 25, whatever the
+# cloud size: 4.1 MB at 512, 16.4 MB at 2048 (tracemalloc).  Below 512
+# the whole-cloud arrays set the peak (assemble_lb of 20k points: 11.0 MB
+# at 512, 10.8 MB at 256); pass times showed no trend across 256-2048.
+_BLOCK = 512
 
 logger = logging.getLogger(__name__)
 

@@ -12,7 +12,7 @@ from .mesh import SurfaceMesh
 
 _BARY_TOL = 1e-10
 _VERTEX_SNAP = 1e-12
-_CHUNK = 1024  # samples per batched locate step; bounds its temporaries
+_CHUNK = 1024  # samples per batched locate and blend step; bounds their temporaries
 _DEGENERATE = ("coincide", "collinear", "coplanar")  # by rank of the point set
 
 
@@ -174,17 +174,21 @@ class SphereInterpolator:
         return faces, bary
 
     def __call__(self, samples):
-        """Cloud-space positions of unit-sphere samples."""
+        """Cloud-space positions of unit-sphere samples, blended
+        ``_CHUNK`` samples at a time so that no (m, 3, 3) array of face
+        corners is formed."""
         faces, bary = self.locate(samples)
-        verts = self.mesh.faces[faces]
-        out = np.einsum(
-            "ij,ijk->ik", bary, self.cloud_points[verts]
-        )
-        # a sample sitting on a parameterization image returns that
-        # cloud point bit-exactly; weights sum to 1 and none is below
-        # -_BARY_TOL, so at most one per sample reaches the snap
-        rows, corner = np.nonzero(bary >= 1.0 - _VERTEX_SNAP)
-        out[rows] = self.cloud_points[verts[rows, corner]]
+        out = np.empty((len(faces), 3))
+        for lo in range(0, len(faces), _CHUNK):
+            w = bary[lo:lo + _CHUNK]
+            verts = self.mesh.faces[faces[lo:lo + _CHUNK]]
+            part = out[lo:lo + len(w)]
+            np.einsum("ij,ijk->ik", w, self.cloud_points[verts], out=part)
+            # a sample sitting on a parameterization image returns that
+            # cloud point bit-exactly; weights sum to 1 and none is below
+            # -_BARY_TOL, so at most one per sample reaches the snap
+            rows, corner = np.nonzero(w >= 1.0 - _VERTEX_SNAP)
+            part[rows] = self.cloud_points[verts[rows, corner]]
         return out
 
 

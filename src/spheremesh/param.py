@@ -36,7 +36,7 @@ _CENTRING_STEPS = 100  # 2-7 steps on maps that converge
 @dataclass
 class ParamConfig:
     """Knobs of the parameterization pipeline (defaults: k = 25,
-    r = 10 %, epsilon = 1e-4, proposed weight)."""
+    r = 10 %, epsilon = 1e-4, max_ns_iters = 16, proposed weight)."""
 
     k: int = DEFAULT_K
     r_percent: float = 10.0

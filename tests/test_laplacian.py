@@ -462,14 +462,24 @@ class TestStencilPass:
             assert field_ in message
         assert 1.0 <= op.condition.min() <= op.condition.max() < 1e12
 
-    def test_peak_memory_stays_per_block(self):
+    @staticmethod
+    def traced_peak(run, cloud):
         # numpy reports its buffers to tracemalloc, so the peak is
-        # deterministic; whole-cloud (n, 25, 6) fit arrays read ~147 MB
-        cloud = blob_cloud(20000, seed=0)
+        # deterministic; SuperLU's own allocations are not traced
         tracemalloc.start()
         try:
-            assemble_lb(cloud)
+            run(cloud)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        return peak
+
+    def test_peak_memory_stays_per_block(self):
+        # 11.0 MB at 512 stencils per block, 23.3 MB at 2048; whole-cloud
+        # (n, 25, 6) fit arrays read ~147 MB
+        assert self.traced_peak(assemble_lb, blob_cloud(20000, seed=0)) < 16e6
+
+    def test_parameterize_peak_memory(self):
+        # the remesh benchmark's set-up map: 5.9 MB at 512 stencils per
+        # block, 18.2 MB at 2048, where one block's fit set the peak
+        assert self.traced_peak(parameterize, blob_cloud(5000, seed=0)) < 8.5e6

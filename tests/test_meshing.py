@@ -229,6 +229,14 @@ class TestInterpolation:
         assert np.all(faces == faces[0])
         assert np.all(bary == bary[0])
 
+    def test_positions_do_not_depend_on_chunk_size(self, ellipsoid_map, monkeypatch):
+        samples = np.vstack([uniform_sphere(500, seed=16), ellipsoid_map.images[:50]])
+        results = []
+        for size in (7, 10_000):
+            monkeypatch.setattr(spheremesh.meshing, "_CHUNK", size)
+            results.append(SphereInterpolator(ellipsoid_map)(samples))
+        np.testing.assert_array_equal(*results)
+
     def test_unhit_samples_snap_to_their_face(self, ellipsoid_map, monkeypatch):
         m = ellipsoid_map
         samples = uniform_sphere(40, seed=14)
