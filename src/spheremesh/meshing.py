@@ -86,6 +86,12 @@ def induce_mesh(cloud, sphere_map):
     return SurfaceMesh(cloud.points, sphere_triangulation(sphere_map).faces)
 
 
+def _dot(p, q):
+    """Row dot products over the last axis, summed x + y + z in every
+    shape (a matmul or einsum picks its kernel, and rounding, by shape)."""
+    return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
+
+
 class SphereInterpolator:
     """Maps unit-sphere samples to cloud-space positions.
 
@@ -100,11 +106,14 @@ class SphereInterpolator:
     one exact nearest-neighbour query of (s, 0) in a k-d tree of the
     lifted points finds that exit face (Bachrach et al., RecSys 2014).
     A sample on an edge shared by two faces takes whichever the query
-    returns; both contain it.  The exit face is ray-tested in chunks of
-    ``_CHUNK`` samples.  A sample whose exit face fails the strict test
-    (its ray misses the hull, as on a map crowded into one cap, whose
-    faces with d_f <= 0 stay out of the tree) keeps that face with its
-    weights clamped and is counted in ``snapped``.
+    returns; both contain it.  Each exit face is ray-tested once, in
+    chunks of ``_CHUNK`` samples: the ray meets the face's plane at x,
+    and the weights of b and c are (x - a_f) . u_f and (x - a_f) . v_f
+    with the precomputed covectors u_f = ((c - a) x n_f) / |n_f|^2 and
+    v_f = (n_f x (b - a)) / |n_f|^2.  A sample whose exit face fails the
+    strict test (its ray misses the hull, as on a map crowded into one
+    cap, whose faces with d_f <= 0 stay out of the tree) keeps that face
+    with its weights clamped and is counted in ``snapped``.
     """
 
     def __init__(self, sphere_map):
@@ -112,35 +121,37 @@ class SphereInterpolator:
         self.cloud_points = sphere_map.cloud.points
         self.mesh = sphere_triangulation(sphere_map)
         self.snapped = 0
-        f = self.mesh.faces
-        self._corners = self.images[f]  # (F, 3, 3)
-        a, b, c = self._corners[:, 0], self._corners[:, 1], self._corners[:, 2]
+        a, b, c = (self.images[corner] for corner in self.mesh.faces.T)
         self._normals = np.cross(b - a, c - a)
-        self._nn = np.einsum("ij,ij->i", self._normals, self._normals)
+        nn = np.einsum("ij,ij->i", self._normals, self._normals)[:, None]
         self._offsets = np.einsum("ij,ij->i", self._normals, a)
+        self._a = a
+        self._u = np.cross(c - a, self._normals) / nn
+        self._v = np.cross(self._normals, b - a) / nn
         self._exit_ids = np.flatnonzero(self._offsets > 0)
         q = self._normals[self._exit_ids] / self._offsets[self._exit_ids, None]
         qq = np.einsum("ij,ij->i", q, q)
-        self._dual_tree = cKDTree(np.column_stack([q, np.sqrt(qq.max() - qq)]))
-
-    def _bary(self, face_ids, x):
-        """Barycentric coordinates of plane points x (..., 3) in the
-        faces face_ids (...)."""
-        corners = self._corners[face_ids]
-        a, b, c = corners[..., 0, :], corners[..., 1, :], corners[..., 2, :]
-        n = self._normals[face_ids]
-        nn = self._nn[face_ids]
-        beta = np.einsum("...j,...j->...", np.cross(x - a, c - a), n) / nn
-        gamma = np.einsum("...j,...j->...", np.cross(b - a, x - a), n) / nn
-        return np.stack([1.0 - beta - gamma, beta, gamma], axis=-1)
+        # larger leaves split at midpoints answer the exact queries
+        # faster than the default tree, with the same nearest faces
+        self._dual_tree = cKDTree(
+            np.column_stack([q, np.sqrt(qq.max() - qq)]),
+            leafsize=32, balanced_tree=False,
+        )
 
     def _ray_test(self, face_ids, s):
-        """Central rays of samples s (m, 3) against faces face_ids (m, k):
-        returns the (m, k) hit mask and the (m, k, 3) weights."""
-        denom = np.matmul(self._normals[face_ids], s[:, :, None])[..., 0]
+        """Central rays of samples s (m, 3) against faces face_ids (m,)
+        or (m, k): returns the hit mask of face_ids' shape and the
+        weights with a trailing axis of 3.  Every dot product is summed
+        coordinate by coordinate, so a (sample, face) pair rounds the
+        same in either shape."""
+        s = s.reshape(s.shape[:1] + (1,) * (face_ids.ndim - 1) + (3,))
+        denom = _dot(self._normals[face_ids], s)
         ok = denom > 0
         t = self._offsets[face_ids] / np.where(ok, denom, 1.0)
-        bary = self._bary(face_ids, t[..., None] * s[:, None, :])
+        x = t[..., None] * s - self._a[face_ids]
+        beta = _dot(x, self._u[face_ids])
+        gamma = _dot(x, self._v[face_ids])
+        bary = np.stack([1.0 - beta - gamma, beta, gamma], axis=-1)
         hit = ok & (t > 0) & (bary.min(axis=-1) >= -_BARY_TOL)
         return hit, bary
 
@@ -157,14 +168,13 @@ class SphereInterpolator:
         s = s / norm
         faces = np.empty(len(s), dtype=np.intp)
         bary = np.empty((len(s), 3))
+        query = np.zeros((min(_CHUNK, len(s)), 4))  # (s, 0) rows of the lifted space
         for lo in range(0, len(s), _CHUNK):
             chunk = s[lo:lo + _CHUNK]
-            _, nearest = self._dual_tree.query(np.pad(chunk, ((0, 0), (0, 1))))
+            query[:len(chunk), :3] = chunk
+            _, nearest = self._dual_tree.query(query[:len(chunk)])
             exit_face = self._exit_ids[nearest]
-            # the face twice: a one-column matmul takes another kernel
-            # and rounds differently from the multi-column test
-            hit, w = self._ray_test(np.column_stack([exit_face, exit_face]), chunk)
-            hit, w = hit[:, 0], w[:, 0]
+            hit, w = self._ray_test(exit_face, chunk)
             miss = np.flatnonzero(~hit)
             clamped = np.clip(w[miss], 0.0, None)
             w[miss] = clamped / clamped.sum(axis=1, keepdims=True)
@@ -318,15 +328,16 @@ def loop_subdivide(mesh):
     )
 
     # even-vertex smoothing with the valence-dependent beta; each ring is
-    # summed in ascending neighbor order
-    center = np.concatenate([a, b])
-    ring = np.concatenate([b, a])
-    order = np.lexsort((ring, center))
+    # summed in ascending neighbor order, the order of the sorted
+    # directed-edge keys center * V + neighbor
+    keys = np.sort(np.concatenate([a * len(v) + b, b * len(v) + a]))
+    center, ring = np.divmod(keys, len(v))
     n = np.bincount(center, minlength=len(v))
     if not n.all():
         raise MeshError("loop subdivision needs every vertex on a face")
-    ring_sum = np.zeros_like(v)
-    np.add.at(ring_sum, center[order], v[ring[order]])
+    ring_sum = np.column_stack([
+        np.bincount(center, weights=v[ring, axis], minlength=len(v)) for axis in range(3)
+    ])
     beta = (0.625 - (0.375 + 0.25 * np.cos(2.0 * np.pi / n)) ** 2) / n
     smoothed = (1.0 - n * beta)[:, None] * v + beta[:, None] * ring_sum
 

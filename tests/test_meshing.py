@@ -22,6 +22,7 @@ from spheremesh import (
     spherical_delaunay,
 )
 from spheremesh.meshing import _BARY_TOL, _CHUNK
+from spheremesh.synth import blob_cloud
 
 from conftest import uniform_sphere
 
@@ -222,6 +223,21 @@ class TestInterpolation:
         np.testing.assert_array_equal(bary[clear], weights[clear, 0])
         assert interp.snapped == 0
 
+    def test_lone_face_rounds_like_face_beside_runner_up(self, ellipsoid_map):
+        # locate tests each exit face alone; a test beside another face
+        # must give the same hit and bit-equal weights
+        interp = SphereInterpolator(ellipsoid_map)
+        samples = uniform_sphere(2000, seed=17)
+        s = samples / np.linalg.norm(samples, axis=1, keepdims=True)
+        score = s @ (interp._normals / interp._offsets[:, None]).T
+        second, best = np.argsort(score, axis=1)[:, -2:].T
+        alone_hit, alone = interp._ray_test(best, s)
+        pair_hit, pair = interp._ray_test(np.column_stack([best, second]), s)
+        assert alone_hit.shape == (len(s),) and alone.shape == (len(s), 3)
+        assert alone_hit.all()
+        np.testing.assert_array_equal(alone_hit, pair_hit[:, 0])
+        np.testing.assert_array_equal(alone, pair[:, 0])
+
     def test_samples_across_chunks_agree(self, ellipsoid_map):
         interp = SphereInterpolator(ellipsoid_map)
         samples = np.repeat(uniform_sphere(1, seed=13), 2 * _CHUNK + 1, axis=0)
@@ -415,6 +431,29 @@ class TestMultilevel:
             expected.append(0.375 * (v[a] + v[b]) + 0.125 * (v[o0] + v[o1]))
         got = loop_subdivide(mesh).vertices
         np.testing.assert_allclose(got, np.array(expected), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("which", ["icosphere(4)", "blob_cloud(400, 0) induced"])
+    def test_loop_subdivision_ring_sums_ascending(self, which):
+        # the smoothed vertices sum each one-ring in ascending neighbour
+        # order, bit-equal to np.add.at over that order; the induced mesh
+        # has valences 3 to 11
+        if which == "icosphere(4)":
+            mesh = icosphere(4)
+        else:
+            cloud = blob_cloud(400, 0)
+            mesh = induce_mesh(cloud, parameterize(cloud))
+        v = mesh.vertices
+        rings = [set() for _ in v]
+        for a, b in mesh.edges():
+            rings[a].add(b)
+            rings[b].add(a)
+        n = np.array([len(r) for r in rings])
+        ring_sum = np.zeros_like(v)
+        np.add.at(ring_sum, np.repeat(np.arange(len(v)), n),
+                  v[np.concatenate([sorted(r) for r in rings])])
+        beta = (0.625 - (0.375 + 0.25 * np.cos(2.0 * np.pi / n)) ** 2) / n
+        expected = (1.0 - n * beta)[:, None] * v + beta[:, None] * ring_sum
+        np.testing.assert_array_equal(loop_subdivide(mesh).vertices[:len(v)], expected)
 
     def test_loop_subdivision_rejects_open_mesh(self):
         ico = icosphere(1)
