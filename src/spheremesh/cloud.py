@@ -120,8 +120,9 @@ class SpatialIndex:
 
     Immutable after construction; safe for concurrent queries.  Distance
     ties are broken by ascending point id, which the raw tree does not
-    guarantee, so queries over-fetch and re-rank candidates by exact
-    squared distance.
+    guarantee, so a query fetches one candidate more than asked, re-ranks
+    the candidates by exact squared distance, and fetches twice as many
+    again while a row's k-th and last candidates tie.
     """
 
     def __init__(self, cloud):
@@ -145,7 +146,7 @@ class SpatialIndex:
             raise CloudError(f"insufficient points: k={k} > n={n}")
         pts = self.cloud.points
         q = pts[rows]
-        extra = min(n, k + 8)
+        extra = min(n, k + 1)
         while True:
             _, cand = self._tree.query(q, k=extra)
             d2 = np.sum((pts[cand] - q[:, None, :]) ** 2, axis=2)

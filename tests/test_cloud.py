@@ -99,6 +99,29 @@ class TestKnn:
                 np.testing.assert_array_equal(got.indices, want_idx)
                 np.testing.assert_allclose(got.distances, want_d, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [3, 5, 9])
+    def test_tie_past_the_candidate_window_widens_the_query(self, k):
+        # the query asks for k + 1 candidates; on a square grid the k-th and
+        # (k + 1)-th neighbours of a point tie, so the window is widened
+        ax = np.arange(5, dtype=float)
+        xx, yy = np.meshgrid(ax, ax)
+        pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(25)])
+        index = build_index(PointCloud(pts))
+        tree, windows = index._tree, []
+
+        class Counted:
+            def query(self, q, k):
+                windows.append(k)
+                return tree.query(q, k=k)
+
+        index._tree = Counted()
+        idx, dist = index.knn_arrays(k)
+        assert windows[0] == k + 1 and len(windows) > 1
+        for center in range(25):
+            want_idx, want_d = brute_force_knn(pts, center, k)
+            np.testing.assert_array_equal(idx[center], want_idx)
+            np.testing.assert_allclose(dist[center], want_d, atol=1e-12)
+
     def test_matches_brute_force_on_random_cloud(self):
         rng = np.random.default_rng(42)
         pts = rng.normal(size=(1000, 3))

@@ -22,6 +22,31 @@ from spheremesh.synth import sphere_cloud
 
 TETRA = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
 
+# name -> (file text, FileFormatError message after the path, or None for
+# a file that reads); the messages are those of the line scanner alone
+XYZ_CORPUS = {
+    "comments": ("# header\n\n# more\n" + TETRA + "# trailing\n", None),
+    "blank-lines": ("\n\n0 0 0\n\n1 0 0\n   \n0 1 0\n\t\n0 0 1\n\n", None),
+    "inline-comment": ("0 0 0 # origin\n1 0 0#x\n0 1 0\n0 0 1 # top\n", None),
+    "tabs": ("0\t0\t0\n1\t0 0\n0 1\t0\n\t0 0 1\t\n", None),
+    "crlf": (TETRA.replace("\n", "\r\n"), None),
+    "extra-columns": ("0 0 0 1 2\n1 0 0 a\n0 1 0\n0 0 1 x y\n", None),
+    "exponents": ("1e-3 -2.5E+10 .5\n1. 0 0\n0 1e0 -0\n+0 0 1E2\n", None),
+    "underscores": ("1_0 0 0\n1 0 0\n0 1 0\n0 0 1\n", None),
+    "nan": (TETRA.replace("1 0 0", "1 nan 0"), "non-finite coordinates at line 2"),
+    "overflow": (TETRA.replace("0 1 0", "0 1e999 0"), "non-finite coordinates at line 3"),
+    "short-row": ("0 0 0\n1 0\n0 1 0\n0 0 1\n", "line 2: expected 'x y z'"),
+    "bad-value": ("0 0 0\n1 x 0\n0 1 0\n0 0 1\n",
+                  "line 2: could not convert string to float: 'x'"),
+    "duplicate": ("# c\n0 0 0\n1 0 0\n0 1 0\n1 0 0\n0 0 1\n",
+                  "duplicate point at line 3 and line 5"),
+    "crlf-duplicate": ("0 0 0\r\n1 0 0\r\n\r\n0 0 0\r\n0 0 1\r\n",
+                       "duplicate point at line 1 and line 4"),
+    "empty": ("", "needs at least 4 points, got 0"),
+    "one-line": ("0 0 0\n", "needs at least 4 points, got 1"),
+    "three-points": ("0 0 0\n1 0 0 # c\n0 1 0\n", "needs at least 4 points, got 3"),
+}
+
 
 class TestXyz:
     def test_comments_and_blanks(self, tmp_path):
@@ -70,6 +95,34 @@ class TestXyz:
         path.write_text("0 0 0\n1 0 0\n0 1 0\n")
         with pytest.raises(FileFormatError, match="at least 4"):
             read_cloud(path)
+
+    @pytest.mark.parametrize("name", XYZ_CORPUS)
+    def test_read_matches_the_scanner(self, tmp_path, monkeypatch, name):
+        # one loadtxt call parses a well-formed file; anything else is
+        # re-read by the line scanner, which alone reports the problem
+        import spheremesh.fileio
+
+        text, message = XYZ_CORPUS[name]
+        path = tmp_path / "c.xyz"
+        path.write_bytes(text.encode())
+        scanned = []
+        read_xyz = spheremesh.fileio._read_xyz
+
+        def counted(p):
+            scanned.append(p)
+            return read_xyz(p)
+
+        monkeypatch.setattr(spheremesh.fileio, "_read_xyz", counted)
+        if message is None:
+            points = read_cloud(path).points
+            want = np.array(read_xyz(path)[0], dtype=np.float64)
+            assert points.dtype == want.dtype and points.tobytes() == want.tobytes()
+            assert len(scanned) == (name == "underscores")  # loadtxt rejects 1_0
+        else:
+            with pytest.raises(FileFormatError) as info:
+                read_cloud(path)
+            assert str(info.value) == f"{path}: {message}"
+            assert scanned == [path]
 
     def test_roundtrip_bit_exact(self, tmp_path):
         cloud = sphere_cloud(50, seed=1)

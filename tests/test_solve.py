@@ -18,7 +18,7 @@ from spheremesh import (
     solve,
 )
 from spheremesh.laplacian import SparseOperator
-from spheremesh.solve import DEFAULT_TOL
+from spheremesh.solve import _GATHER_ROWS, DEFAULT_TOL, _reduced
 from spheremesh.synth import blob_cloud
 
 from conftest import disk_grid
@@ -192,15 +192,17 @@ class TestMixedPrecision:
         np.testing.assert_array_equal(out[boundary], values)
 
     def test_traced_peak_holds_one_copy_of_the_free_rows(self, monkeypatch, caplog):
-        # The peak is the float32 cast of the free rows: the float64 rows
-        # (8 B value + 4 B int32 column per nonzero) and their float32 copy
-        # (4 + 4), 20 B per nonzero, next to under 80 B per point: the
-        # field, the right-hand side and the refinement buffer (16 B each)
-        # and the row pointers of both copies.  At k = 25 nonzeros a row
-        # that is below 20 + 80 / 25 = 23.2 B per nonzero; a stored float64
-        # reduced matrix (12 B) or a complex copy of the rows (20 B) beside
-        # the factor input would break the bound.  SuperLU's own workspace
-        # is allocated in C and not traced.
+        # The peak is the one tocsc of the free block: its gathered rows
+        # (4 B float32 value + 4 B int32 column per nonzero) and their CSC
+        # copy (4 + 4), 16 B per nonzero, next to under 40 B per point:
+        # the field (16 B), the column renumbering and the row and column
+        # pointers.  At k = 25 nonzeros a row that is below 16 + 40 / 25 =
+        # 17.6 B per nonzero; 17.3 and 15.8 B were measured on these two
+        # systems, and the bound leaves 2.7 B.  The right-hand side and the
+        # refinement buffer are made after the factor.  A float64 copy of
+        # the free rows cast beside its float32 copy (20 B per nonzero, 22.1
+        # B in all) or a complex copy of the rows (20 B) would break it.
+        # SuperLU's own workspace is allocated in C and not traced.
         systems = []
 
         def recorded(system):
@@ -217,7 +219,62 @@ class TestMixedPrecision:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 24 * system.operator.matrix.nnz
+            assert peak <= 20 * system.operator.matrix.nnz
+
+
+def _uneven_rows(n=300, seed=0):
+    """A CSR matrix whose rows hold 0 to 40 entries, unsorted columns."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(0, 41, size=n)
+    lengths[::17] = 0
+    indices = np.concatenate([rng.choice(n, m, replace=False) for m in lengths])
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    # some values overflow or underflow float32
+    data = rng.normal(size=indices.size) * 10.0 ** rng.integers(-50, 50, indices.size)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _emptied():
+    """A CSR matrix and a pinned set that leaves free row 1 with no free
+    column and free column 4 with no free row."""
+    dense = np.arange(1.0, 37.0).reshape(6, 6)
+    dense[1, [1, 2, 4, 5]] = 0.0  # row 1 couples only to the pinned 0 and 3
+    dense[[1, 2, 4, 5], 4] = 0.0  # column 4 is reached only from them
+    return sparse.csr_matrix(dense), np.array([0, 3])
+
+
+class TestReduced:
+    """``_reduced`` hands SuperLU exactly the arrays of the slice-and-cast
+    path: the free rows cast, converted to CSC and cut to the free
+    columns."""
+
+    def check(self, matrix, pinned):
+        free = np.setdiff1d(np.arange(matrix.shape[0]), pinned)
+        with np.errstate(over="ignore", under="ignore"):
+            got = _reduced(matrix, free, np.float32)
+            want = matrix[free].astype(np.float32).tocsc()[:, free]
+        assert got.format == "csc" and got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        return got
+
+    def test_lb_operator(self):
+        _, op, boundary = disk_system()
+        assert op.n > 2 * _GATHER_ROWS  # several gather steps
+        self.check(op.matrix, boundary)
+
+    @pytest.mark.parametrize("pinned", [[5], np.arange(0, 300, 3), np.arange(1, 300)])
+    def test_uneven_row_lengths(self, pinned):
+        self.check(_uneven_rows(), pinned)
+
+    def test_pins_that_empty_a_row_and_a_column(self):
+        matrix, pinned = _emptied()
+        got = self.check(matrix, pinned)
+        # free row 1 and free column 4 are row 0 and column 2 of the block
+        assert got.indptr[3] == got.indptr[2]
+        assert 0 not in got.indices
 
 
 class TestSystemValidation:
