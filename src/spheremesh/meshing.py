@@ -13,6 +13,10 @@ from .mesh import SurfaceMesh
 _BARY_TOL = 1e-10
 _VERTEX_SNAP = 1e-12
 _CHUNK = 1024  # samples per batched locate and blend step; bounds their temporaries
+# walk rounds before the unresolved samples go to locate: remesh walks
+# on blob maps end within 7-11 rounds, and multilevel times are flat
+# for caps of 8-64
+_WALK_ROUNDS = 12
 _DEGENERATE = ("coincide", "collinear", "coplanar")  # by rank of the point set
 
 
@@ -92,6 +96,22 @@ def _dot(p, q):
     return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
 
 
+def _face_frames(points, faces):
+    """Corner a, normal n = (b - a) x (c - a) and the covectors
+    u = ((c - a) x n) / |n|^2 and v = (n x (b - a)) / |n|^2 of every
+    face (a, b, c)."""
+    a, b, c = (points[corner] for corner in faces.T)
+    b -= a
+    c -= a
+    n = np.cross(b, c)
+    nn = np.einsum("ij,ij->i", n, n)[:, None]
+    u = np.cross(c, n)
+    u /= nn
+    v = np.cross(n, b)
+    v /= nn
+    return a, n, u, v
+
+
 class SphereInterpolator:
     """Maps unit-sphere samples to cloud-space positions.
 
@@ -114,6 +134,14 @@ class SphereInterpolator:
     strict test (its ray misses the hull, as on a map crowded into one
     cap, whose faces with d_f <= 0 stay out of the tree) keeps that face
     with its weights clamped and is counted in ``snapped``.
+
+    ``walk`` locates samples that each come with a start face near
+    their exit face, as the finer levels of ``multilevel`` do, by a
+    visibility walk on the hull (Devillers, Pion & Teillaud, "Walking in
+    a triangulation", IJFCS 2002): a sample whose current face fails the
+    ray test steps across the side opposite its most negative weight.
+    Samples still walking after ``_WALK_ROUNDS`` rounds, and every
+    sample of a hull that leaves out the origin, go to ``locate``.
     """
 
     def __init__(self, sphere_map):
@@ -121,13 +149,9 @@ class SphereInterpolator:
         self.cloud_points = sphere_map.cloud.points
         self.mesh = sphere_triangulation(sphere_map)
         self.snapped = 0
-        a, b, c = (self.images[corner] for corner in self.mesh.faces.T)
-        self._normals = np.cross(b - a, c - a)
-        nn = np.einsum("ij,ij->i", self._normals, self._normals)[:, None]
-        self._offsets = np.einsum("ij,ij->i", self._normals, a)
-        self._a = a
-        self._u = np.cross(c - a, self._normals) / nn
-        self._v = np.cross(self._normals, b - a) / nn
+        self._neighbours = None  # face adjacency, built by the first walk
+        self._a, self._normals, self._u, self._v = _face_frames(self.images, self.mesh.faces)
+        self._offsets = np.einsum("ij,ij->i", self._normals, self._a)
         self._exit_ids = np.flatnonzero(self._offsets > 0)
         q = self._normals[self._exit_ids] / self._offsets[self._exit_ids, None]
         qq = np.einsum("ij,ij->i", q, q)
@@ -158,14 +182,7 @@ class SphereInterpolator:
     def locate(self, samples):
         """(face id, barycentric weights) per row of an (m, 3) array of
         nonzero finite directions; any other input raises MeshError."""
-        s = np.asarray(samples, dtype=np.float64)
-        if s.ndim != 2 or s.shape[1] != 3:
-            raise MeshError(f"samples must be an (m, 3) array, got shape {s.shape}")
-        norm = np.linalg.norm(s, axis=1, keepdims=True)
-        bad = np.flatnonzero(~((norm > 0.0) & (norm < np.inf)))
-        if bad.size:
-            raise MeshError(f"sample {bad[0]} {s[bad[0]]} is zero-length or not finite")
-        s = s / norm
+        s = _directions(samples)
         faces = np.empty(len(s), dtype=np.intp)
         bary = np.empty((len(s), 3))
         query = np.zeros((min(_CHUNK, len(s)), 4))  # (s, 0) rows of the lifted space
@@ -183,11 +200,49 @@ class SphereInterpolator:
             bary[lo:lo + len(chunk)] = w
         return faces, bary
 
-    def __call__(self, samples):
-        """Cloud-space positions of unit-sphere samples, blended
-        ``_CHUNK`` samples at a time so that no (m, 3, 3) array of face
-        corners is formed."""
-        faces, bary = self.locate(samples)
+    def walk(self, samples, start):
+        """``locate`` for samples that each come with a face near their
+        exit face, ``start`` (m,).  Each round ray-tests the unresolved
+        samples against their current face, ``_CHUNK`` at a time, and
+        moves a sample that fails across the side opposite its most
+        negative weight.  The exit face is the only face a ray can hit,
+        so a hit is the face ``locate`` returns (up to a sample on a
+        shared edge), with the same weights.  Samples unresolved after
+        ``_WALK_ROUNDS`` rounds go to ``locate``, which alone snaps."""
+        if self._exit_ids.size < len(self._offsets):
+            # the origin lies outside the hull, and most rays miss it
+            return self.locate(samples)
+        s = _directions(samples)
+        if self._neighbours is None:
+            # the face across side e (corner e to e + 1) of each face
+            edge_of, _ = self.mesh.edge_face_incidence()
+            sides = np.argsort(edge_of.ravel(), kind="stable").reshape(-1, 2)
+            self._neighbours = np.empty(edge_of.size, dtype=np.intp)
+            self._neighbours[sides] = sides[:, ::-1] // 3
+        faces = np.array(start, dtype=np.intp)
+        bary = np.empty((len(s), 3))
+        todo = np.arange(len(s))
+        for _ in range(_WALK_ROUNDS):
+            if not todo.size:
+                break
+            left = []
+            for lo in range(0, todo.size, _CHUNK):
+                ids = todo[lo:lo + _CHUNK]
+                hit, w = self._ray_test(faces[ids], s[ids])
+                bary[ids[hit]] = w[hit]
+                ids, w = ids[~hit], w[~hit]
+                side = (w.argmin(axis=1) + 1) % 3
+                faces[ids] = self._neighbours[3 * faces[ids] + side]
+                left.append(ids)
+            todo = np.concatenate(left)
+        if todo.size:
+            faces[todo], bary[todo] = self.locate(np.asarray(samples)[todo])
+        return faces, bary
+
+    def positions(self, faces, bary):
+        """Cloud-space positions of located samples, blended ``_CHUNK``
+        samples at a time so that no (m, 3, 3) array of face corners is
+        formed."""
         out = np.empty((len(faces), 3))
         for lo in range(0, len(faces), _CHUNK):
             w = bary[lo:lo + _CHUNK]
@@ -200,6 +255,23 @@ class SphereInterpolator:
             rows, corner = np.nonzero(w >= 1.0 - _VERTEX_SNAP)
             part[rows] = self.cloud_points[verts[rows, corner]]
         return out
+
+    def __call__(self, samples):
+        """Cloud-space positions of unit-sphere samples."""
+        return self.positions(*self.locate(samples))
+
+
+def _directions(samples):
+    """Unit rows of an (m, 3) array of nonzero finite directions; any
+    other input raises MeshError."""
+    s = np.asarray(samples, dtype=np.float64)
+    if s.ndim != 2 or s.shape[1] != 3:
+        raise MeshError(f"samples must be an (m, 3) array, got shape {s.shape}")
+    norm = np.linalg.norm(s, axis=1, keepdims=True)
+    bad = np.flatnonzero(~((norm > 0.0) & (norm < np.inf)))
+    if bad.size:
+        raise MeshError(f"sample {bad[0]} {s[bad[0]]} is zero-length or not finite")
+    return s / norm
 
 
 def interpolate_to_cloud(sphere_map, samples):
@@ -311,27 +383,42 @@ def loop_subdivide(mesh):
     """
     if mesh.arity != 3:
         raise MeshError("loop subdivision needs a triangle mesh")
-    v = mesh.vertices
-    f = mesh.faces
     edge_of, counts = mesh.edge_face_incidence()
     if np.any(counts != 2):
         raise MeshError("loop subdivision needs a closed mesh")
+    verts = _loop_vertices(mesh.vertices, mesh.faces, edge_of)
+    # corner triangle c is (corner c, edge point c, edge point c - 1);
+    # the edge points follow the old vertices
+    edge_of += mesh.n_vertices
+    new_faces = np.empty((mesh.n_faces, 4, 3), dtype=np.intp)
+    new_faces[:, :3, 0] = mesh.faces
+    new_faces[:, :3, 1] = edge_of
+    new_faces[:, 0, 2] = edge_of[:, 2]
+    new_faces[:, 1:3, 2] = edge_of[:, :2]
+    new_faces[:, 3] = edge_of
+    return SurfaceMesh(verts, new_faces.reshape(-1, 3))
 
+
+def _loop_vertices(v, f, edge_of):
+    """Loop's smoothed old vertices, then one point per edge in edge-id
+    order.  Both are written into the output, so that the working set
+    stays near the size of what is returned."""
     # the two face sides of each edge, first occurrence first; the
     # corner opposite side e of a face is e + 2
     sides = np.argsort(edge_of.ravel(), kind="stable").reshape(-1, 2)
     a = f.ravel()[sides[:, 0]]
     b = np.roll(f, -1, axis=1).ravel()[sides[:, 0]]
     opposite = np.roll(f, 1, axis=1).ravel()[sides]
-    edge_points = 0.375 * (v[a] + v[b]) + 0.125 * (
-        v[opposite[:, 0]] + v[opposite[:, 1]]
-    )
+    out = np.empty((len(v) + len(a), 3))
+    for axis in range(3):
+        out[len(v):, axis] = 0.375 * (v[a, axis] + v[b, axis]) + 0.125 * (
+            v[opposite[:, 0], axis] + v[opposite[:, 1], axis]
+        )
 
     # even-vertex smoothing with the valence-dependent beta; each ring is
     # summed in ascending neighbor order, the order of the sorted
     # directed-edge keys center * V + neighbor
-    keys = np.sort(np.concatenate([a * len(v) + b, b * len(v) + a]))
-    center, ring = np.divmod(keys, len(v))
+    center, ring = np.divmod(np.sort(np.concatenate([a * len(v) + b, b * len(v) + a])), len(v))
     n = np.bincount(center, minlength=len(v))
     if not n.all():
         raise MeshError("loop subdivision needs every vertex on a face")
@@ -339,14 +426,8 @@ def loop_subdivide(mesh):
         np.bincount(center, weights=v[ring, axis], minlength=len(v)) for axis in range(3)
     ])
     beta = (0.625 - (0.375 + 0.25 * np.cos(2.0 * np.pi / n)) ** 2) / n
-    smoothed = (1.0 - n * beta)[:, None] * v + beta[:, None] * ring_sum
-
-    ab, bc, ca = (len(v) + edge_of).T
-    p, q, r = f.T
-    new_faces = np.stack(
-        [p, ab, ca, q, bc, ab, r, ca, bc, ab, bc, ca], axis=1
-    ).reshape(-1, 3)
-    return SurfaceMesh(np.vstack([smoothed, edge_points]), new_faces)
+    out[:len(v)] = (1.0 - n * beta)[:, None] * v + beta[:, None] * ring_sum
+    return out
 
 
 def multilevel(sphere_map, levels, base_subdivisions=3):
@@ -355,15 +436,26 @@ def multilevel(sphere_map, levels, base_subdivisions=3):
 
     With the default 3 pre-subdivisions the vertex counts run
     642, 2562, 10242, 40962, 163842, ...; ``levels`` counts additional
-    subdivisions beyond the base, so levels + 1 meshes come back.
+    subdivisions beyond the base, so levels + 1 meshes come back.  The
+    base level is located with ``SphereInterpolator.locate``.  Each
+    finer level walks from its parent's faces (``SphereInterpolator.walk``):
+    an old vertex starts at the face it was found in, and both edge
+    points of a corner triangle at the face of that triangle's old
+    corner.  The walk returns the faces and weights ``locate`` would.
     """
     if levels < 0:
         raise MeshError("levels must be nonnegative")
     sphere = icosphere(base_subdivisions)
     interp = SphereInterpolator(sphere_map)
-    out = []
-    for level in range(levels + 1):
-        out.append(SurfaceMesh(interp(sphere.vertices), sphere.faces))
-        if level < levels:
-            sphere = _subdivide_sphere(sphere)
+    faces, bary = interp.locate(sphere.vertices)
+    out = [SurfaceMesh(interp.positions(faces, bary), sphere.faces)]
+    for _ in range(levels):
+        sphere = _subdivide_sphere(sphere)
+        # faces 4i .. 4i + 2 are (old vertex, edge point, edge point):
+        # each starts at the face its old vertex was located in
+        corners = sphere.faces.reshape(-1, 4, 3)[:, :3]
+        start = np.empty(sphere.n_vertices, dtype=np.intp)
+        start[corners] = faces[corners[..., :1]]
+        faces, bary = interp.walk(sphere.vertices, start)
+        out.append(SurfaceMesh(interp.positions(faces, bary), sphere.faces))
     return out

@@ -115,18 +115,29 @@ def _centred(images):
     gauge up to a rotation.  The automorphism centred at a moves the
     mean m to m - 2 (I - M) a to first order, M the second moment, so
     each step tries the Newton centre a = (2 (I - M))^-1 m, and takes
-    a = m where that does not shrink the mean; a = m alone needs 20-30
-    steps, and stalls on elongated clouds.
+    a = m where that centre lies outside the ball or does not shrink
+    the mean; a = m alone needs 20-30 steps, and stalls on elongated
+    clouds.  A mean still above the bound after ``_CENTRING_STEPS``
+    steps warns.
     """
     for _ in range(_CENTRING_STEPS):
         m = images.mean(axis=0)
         if m @ m < 1e-24:
             break
         a = np.linalg.solve(2.0 * (np.eye(3) - images.T @ images / len(images)), m)
-        moved = _ball_map(images, a) if a @ a < 1.0 else images
-        if not np.sum(moved.mean(axis=0) ** 2) < m @ m:
-            moved = _ball_map(images, m)
-        images = moved
+        if a @ a < 1.0:
+            moved = _ball_map(images, a)
+            if np.sum(moved.mean(axis=0) ** 2) < m @ m:
+                images = moved
+                continue
+        images = _ball_map(images, m)
+    else:
+        m = images.mean(axis=0)
+        if not m @ m < 1e-24:
+            warnings.warn(
+                f"Mobius centring stopped after {_CENTRING_STEPS} steps with "
+                f"the mean image at {np.sqrt(m @ m):.3g}, not below 1e-12"
+            )
     return images / np.linalg.norm(images, axis=1, keepdims=True)
 
 

@@ -4,6 +4,8 @@ name; every library layer it lists must still see a call."""
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from spheremesh import (
     induce_mesh,
     multilevel,
@@ -32,3 +34,15 @@ def test_tracer_sees_every_library_layer():
     layers = [name for name in tracing.LAYERS if not name.startswith("fileio.")
               and name not in ("param.triple", "param.south")]
     assert [name for name in layers if calls[name] == 0] == []
+
+
+def test_traced_multilevel_equals_untraced():
+    # the tracer wraps locate as wrapper(self, samples); the walk's
+    # fallback and the base level call it through that wrapper
+    m = parameterize(blob_cloud(500, 0))
+    with tracing.installed(tracing.Tracer()) as tracer:
+        traced = multilevel(m, 2)
+    assert tracer.counts["meshing.locate.samples"] >= 642
+    for got, expected in zip(traced, multilevel(m, 2), strict=True):
+        np.testing.assert_array_equal(got.vertices, expected.vertices)
+        np.testing.assert_array_equal(got.faces, expected.faces)

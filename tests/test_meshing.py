@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from spheremesh import (
     spherical_delaunay,
 )
 from spheremesh.meshing import _BARY_TOL, _CHUNK
-from spheremesh.synth import blob_cloud
+from spheremesh.synth import add_noise, blob_cloud, ellipsoid_cloud, punch_holes, sphere_cloud
 
 from conftest import uniform_sphere
 
@@ -33,6 +35,17 @@ def identity_map(points):
     return SphericalMap(
         cloud=cloud, images=cloud.points.copy(), history=[0.0],
         iterations=1, converged=True,
+    )
+
+
+def crowded_map():
+    """A map crowded into one cap: the origin lies outside the hull, and
+    most central rays miss it."""
+    pts = uniform_sphere(400, seed=7)
+    cap = pts - [0.0, 0.0, 3.0]
+    return SphericalMap(
+        cloud=PointCloud(pts), images=cap / np.linalg.norm(cap, axis=1, keepdims=True),
+        history=[0.0], iterations=1, converged=True,
     )
 
 
@@ -265,14 +278,7 @@ class TestInterpolation:
         assert interp.snapped == len(samples)
 
     def test_snapped_counts_samples_no_face_contains(self):
-        # a map crowded into one cap: the origin lies outside the hull,
-        # and most central rays miss it
-        pts = uniform_sphere(400, seed=7)
-        cap = pts - [0.0, 0.0, 3.0]
-        m = SphericalMap(
-            cloud=PointCloud(pts), images=cap / np.linalg.norm(cap, axis=1, keepdims=True),
-            history=[0.0], iterations=1, converged=True,
-        )
+        m = crowded_map()
         interp = SphereInterpolator(m)
         samples = uniform_sphere(3000, seed=1)
         faces, bary = interp.locate(samples)
@@ -411,6 +417,19 @@ class TestMultilevel:
         got = hashlib.sha256(faces.astype("<i8").tobytes()).hexdigest()
         assert got[:16] == digest
 
+    def test_loop_subdivision_face_layout(self):
+        # face 4i + c (c < 3) is (corner c, edge point of side c, edge
+        # point of side c - 1), and 4i + 3 the three edge points: the
+        # multilevel walk starts both edge points at corner c's face
+        mesh = icosphere(2)
+        edge_of, _ = mesh.edge_face_incidence()
+        points = mesh.n_vertices + edge_of
+        faces = loop_subdivide(mesh).faces.reshape(-1, 4, 3)
+        np.testing.assert_array_equal(faces[:, :3, 0], mesh.faces)
+        np.testing.assert_array_equal(faces[:, :3, 1], points)
+        np.testing.assert_array_equal(faces[:, :3, 2], np.roll(points, 1, axis=1))
+        np.testing.assert_array_equal(faces[:, 3], points)
+
     def test_loop_subdivision_matches_loop_reference(self):
         mesh = icosphere(2)
         v, f = mesh.vertices, mesh.faces
@@ -487,3 +506,108 @@ class TestMultilevel:
         for mm in meshes:
             assert mm.euler_characteristic() == 2
             assert mm.is_closed() and mm.is_oriented()
+
+
+@pytest.fixture(scope="module")
+def remesh_map():
+    """The map the remesh benchmark prepares for seed 0."""
+    return parameterize(blob_cloud(5000, 0))
+
+
+WALK_CLOUDS = {
+    "holed noisy blob": lambda: add_noise(
+        punch_holes(blob_cloud(1500, 4), 10, seed=0), 0.01, seed=0
+    ),
+    "8:1 ellipsoid": lambda: ellipsoid_cloud(1500, (8, 1, 1), seed=8),
+    "50-hole sphere": lambda: punch_holes(
+        sphere_cloud(5000, seed=61), 50, hole_radius=0.15, seed=62
+    ),
+    "sphere_cloud(100, 0)": lambda: sphere_cloud(100, 0),
+}
+
+
+@pytest.fixture(scope="module", params=["blob_cloud(5000, 0)", "crowded", *WALK_CLOUDS])
+def walk_map(request):
+    if request.param == "blob_cloud(5000, 0)":
+        return request.getfixturevalue("remesh_map")
+    if request.param == "crowded":
+        return crowded_map()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # three of these maps do not settle
+        return parameterize(WALK_CLOUDS[request.param]())
+
+
+def walked_multilevel(m, levels):
+    """multilevel(m, levels), (samples, faces, weights, snapped) of every
+    walk it makes, and the number of samples the walks left to locate."""
+    walks, located = [], []
+    walk, locate = SphereInterpolator.walk, SphereInterpolator.locate
+
+    def spy(self, samples, start):
+        snapped = self.snapped
+        faces, bary = walk(self, samples, start)
+        walks.append((samples, faces, bary, self.snapped - snapped))
+        return faces, bary
+
+    def counted(self, samples):
+        located.append(len(samples))
+        return locate(self, samples)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SphereInterpolator, "walk", spy)
+        patch.setattr(SphereInterpolator, "locate", counted)
+        meshes = multilevel(m, levels)
+    return meshes, walks, sum(located[1:])
+
+
+def assert_walks_locate(m, levels):
+    """Every walk of multilevel(m, levels) returns what locate returns;
+    gives the share of walked samples that went to locate."""
+    meshes, walks, left = walked_multilevel(m, levels)
+    assert len(walks) == levels
+    for mesh, (samples, faces, bary, snapped) in zip(meshes[1:], walks):
+        located = SphereInterpolator(m)
+        expected = located.locate(samples)
+        np.testing.assert_array_equal(faces, expected[0])
+        np.testing.assert_array_equal(bary, expected[1])
+        assert snapped == located.snapped
+        np.testing.assert_array_equal(mesh.vertices, located.positions(*expected))
+    return left / sum(len(samples) for samples, *_ in walks)
+
+
+class TestWalk:
+    def test_walk_returns_what_locate_returns(self, walk_map):
+        left = assert_walks_locate(walk_map, 3)
+        if np.all(SphereInterpolator(walk_map)._offsets > 0):
+            # around the origin nearly every walk ends within the cap
+            assert left < 0.001
+        else:
+            assert left == 1.0
+
+    @pytest.mark.parametrize("setting, value", [
+        ("_WALK_ROUNDS", 1), ("_CHUNK", 7), ("_CHUNK", 10_000),
+    ])
+    def test_walk_does_not_depend_on_rounds_or_chunks(
+        self, remesh_map, setting, value, monkeypatch
+    ):
+        # with one round most samples go to locate; chunks of 7 split
+        # every round
+        monkeypatch.setattr(spheremesh.meshing, setting, value)
+        assert_walks_locate(remesh_map, 1)
+
+    @pytest.mark.parametrize("remesh, bound_mb", [("multilevel", 9.5), ("quad_mesh", 2.5)])
+    def test_remesh_working_set(self, remesh_map, remesh, bound_mb):
+        # traced peaks of the benchmark's two remesh calls, measured at
+        # 9.26 and 2.43 MB: the walk's arrays must not widen them
+        call = {
+            "multilevel": lambda: multilevel(remesh_map, 3),
+            "quad_mesh": lambda: quad_mesh(remesh_map, 32),
+        }[remesh]
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6

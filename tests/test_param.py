@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,8 @@ from spheremesh import (
     sphere_triangulation,
 )
 from spheremesh.laplacian import assemble_lb_from_frames
-from spheremesh.param import _aligned_movement, _centred, _outermost
-from spheremesh.synth import blob_cloud, ellipsoid_cloud
+from spheremesh.param import _aligned_movement, _ball_map, _centred, _outermost
+from spheremesh.synth import blob_cloud, ellipsoid_cloud, sphere_cloud
 from spheremesh.projections import inv_north, proj_north
 
 from conftest import uniform_sphere
@@ -74,6 +76,23 @@ class TestPipelineStages:
             before = SurfaceMesh(images, faces).signed_volume()
             after = SurfaceMesh(centred, faces).signed_volume()
             assert np.sign(after) == np.sign(before) != 0
+
+    @pytest.mark.parametrize("offset", [0.8, 0.95])
+    def test_centring_from_far_off_centre(self, offset):
+        # the Newton centre of these images lies outside the ball; the
+        # plain step a = m must still bring the mean below the bound
+        images = _ball_map(sphere_cloud(20000, 1).points, np.array([0.0, 0.0, offset]))
+        assert np.linalg.norm(images.mean(axis=0)) > 0.9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            centred = _centred(images)
+        assert np.linalg.norm(centred.mean(axis=0)) < 1e-12
+
+    def test_centring_that_misses_the_bound_warns(self, monkeypatch):
+        monkeypatch.setattr(param_module, "_CENTRING_STEPS", 1)
+        images = _ball_map(uniform_sphere(500, seed=4), np.array([0.0, 0.0, 0.8]))
+        with pytest.warns(UserWarning, match="centring stopped after 1 steps"):
+            _centred(images)
 
     def test_aligned_movement_ignores_rotation_only(self):
         images = uniform_sphere(300, seed=5)
