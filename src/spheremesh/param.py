@@ -5,10 +5,10 @@ equation that sends that point to infinity, and lifts the field to the
 sphere by inverse stereographic projection.  It then alternates
 south/north projected solves, each pinning the outermost slice of the
 plane and Mobius-centring the result, until the images stop moving up
-to a rotation.  A final Mobius scaling balances the point distribution
-around the two poles.  The paper's start, pinned at three points, crowds
-nearly every point into one cap; the README says why this module
-punctures and centres instead.
+to a rotation; the last centred iterate is the map, without the paper's
+final balancing (a second Mobius gauge).  The paper's start, pinned at
+three points, crowds nearly every point into one cap; the README says
+why this module punctures and centres instead.
 """
 
 import numbers
@@ -222,6 +222,7 @@ def balance(images, index, k=DEFAULT_K):
 
     Scaling the north-projected plane by lambda = sqrt(d_p d_s) / d_p
     makes the recomputed spreads equal while preserving their product.
+    Not a stage of ``parameterize``; the hull of either map is the same.
     """
     d_p, d_s = pole_distances(images, index, k)
     if not (np.isfinite(d_p) and np.isfinite(d_s)) or d_p == 0.0 or d_s == 0.0:
@@ -270,7 +271,7 @@ def parameterize(cloud, config=None):
 
     Stages: LB assembly (k-NN, PCA frames and the MLS fit in one pass
     over blocks of stencils), punctured initial map, N-S reiteration,
-    balancing, orientation fix.
+    orientation fix.
     Errors carry the stage name.  Genus is the caller's responsibility,
     but globally planar inputs are rejected outright.
     """
@@ -293,11 +294,7 @@ def parameterize(cloud, config=None):
         images = initial_map(operator, index, config.k)
     with _stage("north-south reiteration", timings):
         images, history, converged = ns_iterate(operator, images, config)
-    with _stage("balancing", timings):
-        images = balance(images, index, config.k)
     with _stage("orientation fix", timings):
-        # after balancing: the hull is much better conditioned, and the
-        # Mobius scaling preserves orientation so detection is unaffected
         images, faces = _fix_orientation(images, normalized.points)
     return SphericalMap(
         cloud=cloud,

@@ -29,10 +29,11 @@ def test_tracer_sees_every_library_layer():
         multilevel(m, 1)
         quad_mesh(m, 4)
     calls = tracer.calls()
-    # this test writes no files, and the library no longer has the
-    # regular-triple search or the south correction that the bench names
+    # this test writes no files, the library no longer has the
+    # regular-triple search or the south correction that the bench names,
+    # and parameterize no longer balances
     layers = [name for name in tracing.LAYERS if not name.startswith("fileio.")
-              and name not in ("param.triple", "param.south")]
+              and name not in ("param.triple", "param.south", "param.balance")]
     assert [name for name in layers if calls[name] == 0] == []
 
 

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spheremesh import (
     build_frames,
     build_index,
     convex_hull,
+    delaunay_ratio,
     induce_mesh,
     initial_map,
     knn,
@@ -167,13 +169,36 @@ class TestBalance:
         got = balance(m.images, index, 25)
         np.testing.assert_allclose(got, scaled, atol=1e-12)
 
-    def test_balanced_map_is_fixed_point(self):
-        pts = uniform_sphere(500, seed=9)
-        cloud = PointCloud(pts)
-        index = build_index(cloud)
-        m = parameterize(cloud)  # ends with balance
-        again = balance(m.images, index, 25)
-        np.testing.assert_allclose(again, m.images, atol=1e-12)
+    def test_pipeline_map_is_centred(self):
+        # the map is the last centred N-S iterate; _centred stops below
+        # 1e-12, the final renormalisation moved |mean| by 4e-18 here
+        # (7.76e-13 in all), and the x-mirror keeps its norm
+        m = parameterize(PointCloud(uniform_sphere(500, seed=9)))
+        assert np.linalg.norm(m.images.mean(axis=0)) < 1e-12 + 1e-15
+
+    @pytest.mark.parametrize("scaling", ["balance", "north-4"])
+    def test_mobius_scaling_keeps_the_triangulation(self, scaling):
+        # a Mobius map keeps circles, so the hull, the induced mesh and
+        # its Delaunay ratio do not depend on the gauge; balancing can
+        # therefore be left out of the pipeline
+        cloud = blob_cloud(1500, 3)
+        m = parameterize(cloud)
+        if scaling == "balance":
+            images = balance(m.images, build_index(cloud), 25)
+        else:
+            images = inv_north(4.0 * proj_north(m.images))
+        moved = replace(m, images=images, delaunay_faces=None)
+
+        def triangles(faces):
+            return np.unique(np.sort(faces, axis=1), axis=0)
+
+        np.testing.assert_array_equal(
+            triangles(sphere_triangulation(moved).faces),
+            triangles(m.delaunay_faces),
+        )
+        assert delaunay_ratio(induce_mesh(cloud, moved)) == delaunay_ratio(
+            induce_mesh(cloud, m)
+        )
 
     def test_pole_spreads_equalized_and_product_preserved(self):
         pts = uniform_sphere(600, seed=10)
@@ -223,7 +248,8 @@ class TestParameterize:
         # a 12:1 ellipsoid crowds images closer than float64 resolves, so
         # the hull leaves some out; the map must fail in its own stage,
         # not in induce_mesh
-        with pytest.raises(PipelineError, match="absorbed") as info:
+        with pytest.raises(PipelineError, match="absorbed") as info, \
+                pytest.warns(UserWarning, match="centring stopped after 100 steps"):
             parameterize(ellipsoid_cloud(3000, (12, 1, 1), seed=1))
         assert info.value.stage == "orientation fix"
 
@@ -299,5 +325,7 @@ class TestParameterize:
     def test_stage_timings_recorded(self):
         pts = uniform_sphere(400, seed=16)
         m = parameterize(PointCloud(pts))
-        assert "lb assembly" in m.stage_seconds
-        assert "north-south reiteration" in m.stage_seconds
+        assert list(m.stage_seconds) == [
+            "input validation", "lb assembly", "initial map",
+            "north-south reiteration", "orientation fix",
+        ]
