@@ -46,8 +46,9 @@ DEFAULT_K = 25
 # stencils per block of the stencil pass.  One block's k-NN, frame and
 # fit temporaries take about 8 KB per stencil at k = 25, whatever the
 # cloud size: 4.1 MB at 512, 16.4 MB at 2048 (tracemalloc).  Below 512
-# the whole-cloud arrays set the peak (assemble_lb of 20k points: 11.0 MB
-# at 512, 10.8 MB at 256); pass times showed no trend across 256-2048.
+# the whole-cloud arrays set the peak: the blocks' rows and their stack
+# (assemble_lb of 20k points: 13.2 MB at 512, 13.3 MB at 256, 21.6 MB
+# at 2048); pass times showed no trend across 256-2048.
 _BLOCK = 512
 
 logger = logging.getLogger(__name__)
@@ -283,16 +284,11 @@ def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed")):
 
 def stencil_blocks(index, k, frames_fn=build_frames):
     """PCA frames of every point's k-stencil in the cloud of the spatial
-    index ``index``, in blocks of ``_BLOCK`` consecutive point ids.
-
-    The frames are in the units of ``index.cloud``.  Yields
-    ``(rows, frames)`` with ``rows`` the slice of ids of the block.
-    """
+    index ``index``, in blocks of ``_BLOCK`` consecutive point ids, in
+    id order.  The frames are in the units of ``index.cloud``."""
     points = index.cloud.points
-    n = len(points)
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, min(start + _BLOCK, n))
-        yield rows, frames_fn(points, *index.knn_arrays(k, rows))
+    for start in range(0, len(points), _BLOCK):
+        yield frames_fn(points, *index.knn_arrays(k, slice(start, start + _BLOCK)))
 
 
 def lb_pass(index, k, weight_spec=Weight("proposed"),
@@ -301,9 +297,11 @@ def lb_pass(index, k, weight_spec=Weight("proposed"),
     ``index`` in one pass over blocks of stencils, in the units of
     ``index.cloud``.
 
-    Each block of ``stencil_blocks`` is fitted and its rows written
-    into the preallocated CSR arrays; only the LB values, their column
-    ids and the condition numbers outlive a block.
+    Each block of ``stencil_blocks`` is fitted on its own; only its LB
+    rows and condition numbers outlive it, and ``sparse.vstack`` stacks
+    the rows, of any lengths, into the operator.  The blocks' rows and
+    their stack are both live for a moment, 24 B per nonzero: the
+    traced peak of ``assemble_lb`` on 20k points is 13.2 MB.
     Every per-stencil kernel works row by row, so the operator does not
     depend on the block size, and the first bad stencil in id order
     raises.  ``frames_fn`` and ``assemble_fn`` let a caller route the
@@ -314,24 +312,15 @@ def lb_pass(index, k, weight_spec=Weight("proposed"),
     SparseOperator
     """
     n = index.cloud.n
-    condition = np.empty(n)
-    data = np.empty(n * k)
-    # column ids are below n, so int32 holds them; scipy widens if nnz
-    # itself outgrows int32
-    indices = np.empty(n * k, dtype=np.int32)
-    for rows, frames in stencil_blocks(index, k, frames_fn):
-        block = assemble_fn(frames, weight_spec, n_cols=n)
-        flat = slice(rows.start * k, rows.stop * k)
-        data[flat] = block.matrix.data
-        indices[flat] = block.matrix.indices
-        condition[rows] = block.condition
-    indptr = np.arange(0, n * k + 1, k)
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    blocks = [assemble_fn(frames, weight_spec, n_cols=n)
+              for frames in stencil_blocks(index, k, frames_fn)]
+    matrix = sparse.vstack([block.matrix for block in blocks], format="csr")
+    condition = np.concatenate([block.condition for block in blocks])
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "lb assembly: n=%d k=%d blocks=%d nnz=%d condition_max=%.3g "
             "condition_median=%.3g",
-            n, k, -(-n // _BLOCK), matrix.nnz, condition.max(),
+            n, k, len(blocks), matrix.nnz, condition.max(),
             np.median(condition),
         )
     return SparseOperator(matrix, condition)

@@ -87,14 +87,14 @@ def mean_curvature(cloud, k=DEFAULT_K):
     (uniform scaling by 1/sigma multiplies it by sigma).
     """
     normalized, _, radius = cloud.normalized()
-    curvature = np.empty(cloud.n)
-    for rows, frames in stencil_blocks(build_index(normalized), k):
+    curvature = []
+    for frames in stencil_blocks(build_index(normalized), k):
         coeffs, _, _ = _height_fit(
             frames.coords, frames.neighbor_dists, frames.heights,
             frames.neighbor_ids[:, 0], Weight("proposed"),
         )
-        curvature[rows] = mean_curvature_from_coefficients(coeffs)
-    return curvature / radius
+        curvature.append(mean_curvature_from_coefficients(coeffs))
+    return np.concatenate(curvature) / radius
 
 
 def quality_report(source_mesh, sphere_mesh, curvature=None):

@@ -255,15 +255,14 @@ def _fix_orientation(images, points):
 
 
 @contextmanager
-def _stage(name, timings=None):
+def _stage(name, timings):
     start = time.perf_counter()
     try:
         yield
     except SphereMeshError as exc:
         raise PipelineError(name, exc) from exc
     finally:
-        if timings is not None:
-            timings[name] = time.perf_counter() - start
+        timings[name] = time.perf_counter() - start
 
 
 def parameterize(cloud, config=None):

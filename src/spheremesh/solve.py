@@ -18,20 +18,20 @@ non-finite values, or its refined residual misses the tolerance, the
 matrix is factored again in float64 with partial pivoting.
 
 Refinement needs only float64 products A x, not a stored float64 matrix.
-The factor's input is gathered from the operator's CSR rows, a bounded
-step of rows at a time, straight into float32 values and renumbered
-column ids (8 B per nonzero), and ordered by column with one ``tocsc``:
-no float64 copy of the free rows and no full-width matrix is made, and
-the right-hand side and the refinement buffer are allocated only after
-the factor.  While the float32 factor is built, only its input and
-SuperLU's workspace are live beside the operator.  Refinement holds the
-factor and a few (n, 2) float64 arrays: b - A x is taken as
-(M y)[free] of the full operator M, with y equal to x on the free
-points and zero on the pinned ones, and the final residual comes from
-the real (n, 2) view of the field, so M is never upcast to complex.
+The factor's input is sliced from the operator's CSR rows, a bounded
+step of free rows at a time cast to float32 (8 B per nonzero);
+``sparse.vstack`` joins the steps, one ``tocsc`` orders them by column
+and the free columns are cut from that.  Only one step's rows are ever
+float64, and the right-hand side and the refinement buffer are
+allocated only after the factor.  While the float32 factor is built,
+only its input and SuperLU's workspace are live beside the operator.
+Refinement holds the factor and a few (n, 2) float64 arrays: b - A x is
+taken as (M y)[free] of the full operator M, with y equal to x on the
+free points and zero on the pinned ones, and the final residual comes
+from the real (n, 2) view of the field, so M is never upcast to complex.
 Only the float64 fallback builds a float64 reduced matrix.  The first
 solve sets the process peak (``ru_maxrss``) of ``parameterize``:
-125.8 MB on ``blob_cloud(20000, 0)`` and 401 MB on
+126 MB on ``blob_cloud(20000, 0)`` and 405-408 MB on
 ``blob_cloud(100000, 0)``.
 
 Both factors use SuperLU's symmetric mode with a minimum-degree ordering
@@ -56,7 +56,7 @@ from .errors import SolveError
 
 DEFAULT_TOL = 1e-10
 _MAX_REFINE = 10
-_GATHER_ROWS = 256  # operator rows per gather step of _reduced; bounds its temporaries
+_GATHER_ROWS = 2048  # free rows per slicing step of _reduced; bounds its float64 temporaries
 
 logger = logging.getLogger(__name__)
 
@@ -184,42 +184,15 @@ def solve(system):
 
 def _reduced(matrix, free, dtype):
     """The free rows and columns of the CSR ``matrix`` as a CSC matrix of
-    ``dtype``: array for array equal to
-    ``matrix[free].astype(dtype).tocsc()[:, free]``.
-
-    Each step over ``_GATHER_ROWS`` operator rows copies the entries of
-    its free rows in free columns, cast to ``dtype`` and with the columns
-    renumbered, into arrays sized for the free rows; one ``tocsc`` then
-    orders them by column.  No float64 copy of the free rows and no
-    full-width matrix is made."""
-    n = matrix.shape[0]
-    renumber = np.full(n, -1, dtype=matrix.indices.dtype)  # -1 on pinned points
-    renumber[free] = np.arange(free.size)
-    indptr = matrix.indptr
-    size = int((indptr[free + 1] - indptr[free]).sum())
-    data = np.empty(size, dtype)
-    indices = np.empty(size, renumber.dtype)
-    row_end = np.zeros(free.size + 1, indptr.dtype)
-    filled = 0
-    for start in range(0, n, _GATHER_ROWS):
-        stop = min(start + _GATHER_ROWS, n)
-        lo, hi = indptr[start], indptr[stop]
-        rows = renumber[start:stop]
-        free_rows = rows >= 0
-        cols = renumber[matrix.indices[lo:hi]]
-        keep = (cols >= 0) & np.repeat(free_rows, np.diff(indptr[start:stop + 1]))
-        kept = np.zeros(hi - lo + 1, np.intp)  # entries kept before each position
-        np.cumsum(keep, out=kept[1:])
-        got = int(kept[-1])
-        indices[filled:filled + got] = cols[keep]
-        data[filled:filled + got] = matrix.data[lo:hi][keep]
-        ends = indptr[start + 1:stop + 1] - lo  # where each row's entries end
-        row_end[rows[free_rows] + 1] = filled + kept[ends[free_rows]]
-        filled += got
-    block = sparse.csr_matrix(
-        (data[:filled], indices[:filled], row_end), shape=(free.size, free.size)
-    )
-    return block.tocsc()
+    ``dtype``: ``matrix[free].astype(dtype).tocsc()[:, free]``, with the
+    free rows sliced and cast ``_GATHER_ROWS`` at a time, so that only
+    one step of them is ever a float64 copy."""
+    step = _GATHER_ROWS
+    # one expression, so that the stacked rows die before the column cut
+    return sparse.vstack([
+        matrix[free[lo:lo + step]].astype(dtype)
+        for lo in range(0, free.size, step)
+    ]).tocsc()[:, free]
 
 
 def _factor(a, **options):

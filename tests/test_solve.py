@@ -192,13 +192,13 @@ class TestMixedPrecision:
         np.testing.assert_array_equal(out[boundary], values)
 
     def test_traced_peak_holds_one_copy_of_the_free_rows(self, monkeypatch, caplog):
-        # The peak is the one tocsc of the free block: its gathered rows
-        # (4 B float32 value + 4 B int32 column per nonzero) and their CSC
-        # copy (4 + 4), 16 B per nonzero, next to under 40 B per point:
-        # the field (16 B), the column renumbering and the row and column
-        # pointers.  At k = 25 nonzeros a row that is below 16 + 40 / 25 =
-        # 17.6 B per nonzero; 17.3 and 15.8 B were measured on these two
-        # systems, and the bound leaves 2.7 B.  The right-hand side and the
+        # The peak is the stack, tocsc and column cut of the free rows: two
+        # float32 copies of them live at once (4 B value + 4 B int32
+        # column per nonzero each), 16 B per nonzero, next to under 40 B
+        # per point: the field (16 B) and the row and column pointers.  At
+        # k = 25 nonzeros a row that is below 16 + 40 / 25 = 17.6 B per
+        # nonzero; 17.1 and 15.6 B were measured on these two systems, and
+        # the bound leaves 2.9 B.  The right-hand side and the
         # refinement buffer are made after the factor.  A float64 copy of
         # the free rows cast beside its float32 copy (20 B per nonzero, 22.1
         # B in all) or a complex copy of the rows (20 B) would break it.
@@ -260,9 +260,13 @@ class TestReduced:
             assert a.tobytes() == b.tobytes()
         return got
 
-    def test_lb_operator(self):
+    @pytest.mark.parametrize("step", [1, 7, 64, _GATHER_ROWS],
+                             ids=["1", "7", "64", "default"])
+    def test_lb_operator(self, step, monkeypatch):
+        # the output does not depend on the step size
+        monkeypatch.setattr(importlib.import_module("spheremesh.solve"), "_GATHER_ROWS", step)
         _, op, boundary = disk_system()
-        assert op.n > 2 * _GATHER_ROWS  # several gather steps
+        assert op.n > 2 * 64  # steps 1, 7 and 64 slice several times
         self.check(op.matrix, boundary)
 
     @pytest.mark.parametrize("pinned", [[5], np.arange(0, 300, 3), np.arange(1, 300)])
