@@ -20,12 +20,7 @@ from .mesh import SurfaceMesh
 from .meshing import multilevel, quad_mesh, sphere_triangulation
 from .metrics import mean_curvature, quality_report
 from .param import ParamConfig, parameterize
-from .weights import Weight
 
-WEIGHT_CHOICES = (
-    "proposed", "special", "exponential", "gaussian", "wendland",
-    "inverse-square", "constant",
-)
 PARAM_FLAGS = {"k": "--k", "r_percent": "--r-percent", "epsilon": "--epsilon",
                "max_ns_iters": "--max-iters"}  # ParamConfig field -> flag
 
@@ -70,8 +65,6 @@ def build_parser():
                        help="pinned outermost percentage (default %(default)s)")
         p.add_argument("--epsilon", type=float, default=defaults.epsilon,
                        help="N-S stopping threshold (default %(default)s)")
-        p.add_argument("--weight", choices=WEIGHT_CHOICES,
-                       default=defaults.weight.kind)
         p.add_argument("--max-iters", type=int, default=defaults.max_ns_iters,
                        dest="max_ns_iters",
                        help="N-S iteration cap (default %(default)s)")
@@ -79,16 +72,16 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a seeded synthetic cloud")
     p.add_argument("kind", choices=("sphere", "ellipsoid", "blob"))
     p.add_argument("-n", type=POINT_COUNT, default=5000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=COUNT, default=0)
     p.add_argument("--axes", type=SEMI_AXES, default=(2.0, 1.0, 1.0),
                    help="ellipsoid semi-axes a,b,c (default 2,1,1)")
-    p.add_argument("--displacement", type=float, default=0.3,
+    p.add_argument("--displacement", type=AMPLITUDE, default=0.3,
                    help="blob peak radial displacement (default 0.3)")
     p.add_argument("--noise", type=AMPLITUDE, default=0.0,
                    help="uniform noise amplitude relative to bounding radius")
     p.add_argument("--holes", type=COUNT, default=0,
                    help="punch this many disk holes (topological noise)")
-    p.add_argument("--hole-radius", type=float, default=0.15)
+    p.add_argument("--hole-radius", type=AMPLITUDE, default=0.15)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("param", help="compute a spherical parameterization")
@@ -129,7 +122,7 @@ def build_parser():
 
     p = sub.add_parser("bench-weights", help="disk conformal-recovery table")
     p.add_argument("-n", type=POINT_COUNT, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=COUNT, default=0)
     p.add_argument("--mobius-a", type=MOBIUS_A, default=0.3)
     p.add_argument("--k", type=int, default=defaults.k)
     p.add_argument("-o", "--output", help="write the error table JSON here")
@@ -260,8 +253,6 @@ def main(argv=None):
     # every command's ParamConfig flags (metrics and bench-weights have
     # only --k) go through one validator
     flags = {f: getattr(args, f) for f in PARAM_FLAGS if hasattr(args, f)}
-    if hasattr(args, "weight"):
-        flags["weight"] = Weight(args.weight)
     args.config = ParamConfig(**flags)
     try:
         args.config.validate()

@@ -388,7 +388,7 @@ def write_map(sphere_map, path, config=None):
         "movement_history": [float(h) for h in sphere_map.history],
     }
     if config is not None:
-        meta.update(vars(config), weight=config.weight.kind)
+        meta.update(vars(config))
     if sphere_map.stage_seconds is not None:
         meta["stage_seconds"] = {
             k: float(v) for k, v in sphere_map.stage_seconds.items()

@@ -15,7 +15,7 @@ import numbers
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .mesh import SurfaceMesh
 from .meshing import spherical_delaunay
 from .projections import inv_north, inv_south, is_infinite, proj_north, proj_south
 from .solve import ConstrainedSystem, solve
-from .weights import Weight
 
 # the two half-steps of a round, south first
 _CHARTS = ((proj_south, inv_south), (proj_north, inv_north))
@@ -36,13 +35,12 @@ _CENTRING_STEPS = 100  # 2-7 steps on maps that converge
 @dataclass
 class ParamConfig:
     """Knobs of the parameterization pipeline (defaults: k = 25,
-    r = 10 %, epsilon = 1e-4, max_ns_iters = 16, proposed weight)."""
+    r = 10 %, epsilon = 1e-4, max_ns_iters = 16)."""
 
     k: int = DEFAULT_K
     r_percent: float = 10.0
     epsilon: float = 1e-4
     max_ns_iters: int = 16  # N-S comparisons; converging maps took <= 6
-    weight: Weight = field(default_factory=lambda: Weight("proposed"))
 
     def validate(self):
         for name in ("k", "max_ns_iters"):
@@ -285,10 +283,8 @@ def parameterize(cloud, config=None):
         index = build_index(normalized)
         # the per-block calls go through this module's names, where a
         # caller (the bench tracer) can wrap them
-        operator = lb_pass(
-            index, config.k, config.weight,
-            frames_fn=build_frames, assemble_fn=assemble_lb_from_frames,
-        )
+        operator = lb_pass(index, config.k, frames_fn=build_frames,
+                           assemble_fn=assemble_lb_from_frames)
     with _stage("initial map", timings):
         images = initial_map(operator, index, config.k)
     with _stage("north-south reiteration", timings):

@@ -19,8 +19,6 @@ VARIANTS = (
     "proposed",
 )
 
-_ALIASES = {"gaussian": "exponential", "inverse-square": "inverse_square"}
-
 # Wendland support slightly beyond the stencil radius so every stencil
 # point keeps a positive weight
 WENDLAND_SUPPORT_FACTOR = 1.05
@@ -44,10 +42,8 @@ class Weight:
     kind: str
 
     def __post_init__(self):
-        kind = _ALIASES.get(self.kind, self.kind)
-        if kind not in VARIANTS:
+        if self.kind not in VARIANTS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        object.__setattr__(self, "kind", kind)
 
 
 def stencil_weights(spec, dists):

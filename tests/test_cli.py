@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from spheremesh.cli import main
+from spheremesh.cli import build_parser, main
 
 
 def run_cli(args):
@@ -78,6 +79,14 @@ BAD_FLAGS = [
                  id="multilevel-levels"),
     pytest.param(["multilevel", "{cloud}", "-o", "{out}", "--base-subdivisions", "-1"],
                  "--base-subdivisions", id="multilevel-base-subdivisions"),
+    pytest.param(["synth", "blob", "-n", "100", "--seed", "-1", "-o", "{out}"], "--seed",
+                 id="seed"),
+    pytest.param(["bench-weights", "--seed", "-3", "-o", "{out}"], "--seed",
+                 id="bench-weights-seed"),
+    pytest.param(["synth", "blob", "--displacement", "nan", "-o", "{out}"],
+                 "--displacement", id="displacement"),
+    pytest.param(["synth", "sphere", "--holes", "3", "--hole-radius", "nan",
+                  "-o", "{out}"], "--hole-radius", id="hole-radius"),
 ]
 
 
@@ -94,6 +103,20 @@ class TestUsageErrors:
         assert f"error: argument {flag}: " in err.splitlines()[-1]
         assert list(tmp_path.iterdir()) == []
 
+    def test_every_typed_flag_has_a_bad_value_row(self):
+        # path options have no type, so they need no row
+        covered = {row.values[1] for row in BAD_FLAGS}
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        missing = [
+            (command, action.option_strings)
+            for command, sub in subparsers.choices.items()
+            for action in sub._actions
+            if action.type is not None and action.option_strings
+            and not covered & set(action.option_strings)
+        ]
+        assert missing == []
+
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["synth", "sphere", "--bogus", "-o", "x.xyz"])
@@ -105,6 +128,15 @@ class TestUsageErrors:
             run_cli(["--threads", "1", "param", str(small_sphere_file),
                      "-o", str(tmp_path / "m.txt")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["param", "mesh", "quad", "multilevel"])
+    def test_weight_flag_is_gone(self, command, tmp_path, capsys):
+        # every map uses the paper's proposed weight; bench-weights compares
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, str(tmp_path / "cloud.xyz"), "-o", str(tmp_path / "out"),
+                     "--weight", "proposed"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --weight" in capsys.readouterr().err
 
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -161,7 +193,7 @@ class TestPipelineCommands:
         meta = json.loads((tmp_path / "map.txt.json").read_text())
         assert meta["k"] == 25
         assert meta["epsilon"] == 1e-4
-        assert meta["weight"] == "proposed"
+        assert "weight" not in meta
         assert meta["converged"] is True
         assert len(meta["movement_history"]) == meta["iterations"]
         assert "stage_seconds" in meta
@@ -262,5 +294,5 @@ class TestPipelineCommands:
         assert meta["k"] == 25
         assert meta["epsilon"] == 1e-4
         assert meta["r_percent"] == 10.0
-        assert meta["weight"] == "proposed"
+        assert "weight" not in meta
         assert meta["max_ns_iters"] == 16

@@ -268,11 +268,11 @@ class TestMapSerialization:
         import json
 
         meta = json.loads((tmp_path / "map.txt.json").read_text())
-        for key in ("k", "r_percent", "epsilon", "weight", "iterations",
+        for key in ("k", "r_percent", "epsilon", "iterations",
                     "movement_history", "stage_seconds"):
             assert key in meta
         assert meta["k"] == 12
-        assert meta["weight"] == "proposed"
+        assert "weight" not in meta
         assert meta["stage_seconds"] == {"lb assembly": 0.5}
 
     def test_size_mismatch_rejected(self, tmp_path):

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -291,6 +291,11 @@ class TestParameterize:
         m2 = parameterize(PointCloud(pts))
         np.testing.assert_array_equal(m1.images, m2.images)
         assert m1.history == m2.history
+
+    def test_config_fields(self):
+        # the weight is the paper's proposed one; there is no setting
+        assert [f.name for f in fields(ParamConfig)] == [
+            "k", "r_percent", "epsilon", "max_ns_iters"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -39,8 +39,10 @@ class TestFormulas:
         assert w[1] == pytest.approx(np.exp(-0.25))
 
     def test_gaussian_alias(self):
-        assert Weight("gaussian").kind == "exponential"
-        assert Weight("inverse-square").kind == "inverse_square"
+        # each kind has one spelling
+        for alias in ("gaussian", "inverse-square"):
+            with pytest.raises(ValueError, match="unknown weight kind"):
+                Weight(alias)
 
     def test_inverse_square_guard(self):
         # guard 1e-3 h = 0.1
