@@ -23,10 +23,10 @@ and collecting the coefficients of u_x, u_y, u_xx, u_xy, u_yy gives
 
 so that  Delta u = a1 u_x + a2 u_y + a3 u_xx + a4 u_xy + a5 u_yy.
 K / (2 W^3) is the mean curvature of the graph, which mean_curvature()
-in the metrics module reuses.  A flat patch (p = q = 0, K = 0) reduces
-to the planar Laplacian u_xx + u_yy; the expansion is cross-checked in
-the tests by central differences of the divergence form and by the
-sphere eigenvalue identity Delta x_i = -2 x_i.
+reuses.  A flat patch (p = q = 0, K = 0) reduces to the planar
+Laplacian u_xx + u_yy; the expansion is cross-checked in the tests by
+central differences of the divergence form and by the sphere eigenvalue
+identity Delta x_i = -2 x_i.
 """
 
 import logging
@@ -186,6 +186,35 @@ def lb_coefficients(p, q, r, s, t):
         -2.0 * p * q / w2,
         (1.0 + p * p) / w2,
     )
+
+
+def mean_curvature_from_coefficients(coefficients):
+    """Graph mean curvature from degree-2 fit coefficients (n, 6).
+
+    H = ((1+q^2) r - 2 p q s + (1+p^2) t) / (2 W^3) with p, q the fitted
+    first and r, s, t the fitted second derivatives.  The sign follows
+    the arbitrary PCA normal, so callers usually take |H|.
+    """
+    w2, k = _graph_metric(*_derivatives(np.asarray(coefficients)))
+    return k / (2.0 * w2 * np.sqrt(w2))
+
+
+def mean_curvature(cloud, k=DEFAULT_K):
+    """Approximated mean curvature at every cloud point (model units).
+
+    The stencils are found and fitted on ``cloud.normalized()``, as
+    for the LB operator, and the curvature is mapped back once
+    (uniform scaling by 1/sigma multiplies it by sigma).
+    """
+    normalized, _, radius = cloud.normalized()
+    curvature = []
+    for frames in stencil_blocks(build_index(normalized), k):
+        coeffs, _, _ = _height_fit(
+            frames.coords, frames.neighbor_dists, frames.heights,
+            frames.neighbor_ids[:, 0], Weight("proposed"),
+        )
+        curvature.append(mean_curvature_from_coefficients(coeffs))
+    return np.concatenate(curvature) / radius
 
 
 def _lb_rows(coeffs, drows):

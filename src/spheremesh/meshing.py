@@ -86,7 +86,11 @@ def sphere_triangulation(sphere_map):
 
 def induce_mesh(cloud, sphere_map):
     """Triangulation of the original cloud induced by its spherical
-    parameterization (same connectivity as the spherical Delaunay mesh)."""
+    parameterization (same connectivity as the spherical Delaunay mesh).
+    Raises MeshError unless ``cloud`` has the points of the map's cloud."""
+    points = sphere_map.cloud.points
+    if cloud.points is not points and not np.array_equal(cloud.points, points):
+        raise MeshError("the cloud is not the one the spherical map was computed for")
     return SurfaceMesh(cloud.points, sphere_triangulation(sphere_map).faces)
 
 

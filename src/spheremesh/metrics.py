@@ -1,16 +1,13 @@
 """Mesh and parameterization quality metrics: per-corner angle
-distortion, the Delaunay ratio, and approximated mean curvature."""
+distortion, the Delaunay ratio, and approximated mean curvature (fitted
+in the laplacian module, next to the MLS fit it reuses)."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import build_index
 from .errors import MeshError
-from .laplacian import (
-    DEFAULT_K, _derivatives, _graph_metric, _height_fit, stencil_blocks,
-)
-from .weights import Weight
+from .laplacian import mean_curvature, mean_curvature_from_coefficients  # noqa: F401
 
 DELAUNAY_SLACK = 1e-12
 
@@ -66,35 +63,6 @@ def delaunay_ratio(mesh):
         raise MeshError("mesh has no interior edges")
     good = int(np.count_nonzero(opp[interior] <= np.pi + DELAUNAY_SLACK))
     return good / total
-
-
-def mean_curvature_from_coefficients(coefficients):
-    """Graph mean curvature from degree-2 fit coefficients (n, 6).
-
-    H = ((1+q^2) r - 2 p q s + (1+p^2) t) / (2 W^3) with p, q the fitted
-    first and r, s, t the fitted second derivatives.  The sign follows
-    the arbitrary PCA normal, so callers usually take |H|.
-    """
-    w2, k = _graph_metric(*_derivatives(np.asarray(coefficients)))
-    return k / (2.0 * w2 * np.sqrt(w2))
-
-
-def mean_curvature(cloud, k=DEFAULT_K):
-    """Approximated mean curvature at every cloud point (model units).
-
-    The stencils are found and fitted on ``cloud.normalized()``, as
-    for the LB operator, and the curvature is mapped back once
-    (uniform scaling by 1/sigma multiplies it by sigma).
-    """
-    normalized, _, radius = cloud.normalized()
-    curvature = []
-    for frames in stencil_blocks(build_index(normalized), k):
-        coeffs, _, _ = _height_fit(
-            frames.coords, frames.neighbor_dists, frames.heights,
-            frames.neighbor_ids[:, 0], Weight("proposed"),
-        )
-        curvature.append(mean_curvature_from_coefficients(coeffs))
-    return np.concatenate(curvature) / radius
 
 
 def quality_report(source_mesh, sphere_mesh, curvature=None):

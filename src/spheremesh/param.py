@@ -24,11 +24,11 @@ from .errors import PipelineError, SphereMeshError
 from .laplacian import DEFAULT_K, assemble_lb_from_frames, lb_pass
 from .mesh import SurfaceMesh
 from .meshing import spherical_delaunay
-from .projections import inv_north, inv_south, is_infinite, proj_north, proj_south
+from .projections import HALF_TURN, inv_north, is_infinite, proj_north
 from .solve import ConstrainedSystem, solve
 
-# the two half-steps of a round, south first
-_CHARTS = ((proj_south, inv_south), (proj_north, inv_north))
+# the sphere turns of the two half-steps of a round, south first
+_CHARTS = (HALF_TURN, 1.0)
 _CENTRING_STEPS = 100  # 2-7 steps on maps that converge
 
 
@@ -43,10 +43,14 @@ class ParamConfig:
     max_ns_iters: int = 16  # N-S comparisons; converging maps took <= 6
 
     def validate(self):
-        for name in ("k", "max_ns_iters"):
+        # each message starts with the field name, which the CLI maps to its flag
+        for name, kind, noun in (("k", numbers.Integral, "an integer"),
+                                 ("r_percent", numbers.Real, "a real number"),
+                                 ("epsilon", numbers.Real, "a real number"),
+                                 ("max_ns_iters", numbers.Integral, "an integer")):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
         if not 0.0 < self.r_percent < 50.0:
             raise ValueError(f"r_percent must be in (0, 50), got {self.r_percent}")
         if not 0.0 < self.epsilon < np.inf:
@@ -146,13 +150,13 @@ def _ball_map(images, a):
     return (1.0 - a @ a) / np.einsum("ij,ij->i", d, d)[:, None] * d - a
 
 
-def _half_step(operator, images, project, unproject, r_percent):
-    """Project the images, pin the outermost r% of the plane, solve the
-    Laplace equation, lift back and centre.  Pole hits carry the
-    infinity marker and stay free."""
-    w = project(images)
+def _half_step(operator, images, turn, r_percent):
+    """Pin the outermost r% of the north projection of the images
+    turned by ``turn``, solve the Laplace equation, lift, turn back and
+    centre.  Pole hits carry the infinity marker and stay free."""
+    w = proj_north(images * turn)
     pinned = _outermost(w, r_percent)
-    return _centred(unproject(solve(ConstrainedSystem(operator, pinned, w[pinned]))))
+    return _centred(inv_north(solve(ConstrainedSystem(operator, pinned, w[pinned]))) * turn)
 
 
 def _aligned_movement(images, earlier):
@@ -182,8 +186,7 @@ def ns_iterate(operator, images, config=None):
     history = []
     older = previous = None
     for step in range(config.max_ns_iters + 2):
-        project, unproject = _CHARTS[step % 2]
-        images = _half_step(operator, images, project, unproject, config.r_percent)
+        images = _half_step(operator, images, _CHARTS[step % 2], config.r_percent)
         if older is not None:
             history.append(_aligned_movement(images, older))
             if history[-1] < config.epsilon:
@@ -201,18 +204,16 @@ def pole_distances(images, index, k=DEFAULT_K):
     """Mean planar spread of the pole neighborhoods (d_p, d_s).
 
     The northernmost/southernmost images are projected from their own
-    pole; each distance averages the plane offsets of the k cloud-space
-    neighbors of the pre-image point.
+    pole, the south one as the north one of the half-turned sphere; each
+    distance averages the plane offsets of the k cloud-space neighbors.
     """
-    i_n = int(np.argmax(images[:, 2]))
-    i_s = int(np.argmin(images[:, 2]))
-    w_n = proj_north(images)
-    w_s = proj_south(images)
-    nbrs_n = knn(index, i_n, k).indices
-    nbrs_s = knn(index, i_s, k).indices
-    d_p = float(np.mean(np.abs(w_n[nbrs_n] - w_n[i_n])))
-    d_s = float(np.mean(np.abs(w_s[nbrs_s] - w_s[i_s])))
-    return d_p, d_s
+    spreads = []
+    for turn in (1.0, HALF_TURN):
+        turned = images * turn
+        pole = int(np.argmax(turned[:, 2]))
+        w = proj_north(turned)
+        spreads.append(float(np.mean(np.abs(w[knn(index, pole, k).indices] - w[pole]))))
+    return tuple(spreads)
 
 
 def balance(images, index, k=DEFAULT_K):

@@ -100,6 +100,17 @@ class TestInduceMesh:
         with pytest.raises(MeshError, match="cached triangulation does not cover"):
             sphere_triangulation(m)
 
+    @pytest.mark.parametrize("other", [(300, 3), (400, 2)], ids=["same-size", "larger"])
+    def test_other_cloud_rejected(self, other):
+        m = identity_map(uniform_sphere(300, seed=2))
+        with pytest.raises(MeshError, match="not the one"):
+            induce_mesh(PointCloud(uniform_sphere(*other)), m)
+
+    def test_equal_copy_of_the_cloud_accepted(self):
+        m = identity_map(uniform_sphere(300, seed=2))
+        induced = induce_mesh(PointCloud(m.cloud.points.copy()), m)
+        np.testing.assert_array_equal(induced.faces, induce_mesh(m.cloud, m).faces)
+
     def test_every_point_is_a_vertex(self):
         pts = uniform_sphere(800, seed=3) * np.array([2.0, 1.0, 1.0])
         cloud = PointCloud(pts)

@@ -317,6 +317,21 @@ class TestParameterize:
         # numpy integers are integers
         ParamConfig(**{field: np.int64(25)}).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("r_percent", "10"), ("r_percent", None), ("r_percent", True),
+        ("r_percent", 10j), ("epsilon", None), ("epsilon", "1e-4"),
+        ("epsilon", False), ("k", None), ("k", True), ("max_ns_iters", "16"),
+    ])
+    def test_non_numbers_rejected_by_field(self, field, value):
+        config = ParamConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            config.validate()
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            parameterize(blob_cloud(50, 0), config)
+
+    def test_numpy_reals_accepted(self):
+        ParamConfig(r_percent=np.float32(10.0), epsilon=np.float64(1e-4)).validate()
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mirrored_cloud_gives_mirrored_map(self, seed):
         # the orientation is decided once, by the induced volume, so a

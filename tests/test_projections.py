@@ -88,3 +88,38 @@ def test_round_trip_property(x, y):
 def test_huge_modulus_folds_to_pole():
     np.testing.assert_array_equal(inv_north(1e200 + 0j), [0.0, 0.0, 1.0])
     np.testing.assert_array_equal(inv_south(1e200 + 0j), [0.0, 0.0, -1.0])
+
+
+class TestSouthChartIsTurnedNorthChart:
+    """The south chart, written as the north chart of the half-turned
+    sphere, gives bit for bit the closed forms (-x + iy)/(1 + z) and
+    their inverse."""
+
+    @staticmethod
+    def closed_form_south(p):
+        p = np.asarray(p, dtype=np.float64)
+        denom = 1.0 + p[..., 2]
+        at_pole = denom <= 0.5e-28
+        w = (-p[..., 0] + 1j * p[..., 1]) / np.where(at_pole, 1.0, denom)
+        return np.where(at_pole, AT_INFINITY, w)
+
+    @staticmethod
+    def closed_form_inv_south(w):
+        w = np.asarray(w, dtype=np.complex128)
+        to_pole = is_infinite(w) | (np.abs(w.real) > 1e150) | (np.abs(w.imag) > 1e150)
+        x = np.where(to_pole, 0.0, w.real)
+        y = np.where(to_pole, 0.0, w.imag)
+        m = x * x + y * y
+        out = np.stack([-2.0 * x / (1.0 + m), 2.0 * y / (1.0 + m), -(m - 1.0) / (1.0 + m)], -1)
+        out[to_pole, :] = (0.0, 0.0, -1.0)
+        return out
+
+    def test_projection_on_random_points_and_poles(self):
+        p = np.vstack([uniform_sphere(10000, seed=6), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+        assert np.array_equal(proj_south(p), self.closed_form_south(p))
+
+    def test_inverse_on_random_values_poles_and_infinity(self):
+        rng = np.random.default_rng(7)
+        w = rng.normal(scale=3.0, size=10000) + 1j * rng.normal(scale=3.0, size=10000)
+        w = np.concatenate([w, [0.0, AT_INFINITY, 1e200 + 0j]])
+        assert np.array_equal(inv_south(w), self.closed_form_inv_south(w))
