@@ -121,8 +121,9 @@ class SpatialIndex:
     Immutable after construction; safe for concurrent queries.  Distance
     ties are broken by ascending point id, which the raw tree does not
     guarantee, so a query fetches one candidate more than asked, re-ranks
-    the candidates by exact squared distance, and fetches twice as many
-    again while a row's k-th and last candidates tie.
+    by exact squared distance the candidate rows that are not strictly
+    ascending in it, and fetches twice as many again while a row's k-th
+    and last candidates tie.
     """
 
     def __init__(self, cloud):
@@ -150,10 +151,13 @@ class SpatialIndex:
         while True:
             _, cand = self._tree.query(q, k=extra)
             d2 = np.sum((pts[cand] - q[:, None, :]) ** 2, axis=2)
-            # rank by (squared distance, id) per row
-            order = np.lexsort((cand, d2), axis=1)
-            cand = np.take_along_axis(cand, order, axis=1)
-            d2 = np.take_along_axis(d2, order, axis=1)
+            # rank by (squared distance, id) each row that the tree did not
+            # leave strictly ascending in d2; any other row is ranked already
+            loose = np.flatnonzero((d2[:, 1:] <= d2[:, :-1]).any(axis=1))
+            c, d = cand[loose], d2[loose]
+            order = np.lexsort((c, d), axis=1)
+            cand[loose] = np.take_along_axis(c, order, axis=1)
+            d2[loose] = np.take_along_axis(d, order, axis=1)
             if extra == n or np.all(d2[:, k - 1] < d2[:, -1]):
                 break
             # a tie may extend past the candidate window: widen and requery

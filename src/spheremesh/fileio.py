@@ -18,9 +18,20 @@ about half the time (0.052 s against 0.109 s for 20 000 points on a
 rejects, and any points that ``PointCloud`` rejects, are read again by
 the scanner, which alone reports what is wrong and on which line.
 
-Every writer formats its vertex, face and map rows in blocks of
-``_BLOCK_ROWS`` rows: one ``%`` over a block's values, one write per
-block, with the same bytes as one formatted line per row.
+Every writer opens its file in binary mode and writes it in blocks of
+``_BLOCK_ROWS`` rows, with the same bytes as one formatted line per
+row.  Float rows (vertices, XYZ points, map rows) take one bytes ``%``
+over a block's values: ``b"%.17g"`` gives the digits of the str ``%``
+at about its speed (82 ms against 89 ms on 180 000 floats, 2-core
+host), and ``%r``, ``tofile``, ``np.char.mod`` and ``astype(str)`` took
+132-387 ms.  Face rows, the only integer-only tables, go through one
+decimal kernel, ``_write_ints``: a block's values, plus the OBJ offset,
+are split into fixed-width digits by repeated ``// 10`` on the smallest
+unsigned dtype that holds the table's maximum, and one boolean mask
+drops the leading zeros.  On the five face tables of a ``remesh``
+benchmark pass it takes about 9 ms against 28-33 ms for ``%d``, and
+adding the OBJ offset per block keeps a shifted copy of the whole
+table out of the heap.
 """
 
 import json
@@ -35,7 +46,7 @@ from .errors import CloudError, FileFormatError
 from .mesh import SurfaceMesh
 
 FLOAT_FMT = "%.17g"
-_XYZ_ROW = f"{FLOAT_FMT} {FLOAT_FMT} {FLOAT_FMT}\n"
+_XYZ_ROW = f"{FLOAT_FMT} {FLOAT_FMT} {FLOAT_FMT}\n".encode()
 _BLOCK_ROWS = 4096  # rows formatted per write; bounds the temporaries
 
 _PLY_SCALARS = {  # PLY type -> numpy type code
@@ -269,16 +280,52 @@ def _ascii_rows(fh, count, lineno, path):
 def write_cloud(points, path):
     """Write points as XYZ with 17-significant-digit coordinates."""
     points = np.asarray(points, dtype=np.float64)
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         _write_rows(fh, points, _XYZ_ROW)
 
 
 def _write_rows(fh, rows, row_fmt):
-    """Write the rows of an (n, c) array, each formatted by ``row_fmt``
-    (c conversions), ``_BLOCK_ROWS`` rows per write."""
+    """Write the rows of an (n, c) array, each formatted by the bytes
+    ``row_fmt`` (c conversions), ``_BLOCK_ROWS`` rows per write."""
     for lo in range(0, len(rows), _BLOCK_ROWS):
         block = rows[lo:lo + _BLOCK_ROWS]
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _write_ints(fh, rows, prefix, offset):
+    """Write the rows of an (n, c) array of nonnegative ints, plus
+    ``offset``, with the bytes of ``prefix + b" %d" * c + b"\\n"`` per
+    row, ``_BLOCK_ROWS`` rows per write.
+
+    Each value gets a cell of bytes: room for the prefix, a space, as
+    many right-aligned digits as the table's largest value has, and room
+    for the newline.  The digits come from repeated ``// 10`` on the
+    smallest unsigned dtype that holds that largest value, and one
+    boolean mask keeps the first cell's prefix, the last cell's newline,
+    each space and each digit from the value's leading one on."""
+    n, c = rows.shape
+    top = int(rows.max(initial=0)) + offset
+    dtype = np.min_scalar_type(top)
+    p = len(prefix)
+    units = p + len(str(top))  # cell index of a value's last digit
+    shape = (min(n, _BLOCK_ROWS), c, units + 2)
+    text = np.empty(shape, np.uint8)
+    keep = np.zeros(shape, bool)
+    text[:, 0, :p] = np.frombuffer(prefix, np.uint8)
+    text[:, :, p] = ord(" ")
+    text[:, -1, -1] = ord("\n")
+    keep[:, 0, :p] = keep[:, :, p] = keep[:, :, units] = keep[:, -1, -1] = True
+    for lo in range(0, n, _BLOCK_ROWS):
+        value = rows[lo:lo + _BLOCK_ROWS].astype(dtype)
+        value += offset
+        m = len(value)
+        for j in range(units, p, -1):
+            high = value // 10
+            text[:m, :, j] = value - high * 10 + ord("0")
+            if j < units:  # a zero left of every nonzero digit is dropped
+                keep[:m, :, j] = value != 0
+            value = high
+        fh.write(text[:m][keep[:m]])
 
 
 def mesh_format(path):
@@ -305,20 +352,23 @@ def write_mesh(mesh, path):
 
 
 def _write_obj(mesh, path):
-    with open(path, "w") as fh:
-        _write_rows(fh, mesh.vertices, "v " + _XYZ_ROW)
-        _write_rows(fh, mesh.faces + 1, "f" + " %d" * mesh.arity + "\n")
+    with open(path, "wb") as fh:
+        _write_rows(fh, mesh.vertices, b"v " + _XYZ_ROW)
+        _write_ints(fh, mesh.faces, b"f", 1)
 
 
 def _write_ply(mesh, path):
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {mesh.n_vertices}\n")
-        fh.write("property double x\nproperty double y\nproperty double z\n")
-        fh.write(f"element face {mesh.n_faces}\n")
-        fh.write("property list uchar int vertex_indices\nend_header\n")
+    with open(path, "wb") as fh:
+        fh.write(
+            b"ply\nformat ascii 1.0\n"
+            b"element vertex %d\n"
+            b"property double x\nproperty double y\nproperty double z\n"
+            b"element face %d\n"
+            b"property list uchar int vertex_indices\nend_header\n"
+            % (mesh.n_vertices, mesh.n_faces)
+        )
         _write_rows(fh, mesh.vertices, _XYZ_ROW)
-        _write_rows(fh, mesh.faces, str(mesh.arity) + " %d" * mesh.arity + "\n")
+        _write_ints(fh, mesh.faces, b"%d" % mesh.arity, 0)
 
 
 def read_mesh(path):
@@ -379,8 +429,8 @@ def write_map(sphere_map, path, config=None):
     path = Path(path)
     # ids go through float64 exactly (n < 2**53) and print with %d
     table = np.column_stack([np.arange(sphere_map.n), sphere_map.images])
-    with open(path, "w") as fh:
-        _write_rows(fh, table, "%d " + _XYZ_ROW)
+    with open(path, "wb") as fh:
+        _write_rows(fh, table, b"%d " + _XYZ_ROW)
     meta = {
         "points": int(sphere_map.n),
         "iterations": int(sphere_map.iterations),

@@ -62,9 +62,8 @@ def spherical_delaunay(points):
     if np.abs(norms - 1.0).max() > 1e-6:
         raise MeshError("points are not on the unit sphere")
     faces = convex_hull(pts)
-    used = np.unique(faces)
-    if used.size != len(pts):
-        missing = np.setdiff1d(np.arange(len(pts)), used)
+    missing = np.flatnonzero(np.bincount(faces.ravel(), minlength=len(pts)) == 0)
+    if missing.size:
         raise MeshError(
             f"{missing.size} points (e.g. {missing[0]}) were absorbed by "
             "the hull; coincident or degenerate spherical positions"
@@ -79,7 +78,7 @@ def sphere_triangulation(sphere_map):
     faces = sphere_map.delaunay_faces
     if faces is None:
         return spherical_delaunay(sphere_map.images)
-    if np.unique(faces).size != sphere_map.n:
+    if not np.bincount(faces.ravel(), minlength=sphere_map.n).all():
         raise MeshError("cached triangulation does not cover all points")
     return SurfaceMesh(sphere_map.images, faces)
 

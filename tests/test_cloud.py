@@ -122,6 +122,26 @@ class TestKnn:
             np.testing.assert_array_equal(idx[center], want_idx)
             np.testing.assert_allclose(dist[center], want_d, atol=1e-12)
 
+    def test_unranked_rows_match_a_full_lexsort(self):
+        # a grid (exact distance ties) beside a random blob (none): only the
+        # rows the tree leaves unordered are re-ranked, and every row must
+        # equal a full (squared distance, id) lexsort of all candidates
+        ax = np.arange(4, dtype=float)
+        grid = np.column_stack([a.ravel() for a in np.meshgrid(ax, ax, ax)])
+        blob = np.random.default_rng(5).normal(10.0, 1.0, size=(200, 3))
+        pts = np.vstack([grid, blob])
+        index, k = build_index(PointCloud(pts)), 10
+        _, raw = index._tree.query(pts, k=k + 1)
+        raw_d2 = np.sum((pts[raw] - pts[:, None, :]) ** 2, axis=2)
+        ascending = np.all(raw_d2[:, 1:] > raw_d2[:, :-1], axis=1)
+        assert ascending.any() and not ascending.all()
+        cand = np.broadcast_to(np.arange(len(pts)), (len(pts), len(pts)))
+        d2 = np.sum((pts[cand] - pts[:, None, :]) ** 2, axis=2)
+        order = np.lexsort((cand, d2), axis=1)[:, :k]
+        idx, dist = index.knn_arrays(k)
+        np.testing.assert_array_equal(idx, np.take_along_axis(cand, order, axis=1))
+        np.testing.assert_array_equal(dist, np.sqrt(np.take_along_axis(d2, order, axis=1)))
+
     def test_matches_brute_force_on_random_cloud(self):
         rng = np.random.default_rng(42)
         pts = rng.normal(size=(1000, 3))

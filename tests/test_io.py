@@ -1,8 +1,12 @@
+import io
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spheremesh import (
     FileFormatError,
@@ -16,7 +20,7 @@ from spheremesh import (
     write_map,
     write_mesh,
 )
-from spheremesh.fileio import _BLOCK_ROWS
+from spheremesh.fileio import _BLOCK_ROWS, _write_ints
 from spheremesh.param import ParamConfig, SphericalMap
 from spheremesh.synth import sphere_cloud
 
@@ -468,6 +472,63 @@ class TestBlockWriters:
         write_map(smap, tmp_path / "map.txt")
         expected = "".join(f"{i} " + _line(p) for i, p in enumerate(images))
         assert (tmp_path / "map.txt").read_text() == expected
+
+
+def _int_rows(rows, prefix, offset):
+    """Reference bytes of ``_write_ints``: one ``%d`` line per row."""
+    fmt = prefix + b" %d" * rows.shape[1] + b"\n"
+    return b"".join(fmt % tuple(int(v) + offset for v in row) for row in rows)
+
+
+def _written_ints(rows, prefix, offset):
+    fh = io.BytesIO()
+    _write_ints(fh, rows, prefix, offset)
+    return fh.getvalue()
+
+
+class TestWriteInts:
+    """The face-row kernel gives the bytes of ``%d`` formatting."""
+
+    @pytest.mark.parametrize("top", [9, 99, 10**6 - 1])
+    def test_offset_crosses_a_digit_boundary(self, top):
+        # the largest id gains a digit only once the OBJ +1 is added
+        rows = np.array([[0, top, 1], [top - 1, 2, top]])
+        assert _written_ints(rows, b"f", 1) == _int_rows(rows, b"f", 1)
+        assert _written_ints(rows, b"3", 0) == _int_rows(rows, b"3", 0)
+
+    def test_block_mixes_one_and_seven_digit_ids(self):
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 10, size=(2 * _BLOCK_ROWS + 5, 4))
+        rows[::7, 2] = rng.integers(10**6, 10**7, size=len(rows[::7]))
+        for prefix, offset in [(b"f", 1), (b"4", 0)]:
+            assert _written_ints(rows, prefix, offset) == _int_rows(rows, prefix, offset)
+
+    @given(
+        rows=arrays(
+            np.int64,
+            st.tuples(st.integers(0, 300), st.sampled_from([3, 4])),
+            elements=st.integers(0, 2**62),
+        ),
+        prefix=st.sampled_from([b"f", b"3", b"4"]),
+        offset=st.sampled_from([0, 1]),
+    )
+    def test_matches_percent_d(self, rows, prefix, offset):
+        assert _written_ints(rows, prefix, offset) == _int_rows(rows, prefix, offset)
+
+    @pytest.mark.parametrize("ext", ["obj", "ply"])
+    def test_mesh_write_working_set(self, tmp_path, ext):
+        # icosphere(6) traces 0.79 MB as OBJ and 0.82 MB as PLY, one block's
+        # temporaries; a whole-table copy of the faces (OBJ's faces + 1) or
+        # a kernel run on the whole table would not fit
+        mesh, path = icosphere(6), tmp_path / f"m.{ext}"
+        write_mesh(mesh, path)
+        tracemalloc.start()
+        try:
+            write_mesh(mesh, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestReadMapValidation:
