@@ -20,6 +20,15 @@ from .errors import CloudError, DegenerateNeighborhoodError
 _COLLINEAR_RTOL = 1e-12
 
 
+def xyz_array(points):
+    """``points`` as a contiguous (n, 3) float64 array; any other shape
+    raises CloudError."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise CloudError(f"expected an (n, 3) array, got shape {pts.shape}")
+    return pts
+
+
 class PointCloud:
     """Ordered 3D point set; the row index of a point is its id.
 
@@ -36,9 +45,7 @@ class PointCloud:
     """
 
     def __init__(self, points):
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise CloudError(f"expected an (n, 3) array, got shape {pts.shape}")
+        pts = xyz_array(points)
         if pts.shape[0] < 4:
             raise CloudError(f"need at least 4 points, got {pts.shape[0]}")
         if not np.isfinite(pts).all():

@@ -20,18 +20,26 @@ the scanner, which alone reports what is wrong and on which line.
 
 Every writer opens its file in binary mode and writes it in blocks of
 ``_BLOCK_ROWS`` rows, with the same bytes as one formatted line per
-row.  Float rows (vertices, XYZ points, map rows) take one bytes ``%``
-over a block's values: ``b"%.17g"`` gives the digits of the str ``%``
-at about its speed (82 ms against 89 ms on 180 000 floats, 2-core
-host), and ``%r``, ``tofile``, ``np.char.mod`` and ``astype(str)`` took
-132-387 ms.  Face rows, the only integer-only tables, go through one
-decimal kernel, ``_write_ints``: a block's values, plus the OBJ offset,
-are split into fixed-width digits by repeated ``// 10`` on the smallest
-unsigned dtype that holds the table's maximum, and one boolean mask
-drops the leading zeros.  On the five face tables of a ``remesh``
-benchmark pass it takes about 9 ms against 28-33 ms for ``%d``, and
-adding the OBJ offset per block keeps a shifted copy of the whole
-table out of the heap.
+row.  Float rows (vertices, XYZ points, map rows with their ids) go
+through one kernel, ``_write_floats``.  For a value of magnitude in
+[1e-4, 1e16), which ``%.17g`` prints in fixed notation, the 17
+significant digits are exact: Dekker's two-product of the value and an
+exact power of ten is rounded once, ties to even.  Each value's bytes
+sit in fixed places counted from its last digit, with a 0 byte wherever
+``%g`` prints nothing (trailing fraction zeros, a bare point, the room
+left of the sign), and one mask drops them.  A row holding any other
+value (a zero, an exponent-form value, nan or inf) goes through bytes
+``%``, one call per run of such rows.  On the 181 662 vertex floats of
+a ``remesh`` benchmark pass the kernel takes about 27 ms against 76 ms
+for ``%`` (2-core host), and a table of exponent-form values costs
+about what ``%`` alone costs.  Face rows, the only integer-only tables,
+go through a decimal kernel of the same build, ``_write_ints``: a
+block's values, plus the OBJ offset, are split into fixed-width digits
+by repeated ``// 10`` on the smallest unsigned dtype that holds the
+table's maximum, with a 0 byte for each leading zero.  On the five face
+tables of a ``remesh`` pass it takes about 9 ms against 28-33 ms for
+``%d``, and adding the OBJ offset per block keeps a shifted copy of the
+whole table out of the heap.
 """
 
 import json
@@ -41,13 +49,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import PointCloud, find_duplicate
+from .cloud import PointCloud, find_duplicate, xyz_array
 from .errors import CloudError, FileFormatError
 from .mesh import SurfaceMesh
 
-FLOAT_FMT = "%.17g"
-_XYZ_ROW = f"{FLOAT_FMT} {FLOAT_FMT} {FLOAT_FMT}\n".encode()
 _BLOCK_ROWS = 4096  # rows formatted per write; bounds the temporaries
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitter: a double into two 26-bit halves
+_POW10 = np.array([float(10**p) for p in range(22)])  # each exact in float64
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_LEAD = np.frombuffer(b"0.0\0", np.uint8)  # by r + 1 - q: a 0, the point, the 0, none
 
 _PLY_SCALARS = {  # PLY type -> numpy type code
     "char": "b", "uchar": "B", "int8": "b", "uint8": "B",
@@ -278,18 +289,146 @@ def _ascii_rows(fh, count, lineno, path):
 
 
 def write_cloud(points, path):
-    """Write points as XYZ with 17-significant-digit coordinates."""
-    points = np.asarray(points, dtype=np.float64)
+    """Write points as XYZ with 17-significant-digit coordinates.
+
+    Raises
+    ------
+    CloudError
+        ``points`` is not an (n, 3) array; nothing is written.
+    """
+    points = xyz_array(points)
     with open(path, "wb") as fh:
-        _write_rows(fh, points, _XYZ_ROW)
+        _write_floats(fh, points, b"")
 
 
-def _write_rows(fh, rows, row_fmt):
-    """Write the rows of an (n, c) array, each formatted by the bytes
-    ``row_fmt`` (c conversions), ``_BLOCK_ROWS`` rows per write."""
+def _write_floats(fh, rows, prefix):
+    """Write the rows of an (n, c) float64 array with the bytes of
+    ``prefix + b" %.17g" * c + b"\\n"`` per row, without the first
+    space when ``prefix`` is empty, ``_BLOCK_ROWS`` rows per write.
+
+    A row whose values all lie in [1e-4, 1e16) in magnitude, where
+    ``%.17g`` prints fixed notation, is laid out by ``_fixed_rows``.
+    Any other row (a zero, an exponent-form value, nan or inf) goes
+    through bytes ``%``, one call per run of such rows, so a table of
+    them costs about what ``%`` alone costs."""
+    row_fmt = prefix + b" %.17g" * rows.shape[1] + b"\n"
+    if not prefix:
+        row_fmt = row_fmt[1:]
     for lo in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[lo:lo + _BLOCK_ROWS]
-        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        # a call per block frees its arrays before the next block's
+        _write_float_block(fh, rows[lo:lo + _BLOCK_ROWS], prefix, row_fmt)
+
+
+def _write_float_block(fh, block, prefix, row_fmt):
+    """Write one block of ``_write_floats``; ``row_fmt`` formats a row."""
+    fixed = np.logical_and.reduce([(a >= 1e-4) & (a < 1e16) for a in np.abs(block).T])
+    text = _fixed_rows(block[fixed], prefix) if fixed.any() else None
+    cuts = [0, *(np.flatnonzero(np.diff(fixed)) + 1).tolist(), len(block)]
+    done = 0  # rows of text written
+    for a, b in zip(cuts, cuts[1:]):
+        if fixed[a]:
+            run = text[done:done + b - a]
+            done += b - a
+            fh.write(run[run != 0])
+        else:
+            fh.write((row_fmt * (b - a)) % tuple(block[a:b].ravel().tolist()))
+
+
+def _fixed_rows(block, prefix):
+    """The rows of ``block``, an (m, c) array of values of magnitude in
+    [1e-4, 1e16), as ``_write_floats`` writes them: an (m, w) byte
+    array with a 0 in every byte to drop.
+
+    A row is the prefix, then per value a space and ``width`` bytes,
+    then a newline.  ``%.17g`` prints such a value in fixed notation
+    from its 17 significant digits, the integer ``d`` that
+    ``_significand`` gives, and its decimal exponent ``e``.  Counted
+    from the right of a value's bytes, with ``q = 16 - e``, byte r < q
+    is digit 16 - r of ``d`` (a fraction digit, or a 0 between the
+    point and digit 0), byte q is the point, and bytes q < r <= 17 are
+    the integer digits, digit 17 - r; a value below 1 has one 0 left of
+    its point instead.  The first byte is the sign.  Fraction digits
+    right of the last nonzero one, a point with no fraction digit left,
+    and the bytes between the sign and the first digit are 0.
+    """
+    m, c = block.shape
+    vals = block.ravel()
+    e, d = _decimal(np.abs(vals))
+    q = 16 - e
+    low, top = int(e.min()), int(e.max())
+    width = 19 - min(low, 0)
+    field = np.empty((width, vals.size), np.uint8)  # field[r]: byte r from the right
+    seen = np.zeros(vals.size, bool)  # a nonzero digit at r or right of it
+    v = (d % 10**9).astype(np.uint32)  # the low nine digits, then the high eight
+    for r in range(17):
+        if r == 9:
+            v = (d // 10**9).astype(np.uint32)
+        high = v // 10
+        v -= high * 10
+        np.logical_or(seen, v, out=seen)
+        if r >= 16 - top:
+            seen |= q <= r  # an integer digit
+        v += ord("0")
+        field[r] = v * seen
+        v = high
+    field[17] = ord("0")  # a value below 0.1 has a 0 there
+    for r in range(17, 15 - top, -1):  # integer digits step left
+        point = (field[r - 1] != 0) * np.uint8(ord("."))
+        field[r] = np.where(r < q, field[r], np.where(r == q, point, field[r - 1]))
+    for r in range(18, width - 1):  # the zeros, point and 0 of a value below 1
+        field[r] = np.take(_LEAD, r + 1 - q, mode="clip")
+    field[-1] = (vals < 0) * np.uint8(ord("-"))
+    p = len(prefix)
+    text = np.empty((m, p + c * (width + 1) + 1), np.uint8)
+    text[:, :p] = np.frombuffer(prefix, np.uint8)
+    text[:, -1] = ord("\n")
+    cells = text[:, p:-1].reshape(m, c, width + 1)
+    cells[..., 0] = ord(" ")
+    if not p:
+        cells[:, 0, 0] = 0  # no separator before the first value
+    cells[..., 1:] = field[::-1].T.reshape(m, c, width)
+    return text
+
+
+def _decimal(a):
+    """The decimal exponent ``e`` (int8) and 17-digit significand ``d``
+    (int64, in [10**16, 10**17)) of doubles ``a`` in [1e-4, 1e16):
+    ``a`` rounds to ``d * 10**(e - 16)`` at 17 significant digits."""
+    e = np.floor(np.log10(a)).astype(np.int8)
+    d = _significand(a, e)
+    # floor(log10) can be one off next to a power of ten, and one step
+    # puts d in [10**16, 10**17): no double in range lies within half a
+    # unit of the 17th digit below a power of ten, so no rounding carries
+    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    e[off] += np.where(d[off] < 10**16, -1, 1)
+    d[off] = _significand(a[off], e[off])
+    return e, d
+
+
+def _significand(a, e):
+    """round(a * 10**(16 - e)) as int64, ties to even, for positive
+    doubles ``a`` and int exponents ``e`` in [-5, 16].
+
+    10**p is exact for p <= 22, and Veltkamp's split with Dekker's
+    two-product (Dekker, Numer. Math. 1971) gives the product as
+    hi + lo with no rounding error.  Where the result has 17 digits, hi
+    is an even integer of at least 2**53, so hi + rint(lo) is the
+    correctly rounded product."""
+    p = 16 - e
+    hi = a * _POW10[p]
+    ah = _SPLIT * a
+    ah -= ah - a
+    al = a - ah
+    bh = _POW10_HI[p]
+    lo = ah * bh - hi
+    # each product is used once, so it takes the place of a factor
+    lo += np.multiply(ah, _POW10_LO[p], out=ah)
+    lo += np.multiply(al, bh, out=bh)
+    lo += np.multiply(al, _POW10_LO[p], out=al)
+    del ah, al, bh  # before the int64 arrays
+    d = hi.astype(np.int64)
+    d += np.rint(lo).astype(np.int64)
+    return d
 
 
 def _write_ints(fh, rows, prefix, offset):
@@ -300,32 +439,29 @@ def _write_ints(fh, rows, prefix, offset):
     Each value gets a cell of bytes: room for the prefix, a space, as
     many right-aligned digits as the table's largest value has, and room
     for the newline.  The digits come from repeated ``// 10`` on the
-    smallest unsigned dtype that holds that largest value, and one
-    boolean mask keeps the first cell's prefix, the last cell's newline,
-    each space and each digit from the value's leading one on."""
+    smallest unsigned dtype that holds that largest value.  A zero left
+    of every nonzero digit, and the room no prefix or newline uses, are
+    0 bytes, which the write drops."""
     n, c = rows.shape
     top = int(rows.max(initial=0)) + offset
     dtype = np.min_scalar_type(top)
     p = len(prefix)
     units = p + len(str(top))  # cell index of a value's last digit
-    shape = (min(n, _BLOCK_ROWS), c, units + 2)
-    text = np.empty(shape, np.uint8)
-    keep = np.zeros(shape, bool)
+    text = np.zeros((min(n, _BLOCK_ROWS), c, units + 2), np.uint8)
     text[:, 0, :p] = np.frombuffer(prefix, np.uint8)
     text[:, :, p] = ord(" ")
     text[:, -1, -1] = ord("\n")
-    keep[:, 0, :p] = keep[:, :, p] = keep[:, :, units] = keep[:, -1, -1] = True
     for lo in range(0, n, _BLOCK_ROWS):
         value = rows[lo:lo + _BLOCK_ROWS].astype(dtype)
         value += offset
         m = len(value)
         for j in range(units, p, -1):
             high = value // 10
-            text[:m, :, j] = value - high * 10 + ord("0")
-            if j < units:  # a zero left of every nonzero digit is dropped
-                keep[:m, :, j] = value != 0
+            digit = value - high * 10 + ord("0")
+            text[:m, :, j] = digit if j == units else digit * (value != 0)
             value = high
-        fh.write(text[:m][keep[:m]])
+        block = text[:m]
+        fh.write(block[block != 0])
 
 
 def mesh_format(path):
@@ -353,7 +489,7 @@ def write_mesh(mesh, path):
 
 def _write_obj(mesh, path):
     with open(path, "wb") as fh:
-        _write_rows(fh, mesh.vertices, b"v " + _XYZ_ROW)
+        _write_floats(fh, mesh.vertices, b"v")
         _write_ints(fh, mesh.faces, b"f", 1)
 
 
@@ -367,7 +503,7 @@ def _write_ply(mesh, path):
             b"property list uchar int vertex_indices\nend_header\n"
             % (mesh.n_vertices, mesh.n_faces)
         )
-        _write_rows(fh, mesh.vertices, _XYZ_ROW)
+        _write_floats(fh, mesh.vertices, b"")
         _write_ints(fh, mesh.faces, b"%d" % mesh.arity, 0)
 
 
@@ -427,10 +563,13 @@ def write_map(sphere_map, path, config=None):
     metadata sidecar (same path with .json appended), which records the
     map's ``stage_seconds`` when it has them."""
     path = Path(path)
-    # ids go through float64 exactly (n < 2**53) and print with %d
-    table = np.column_stack([np.arange(sphere_map.n), sphere_map.images])
     with open(path, "wb") as fh:
-        _write_rows(fh, table, b"%d " + _XYZ_ROW)
+        # ids go through float64 exactly (n < 2**53), and %.17g prints a
+        # whole number below 1e16 as %d would; one block's table at a time
+        for lo in range(0, sphere_map.n, _BLOCK_ROWS):
+            images = sphere_map.images[lo:lo + _BLOCK_ROWS]
+            ids = np.arange(lo, lo + len(images))
+            _write_floats(fh, np.column_stack([ids, images]), b"")
     meta = {
         "points": int(sphere_map.n),
         "iterations": int(sphere_map.iterations),

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spheremesh import (
+    CloudError,
     FileFormatError,
     SurfaceMesh,
     cube_sphere,
@@ -20,7 +21,8 @@ from spheremesh import (
     write_map,
     write_mesh,
 )
-from spheremesh.fileio import _BLOCK_ROWS, _write_ints
+from spheremesh import fileio
+from spheremesh.fileio import _BLOCK_ROWS, _write_floats, _write_ints
 from spheremesh.param import ParamConfig, SphericalMap
 from spheremesh.synth import sphere_cloud
 
@@ -525,6 +527,125 @@ class TestWriteInts:
         tracemalloc.start()
         try:
             write_mesh(mesh, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+
+def _float_rows(rows, prefix):
+    """Reference bytes of ``_write_floats``: one line of ``%.17g`` words
+    per row, after the prefix if there is one."""
+    head = [prefix] if prefix else []
+    return b"".join(
+        b" ".join(head + [b"%.17g" % v for v in row]) + b"\n" for row in rows.tolist()
+    )
+
+
+def _written_floats(rows, prefix):
+    fh = io.BytesIO()
+    _write_floats(fh, rows, prefix)
+    return fh.getvalue()
+
+
+def _around_powers_of_ten():
+    """The doubles at and 1-2 ulps around +-10**k for k = -5..17, exact
+    decimal ties at the 18th digit, 2**53 and its neighbours, 1e16 +- 1
+    ulp, 0 and -0."""
+    values = []
+    for k in range(-5, 18):
+        v = float(f"1e{k}")
+        below, above = np.nextafter(v, 0), np.nextafter(v, np.inf)
+        values += [np.nextafter(below, 0), below, v, above, np.nextafter(above, np.inf)]
+    # an odd j / 2**(17 - e) in [10**e, 10**(e + 1)) lies halfway between
+    # two 17-digit decimals
+    for e in range(-4, 16):
+        lo, hi = 10.0**e * 2.0 ** (17 - e), min(10.0 ** (e + 1) * 2.0 ** (17 - e), 2.0**53)
+        values += [(2 * int((lo + (hi - lo) * t) / 2) + 1) / 2.0 ** (17 - e)
+                   for t in (0.0, 0.5, 0.999)]
+    values += [2.0**53 - 1, 2.0**53, 2.0**53 + 2, np.nextafter(1e16, 0), 1e16,
+               np.nextafter(1e16, np.inf), 0.0, -0.0]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+class TestWriteFloats:
+    """The float-row kernel gives the bytes of ``%.17g`` formatting."""
+
+    @given(
+        rows=arrays(
+            np.float64,
+            st.tuples(st.integers(0, 300), st.sampled_from([3, 4])),
+            elements=st.one_of(st.floats(), st.floats(1e-4, 1e16), st.floats(-1e16, -1e-4)),
+        ),
+        prefix=st.sampled_from([b"v", b""]),
+    )
+    def test_matches_percent_g(self, rows, prefix):
+        assert _written_floats(rows, prefix) == _float_rows(rows, prefix)
+
+    @pytest.mark.parametrize("prefix", [b"v", b""])
+    def test_edges(self, prefix):
+        # each value beside an ordinary one, so its row is the kernel's
+        # whenever the value is in [1e-4, 1e16)
+        values = _around_powers_of_ten()
+        rows = np.column_stack([values, np.full_like(values, 0.5), values])
+        assert _written_floats(rows, prefix) == _float_rows(rows, prefix)
+
+    def test_ties_round_to_even(self):
+        # 0.5 past the 17th digit: 1000000000000000.25 -> ...0.2, .75 -> ...0.8
+        rows = np.array([[1e15 + 0.25, 1e15 + 0.75, -(1e15 + 0.25)]])
+        expected = b"1000000000000000.2 1000000000000000.8 -1000000000000000.2\n"
+        assert _written_floats(rows, b"") == expected
+        assert _written_floats(rows, b"") == _float_rows(rows, b"")
+
+    def test_block_mixes_exponents_and_fallback_rows(self):
+        rng = np.random.default_rng(5)
+        n = 2 * _BLOCK_ROWS + 3
+        rows = rng.uniform(1, 10, size=(n, 3)) * 10.0 ** rng.integers(-4, 16, size=(n, 3))
+        rows *= rng.choice([-1, 1], size=rows.shape)
+        rows[_BLOCK_ROWS - 1, 0] = 0.0
+        rows[_BLOCK_ROWS, 1] = 1e-5
+        rows[_BLOCK_ROWS + 1, 2] = np.nan
+        rows[[1, 2, n - 1], 0] = [np.inf, -1e300, 5e-324]
+        for prefix in (b"v", b""):
+            assert _written_floats(rows, prefix) == _float_rows(rows, prefix)
+
+    def test_coordinates_skip_the_fallback(self, monkeypatch):
+        # every value of a shrunk and shifted icosphere has |x| >= 1e-4,
+        # so every row goes through the kernel, not through %
+        rows = icosphere(6).vertices * 0.7 + 0.01
+        assert np.abs(rows).min() >= 1e-4
+        laid_out = []
+
+        def spy(block, prefix):
+            laid_out.append(len(block))
+            return fixed_rows(block, prefix)
+
+        fixed_rows = fileio._fixed_rows
+        monkeypatch.setattr(fileio, "_fixed_rows", spy)
+        assert _written_floats(rows, b"v") == _float_rows(rows, b"v")
+        assert sum(laid_out) == len(rows)
+
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (6,)])
+    def test_write_cloud_checks_the_shape(self, tmp_path, shape):
+        path = tmp_path / "c.xyz"
+        with pytest.raises(CloudError, match=re.escape("expected an (n, 3) array")):
+            write_cloud(np.ones(shape), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("table", ["cloud", "map"])
+    def test_cloud_and_map_write_working_set(self, tmp_path, table):
+        # 40 962 rows within one block's temporaries; a copy of the whole
+        # (n, 4) map table alone would take 1.3 MB
+        points = icosphere(6).vertices
+        smap = SimpleNamespace(images=points, n=len(points), iterations=0,
+                               converged=True, history=[], stage_seconds=None)
+        write = {"cloud": lambda: write_cloud(points, tmp_path / "c.xyz"),
+                 "map": lambda: write_map(smap, tmp_path / "map.txt")}[table]
+        write()
+        tracemalloc.start()
+        try:
+            write()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
