@@ -16,8 +16,7 @@ import time
 from . import fileio, synth
 from .errors import SphereMeshError
 from .experiment import run_disk_experiment
-from .mesh import SurfaceMesh
-from .meshing import multilevel, quad_mesh, sphere_triangulation
+from .meshing import induce_mesh, multilevel, quad_mesh, sphere_triangulation
 from .metrics import mean_curvature, quality_report
 from .param import ParamConfig, parameterize
 
@@ -59,15 +58,15 @@ def build_parser():
     defaults = ParamConfig()
 
     def add_param_flags(p):
-        p.add_argument("--k", type=int, default=defaults.k,
-                       help="neighborhood size (default %(default)s)")
-        p.add_argument("--r-percent", type=float, default=defaults.r_percent,
-                       help="pinned outermost percentage (default %(default)s)")
-        p.add_argument("--epsilon", type=float, default=defaults.epsilon,
-                       help="N-S stopping threshold (default %(default)s)")
-        p.add_argument("--max-iters", type=int, default=defaults.max_ns_iters,
-                       dest="max_ns_iters",
-                       help="N-S iteration cap (default %(default)s)")
+        # None marks a flag not given; main fills in the ParamConfig default
+        p.add_argument("--k", type=int,
+                       help=f"neighborhood size (default {defaults.k})")
+        p.add_argument("--r-percent", type=float,
+                       help=f"pinned outermost percentage (default {defaults.r_percent})")
+        p.add_argument("--epsilon", type=float,
+                       help=f"N-S stopping threshold (default {defaults.epsilon})")
+        p.add_argument("--max-iters", type=int, dest="max_ns_iters",
+                       help=f"N-S iteration cap (default {defaults.max_ns_iters})")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic cloud")
     p.add_argument("kind", choices=("sphere", "ellipsoid", "blob"))
@@ -181,12 +180,11 @@ def cmd_param(args):
 def cmd_mesh(args):
     fileio.mesh_format(args.output)  # a bad extension fails before the solve
     cloud, sphere_map = _load_or_compute_map(args)
-    sphere_mesh = sphere_triangulation(sphere_map)
-    mesh = SurfaceMesh(cloud.points, sphere_mesh.faces)
+    mesh = induce_mesh(cloud, sphere_map)
     fileio.write_mesh(mesh, args.output)
     print(f"wrote {mesh.n_faces} triangles to {args.output}")
     if args.report:
-        _write_report(quality_report(mesh, sphere_mesh), args.report)
+        _write_report(quality_report(mesh, sphere_triangulation(sphere_map)), args.report)
     return 0
 
 
@@ -212,10 +210,8 @@ def cmd_multilevel(args):
 def cmd_metrics(args):
     cloud = fileio.read_cloud(args.input)
     sphere_map = fileio.read_map(args.map_path, cloud)
-    sphere_mesh = sphere_triangulation(sphere_map)
-    source_mesh = SurfaceMesh(cloud.points, sphere_mesh.faces)
-    curvature = mean_curvature(cloud, k=args.k)
-    report = quality_report(source_mesh, sphere_mesh, curvature=curvature)
+    report = quality_report(induce_mesh(cloud, sphere_map), sphere_triangulation(sphere_map),
+                            curvature=mean_curvature(cloud, k=args.k))
     _write_report(report, args.report)
     return 0
 
@@ -251,8 +247,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     # every command's ParamConfig flags (metrics and bench-weights have
-    # only --k) go through one validator
-    flags = {f: getattr(args, f) for f in PARAM_FLAGS if hasattr(args, f)}
+    # only --k, their curvature or disk stencil) go through one
+    # validator; a saved map was solved with its own settings
+    flags = {f: v for f in PARAM_FLAGS if (v := getattr(args, f, None)) is not None}
+    if flags and getattr(args, "map_path", None) and args.command != "metrics":
+        flag = PARAM_FLAGS[next(iter(flags))]
+        parser.error(f"argument {flag}: not allowed with argument --map")
     args.config = ParamConfig(**flags)
     try:
         args.config.validate()

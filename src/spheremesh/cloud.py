@@ -93,12 +93,13 @@ class PointCloud:
         CloudError
             If the extent is zero or overflows to infinity.
         """
-        center = self.centroid()
         radius = self.bounding_radius()
         if not 0.0 < radius < np.inf:
             raise CloudError(
                 f"cloud extent {radius} is not a positive finite number"
             )
+        # a finite radius means the centroid's sum did not overflow
+        center = self.centroid()
         return PointCloud((self.points - center) / radius), center, radius
 
 

@@ -52,6 +52,7 @@ import numpy as np
 from .cloud import PointCloud, find_duplicate, xyz_array
 from .errors import CloudError, FileFormatError
 from .mesh import SurfaceMesh
+from .meshing import spherical_delaunay
 
 _BLOCK_ROWS = 4096  # rows formatted per write; bounds the temporaries
 _SPLIT = 2.0**27 + 1  # Veltkamp's splitter: a double into two 26-bit halves
@@ -588,7 +589,11 @@ def write_map(sphere_map, path, config=None):
 
 
 def read_map(path, cloud):
-    """Load a serialized spherical map back over its cloud."""
+    """Load a serialized spherical map back over its cloud, with its
+    triangulation: ``delaunay_faces`` is the spherical Delaunay mesh of
+    the images, built once here and reused by every mesh of the map.
+    Raises MeshError when the images are not unit vectors or the hull
+    leaves one out."""
     from .param import SphericalMap
 
     images = np.zeros((cloud.n, 3))
@@ -636,4 +641,5 @@ def read_map(path, cloud):
     return SphericalMap(
         cloud=cloud, images=images, history=history,
         iterations=len(history), converged=converged,
+        delaunay_faces=spherical_delaunay(images).faces,
     )

@@ -39,8 +39,7 @@ from .cloud import build_frames, build_index
 from .errors import CloudError, IllConditionedStencilError
 from .weights import Weight, stencil_weights
 
-BASIS_DIM = 6  # {1, x, y, x^2, xy, y^2}
-MIN_STENCIL = 7  # must exceed the basis dimension
+MIN_STENCIL = 7  # must exceed the basis dimension, 6: {1, x, y, x^2, xy, y^2}
 MAX_CONDITION = 1e12
 DEFAULT_K = 25
 # stencils per block of the stencil pass.  One block's k-NN, frame and

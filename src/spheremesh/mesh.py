@@ -7,6 +7,20 @@ from .errors import MeshError
 AREA_TOL = 1e-14  # degenerate face: area <= AREA_TOL * (max |coordinate|)^2
 
 
+def first_occurrence_ids(keys):
+    """Number the distinct values of a 1-D ``keys`` by first occurrence.
+
+    Returns ``(ids, first, counts)``: the id of every key, the position
+    where each id first occurs, and how often it occurs.
+    """
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse], first[order], counts[order]
+
+
 class SurfaceMesh:
     """Vertices plus consistently oriented faces.
 
@@ -60,7 +74,7 @@ class SurfaceMesh:
         return np.stack(np.divmod(keys, self.n_vertices), axis=1)
 
     def euler_characteristic(self):
-        return self.n_vertices - np.unique(self._edge_keys()).size + self.n_faces
+        return self.n_vertices - self.edge_face_incidence()[1].size + self.n_faces
 
     def edge_face_incidence(self):
         """Undirected edge ids of the face sides, and faces per edge.
@@ -71,18 +85,12 @@ class SurfaceMesh:
         is the number of face sides on edge i: 2 on a closed mesh, 1 on
         the boundary of an open one.
         """
-        _, first, inverse, counts = np.unique(
-            self._edge_keys(), return_index=True, return_inverse=True,
-            return_counts=True,
-        )
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        return rank[inverse].reshape(self.faces.shape), counts[order]
+        ids, _, counts = first_occurrence_ids(self._edge_keys())
+        return ids.reshape(self.faces.shape), counts
 
     def is_closed(self):
         """Every undirected edge has exactly two incident faces."""
-        _, counts = np.unique(self._edge_keys(), return_counts=True)
+        _, counts = self.edge_face_incidence()
         return bool(np.all(counts == 2))
 
     def is_oriented(self):
@@ -130,11 +138,12 @@ class SurfaceMesh:
     def validate_closed_genus0(self):
         """Raise MeshError unless closed, genus-0, consistently oriented,
         outward, and free of degenerate faces."""
-        if not self.is_closed():
+        _, counts = self.edge_face_incidence()
+        if np.any(counts != 2):
             raise MeshError("mesh is not closed (an edge lacks two faces)")
         if not self.is_oriented():
             raise MeshError("mesh orientation is inconsistent")
-        chi = self.euler_characteristic()
+        chi = self.n_vertices - counts.size + self.n_faces
         if chi != 2:
             raise MeshError(f"Euler characteristic {chi} != 2 (not genus-0)")
         if self.signed_volume() <= 0:

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import MeshError
-from .mesh import SurfaceMesh
+from .mesh import SurfaceMesh, first_occurrence_ids
 
 _BARY_TOL = 1e-10
 _VERTEX_SNAP = 1e-12
@@ -23,9 +23,14 @@ _DEGENERATE = ("coincide", "collinear", "coplanar")  # by rank of the point set
 def convex_hull(points):
     """Faces of the convex hull (qhull), counterclockwise seen from outside.
 
-    Points strictly inside the hull, or on a facet without being one of
-    its corners, are left out of the faces.  Raises MeshError for fewer
-    than 4 points or a coincident, collinear or coplanar point set.
+    The face order is a function of the triangles alone: each face
+    starts at its smallest id, and the rows ascend by their sorted ids.
+    Reversing every winding keeps both rules, so a mirrored point set
+    gets ``faces[:, [0, 2, 1]]`` although qhull lists its facets in an
+    order of its own.  Points strictly inside the hull, or on a facet
+    without being one of its corners, are left out of the faces.
+    Raises MeshError for fewer than 4 points or a coincident, collinear
+    or coplanar point set.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -45,7 +50,11 @@ def convex_hull(points):
     normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     inward = np.einsum("ij,ij->i", normals, hull.equations[:, :3]) < 0
     faces[inward] = faces[inward, ::-1]
-    return faces
+    # start each face at its smallest id, then order the rows by their
+    # sorted ids: min, middle (the sum less min and max), max
+    faces = np.take_along_axis(faces, (faces.argmin(axis=1)[:, None] + np.arange(3)) % 3, 1)
+    low, high = faces[:, 0], faces.max(axis=1)
+    return faces[np.argsort((low * n + faces.sum(axis=1) - low - high) * n + high)]
 
 
 def spherical_delaunay(points):
@@ -72,9 +81,11 @@ def spherical_delaunay(points):
 
 
 def sphere_triangulation(sphere_map):
-    """Spherical Delaunay mesh of a parameterization, reusing the hull
-    the pipeline already built when available (so induced and spherical
-    meshes always share one connectivity)."""
+    """Spherical Delaunay mesh of a parameterization.  A map from
+    ``parameterize`` or ``read_map`` carries its triangulation, which is
+    reused, so induced and spherical meshes share one connectivity; only
+    a map built by hand, without ``delaunay_faces``, is triangulated
+    here."""
     faces = sphere_map.delaunay_faces
     if faces is None:
         return spherical_delaunay(sphere_map.images)
@@ -312,16 +323,12 @@ def cube_sphere(resolution):
     keys = keys.reshape(-1, 3)
     width = 2 * r + 1
     code = ((keys[:, 0] + r) * width + keys[:, 1] + r) * width + keys[:, 2] + r
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    # number the vertices in first-seen order
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    p = np.tan(0.25 * np.pi * keys[first[order]].astype(np.float64) / r)
+    ids, first, _ = first_occurrence_ids(code)
+    p = np.tan(0.25 * np.pi * keys[first].astype(np.float64) / r)
     # a matmul row product rounds like the dot product inside
     # np.linalg.norm of one row; a sum of squares does not
     verts = p / np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
-    return SurfaceMesh(verts, rank[inverse].reshape(-1, 4))
+    return SurfaceMesh(verts, ids.reshape(-1, 4))
 
 
 def quad_mesh(sphere_map, resolution):

@@ -71,7 +71,7 @@ class SphericalMap:
     iterations: int
     converged: bool
     stage_seconds: dict = None  # wall clock per pipeline stage
-    delaunay_faces: np.ndarray = None  # hull connectivity cached by the pipeline
+    delaunay_faces: np.ndarray = None  # hull faces, kept by parameterize and read_map
 
     @property
     def n(self):
@@ -238,8 +238,11 @@ def _fix_orientation(images, points):
     This is the one place the map's orientation is decided.  The hull
     of the images is outward-oriented by construction; if that
     connectivity encloses negative volume over the original points, the
-    parameterization is a reflection and negating x fixes it (the same
-    connectivity with reversed winding is the mirrored hull exactly).
+    parameterization is a reflection and negating x fixes it.  The
+    faces then keep their rows with every winding reversed, which is
+    what ``spherical_delaunay`` gives for the mirrored images (see
+    ``convex_hull``), up to cocircular images, which triangulate
+    either way.
 
     Returns the corrected images plus the hull faces, so the meshing
     layer can reuse the triangulation instead of rebuilding it.  Raises
@@ -249,7 +252,7 @@ def _fix_orientation(images, points):
     if SurfaceMesh(points - points.mean(axis=0), faces).signed_volume() < 0:
         images = images.copy()
         images[:, 0] = -images[:, 0]
-        faces = faces[:, ::-1].copy()
+        faces = faces.take([0, 2, 1], axis=1)  # C-ordered, unlike faces[:, [0, 2, 1]]
     return images, faces
 
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from spheremesh import ParamConfig, parameterize
 from spheremesh.cli import build_parser, main
 
 
@@ -138,6 +139,32 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments: --weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "40"), ("--r-percent", "20"), ("--epsilon", "1e-3"), ("--max-iters", "4"),
+    ])
+    @pytest.mark.parametrize("command", ["mesh", "quad", "multilevel"])
+    def test_map_setting_with_map_exits_2_before_any_file(self, command, flag, value,
+                                                          tmp_path, capsys):
+        # a saved map was solved with its own settings, which the flag
+        # would not change
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, str(tmp_path / "cloud.xyz"), "-o", str(tmp_path / "out"),
+                     "--map", str(tmp_path / "map.txt"), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            f"error: argument {flag}: not allowed with argument --map")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["param", "mesh", "quad", "multilevel"])
+    def test_help_shows_the_map_defaults(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for text in ("(default 25)", "(default 10.0)", "(default 0.0001)", "(default 16)"):
+            assert text in out
+
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli([])
@@ -243,6 +270,35 @@ class TestPipelineCommands:
         assert run_cli([arg.format(**paths) for arg in command]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["mesh"], ["quad", "--resolution", "2"], ["multilevel", "--levels", "0"],
+    ], ids=["mesh", "quad", "multilevel"])
+    def test_map_settings_reach_the_solve_without_map(self, command, small_sphere_file,
+                                                      tmp_path, monkeypatch):
+        import spheremesh.cli as cli
+
+        configs = []
+
+        def recording(cloud, config):
+            configs.append(config)
+            return parameterize(cloud, config)
+
+        monkeypatch.setattr(cli, "parameterize", recording)
+        code = run_cli([*command, str(small_sphere_file), "-o", str(tmp_path / "out.obj"),
+                        "--k", "20", "--r-percent", "20", "--epsilon", "1e-3",
+                        "--max-iters", "4"])
+        assert code == 0
+        assert configs == [ParamConfig(k=20, r_percent=20.0, epsilon=1e-3, max_ns_iters=4)]
+
+    def test_metrics_k_is_allowed_with_map(self, small_sphere_file, tmp_path):
+        # metrics has no solve: its --k sets the curvature stencil
+        map_path = tmp_path / "map.txt"
+        run_cli(["param", str(small_sphere_file), "-o", str(map_path)])
+        rep = tmp_path / "metrics.json"
+        assert run_cli(["metrics", str(small_sphere_file), "--map", str(map_path),
+                        "--report", str(rep), "--k", "12"]) == 0
+        assert len(json.loads(rep.read_text())["mean_curvature"]) == 700
+
     def test_quad_command(self, small_sphere_file, tmp_path):
         out = tmp_path / "quad.obj"
         code = run_cli(["quad", str(small_sphere_file), "--resolution", "4",
@@ -296,3 +352,29 @@ class TestPipelineCommands:
         assert meta["r_percent"] == 10.0
         assert "weight" not in meta
         assert meta["max_ns_iters"] == 16
+
+
+@pytest.fixture(scope="module")
+def blob_and_map(tmp_path_factory):
+    # the pipeline mirrors this map, and qhull lists the facets of the
+    # mirrored images in an order of its own
+    folder = tmp_path_factory.mktemp("blob")
+    run_cli(["synth", "blob", "-n", "500", "--seed", "0", "-o", str(folder / "c.xyz")])
+    run_cli(["param", str(folder / "c.xyz"), "-o", str(folder / "map.txt")])
+    return folder / "c.xyz", folder / "map.txt"
+
+
+@pytest.mark.parametrize("command", [
+    ["mesh"], ["multilevel", "--levels", "1", "--base-subdivisions", "1"],
+    ["quad", "--resolution", "4"],
+], ids=["mesh", "multilevel", "quad"])
+def test_saved_map_meshes_to_the_same_bytes(command, blob_and_map, tmp_path):
+    cloud, map_path = blob_and_map
+    written = []
+    for folder, extra in (("solved", []), ("saved", ["--map", str(map_path)])):
+        (tmp_path / folder).mkdir()
+        out = tmp_path / folder / ("out" if command[0] == "multilevel" else "out.obj")
+        assert run_cli([*command, str(cloud), "-o", str(out), *extra]) == 0
+        written.append({p.name: p.read_bytes() for p in (tmp_path / folder).iterdir()})
+    assert len(written[0]) == (2 if command[0] == "multilevel" else 1)
+    assert written[0] == written[1]

@@ -4,11 +4,14 @@ import pytest
 from spheremesh import (
     CloudError,
     DegenerateNeighborhoodError,
+    PipelineError,
     PointCloud,
+    assemble_lb,
     build_frames,
     build_index,
     knn,
     local_frame,
+    parameterize,
 )
 
 TETRA = np.array(
@@ -46,6 +49,20 @@ class TestPointCloud:
         want, _, unit = PointCloud(TETRA).normalized()
         assert radius == pytest.approx(unit * factor, rel=1e-15)
         np.testing.assert_allclose(norm.points, want.points, rtol=0, atol=1e-15)
+
+    def test_overflowing_cloud_raises_cloud_error(self):
+        # the coordinates sum past the float range; the suite turns a
+        # numpy overflow warning into an error, so none may be emitted
+        cloud = PointCloud(np.column_stack([
+            [1.7e308, 1.6e308, 1.5e308, 1.4e308, 1.3e308], [0, 1, 0, 1, 2], [0, 0, 1, 1, 0.5],
+        ]))
+        with pytest.raises(CloudError, match="cloud extent inf"):
+            cloud.normalized()
+        with pytest.raises(PipelineError, match="cloud extent inf") as info:
+            parameterize(cloud)
+        assert info.value.stage == "input validation"
+        with pytest.raises(CloudError, match="cloud extent inf"):
+            assemble_lb(cloud)
 
     def test_normalized_roundtrip(self):
         rng = np.random.default_rng(3)

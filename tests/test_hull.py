@@ -49,6 +49,18 @@ class TestConvexHull:
         assert mesh.euler_characteristic() == 2
         assert empty_halfspace_violations(corners, faces) == 0
 
+    def test_face_order(self):
+        # each face starts at its smallest id; rows ascend by sorted ids
+        faces = convex_hull(uniform_sphere(300, seed=2))
+        np.testing.assert_array_equal(faces[:, 0], faces.min(axis=1))
+        assert (np.diff(np.sort(faces, axis=1) @ [300**2, 300, 1]) > 0).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mirrored_points_reverse_every_winding(self, seed):
+        pts = uniform_sphere(400, seed=seed) * [1.0, 2.0, 0.5]
+        faces = convex_hull(pts)
+        np.testing.assert_array_equal(convex_hull(pts * [-1.0, 1.0, 1.0]), faces[:, [0, 2, 1]])
+
     def test_random_sphere_oracle(self):
         for seed in range(6):
             n = 100 + 80 * seed

@@ -11,9 +11,12 @@ from hypothesis.extra.numpy import arrays
 from spheremesh import (
     CloudError,
     FileFormatError,
+    MeshError,
     SurfaceMesh,
+    convex_hull,
     cube_sphere,
     icosphere,
+    parameterize,
     read_cloud,
     read_map,
     read_mesh,
@@ -24,7 +27,7 @@ from spheremesh import (
 from spheremesh import fileio
 from spheremesh.fileio import _BLOCK_ROWS, _write_floats, _write_ints
 from spheremesh.param import ParamConfig, SphericalMap
-from spheremesh.synth import sphere_cloud
+from spheremesh.synth import blob_cloud, sphere_cloud
 
 TETRA = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
 
@@ -650,6 +653,29 @@ class TestWriteFloats:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+
+class TestReadMapTriangulation:
+    def test_mirrored_map_reads_back_its_faces(self, tmp_path):
+        # the pipeline mirrors this map, and qhull lists the facets of the
+        # mirrored images in an order of its own
+        cloud = blob_cloud(500, 0)
+        m = parameterize(cloud)
+        unmirrored = convex_hull(m.images * [-1.0, 1.0, 1.0])
+        assert SurfaceMesh(cloud.points - cloud.centroid(), unmirrored).signed_volume() < 0
+        assert m.delaunay_faces.flags.c_contiguous  # SurfaceMesh wraps it without a copy
+        path = tmp_path / "map.txt"
+        write_map(m, path)
+        np.testing.assert_array_equal(read_map(path, cloud).delaunay_faces, m.delaunay_faces)
+
+    def test_absorbed_image_fails_when_read(self, tmp_path):
+        cloud = sphere_cloud(10, seed=6)
+        images = cloud.points.copy()
+        images[4] = images[3]
+        path = tmp_path / "map.txt"
+        write_map(SphericalMap(cloud, images, [], 0, True), path)
+        with pytest.raises(MeshError, match="absorbed by the hull"):
+            read_map(path, cloud)
 
 
 class TestReadMapValidation:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spheremesh import MeshError, SurfaceMesh
+from spheremesh.mesh import first_occurrence_ids
 
 TETRA_V = np.array(
     [[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
@@ -69,6 +70,12 @@ class TestSurfaceMesh:
         np.testing.assert_array_equal(edge_of, [[0, 1, 2], [3, 4, 0], [2, 5, 3]])
         np.testing.assert_array_equal(counts, [2, 1, 2, 2, 1, 1])
 
+    def test_first_occurrence_ids(self):
+        ids, first, counts = first_occurrence_ids(np.array([7, 3, 7, 9, 3, 3]))
+        np.testing.assert_array_equal(ids, [0, 1, 0, 2, 1, 1])
+        np.testing.assert_array_equal(first, [0, 1, 3])
+        np.testing.assert_array_equal(counts, [2, 3, 1])
+
     def test_inward_orientation_detected(self):
         faces = TETRA_F[:, ::-1]
         mesh = SurfaceMesh(TETRA_V, faces)
@@ -97,6 +104,14 @@ class TestSurfaceMesh:
         assert mesh.is_closed() and mesh.is_oriented()
         assert mesh.signed_volume() == pytest.approx(1.0)
         np.testing.assert_allclose(mesh.corner_angles(), np.pi / 2, atol=1e-12)
+
+    @pytest.mark.parametrize("vertices, faces, message", [
+        (np.zeros((4, 2)), [[0, 1, 2]], "bad vertex array shape"),
+        (np.zeros((4, 3)), [[0, 1]], "faces must be triangles or quads"),
+    ], ids=["planar-vertices", "two-corner-faces"])
+    def test_bad_shapes_rejected(self, vertices, faces, message):
+        with pytest.raises(MeshError, match=message):
+            SurfaceMesh(vertices, faces)
 
     def test_bad_indices_rejected(self):
         with pytest.raises(MeshError):

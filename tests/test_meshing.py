@@ -67,6 +67,10 @@ class TestSphericalDelaunay:
         assert mesh.n_faces == 8
         assert len(mesh.edges()) == 12
 
+    def test_too_few_points_rejected(self):
+        with pytest.raises(MeshError, match="need at least 4 points"):
+            spherical_delaunay(np.eye(3))
+
     def test_off_sphere_rejected(self):
         with pytest.raises(MeshError, match="unit sphere"):
             spherical_delaunay(2.0 * uniform_sphere(10, seed=0))
@@ -334,6 +338,10 @@ class TestCubeSphere:
     def test_resolution_zero_rejected(self):
         with pytest.raises(MeshError, match="resolution must be at least 1"):
             cube_sphere(0)
+
+    def test_quads_are_not_loop_subdivided(self):
+        with pytest.raises(MeshError, match="needs a triangle mesh"):
+            loop_subdivide(cube_sphere(1))
 
     def test_resolution_one_is_cube(self):
         mesh = cube_sphere(1)

@@ -6,6 +6,7 @@ from spheremesh import (
     PointCloud,
     SurfaceMesh,
     angle_distortion,
+    cube_sphere,
     delaunay_ratio,
     icosphere,
     induce_mesh,
@@ -101,6 +102,10 @@ class TestDelaunayRatio:
         cloud = PointCloud(pts)
         mesh = induce_mesh(cloud, parameterize(cloud))
         assert delaunay_ratio(mesh) == reference_delaunay_ratio(mesh)
+
+    def test_quad_mesh_rejected(self):
+        with pytest.raises(MeshError, match="defined for triangle meshes"):
+            delaunay_ratio(cube_sphere(1))
 
     def test_single_triangle_has_no_interior_edge(self):
         mesh = SurfaceMesh(np.eye(3), np.array([[0, 1, 2]]))
