@@ -50,9 +50,10 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import PointCloud, find_duplicate, xyz_array
-from .errors import CloudError, FileFormatError
+from .errors import CloudError, FileFormatError, MeshError
 from .mesh import SurfaceMesh
 from .meshing import spherical_delaunay
+from .param import SphericalMap
 
 _BLOCK_ROWS = 4096  # rows formatted per write; bounds the temporaries
 _SPLIT = 2.0**27 + 1  # Veltkamp's splitter: a double into two 26-bit halves
@@ -593,9 +594,7 @@ def read_map(path, cloud):
     triangulation: ``delaunay_faces`` is the spherical Delaunay mesh of
     the images, built once here and reused by every mesh of the map.
     Raises MeshError when the images are not unit vectors or the hull
-    leaves one out."""
-    from .param import SphericalMap
-
+    leaves one out, with the path in front of its message."""
     images = np.zeros((cloud.n, 3))
     first_line = {}  # id -> line that set it
     for lineno, fields in _lines(path):
@@ -638,8 +637,11 @@ def read_map(path, cloud):
     converged = meta.get("converged", True)
     if type(converged) is not bool:
         raise FileFormatError(f"{meta_path}: converged must be true or false")
+    try:
+        faces = spherical_delaunay(images).faces
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
     return SphericalMap(
         cloud=cloud, images=images, history=history,
-        iterations=len(history), converged=converged,
-        delaunay_faces=spherical_delaunay(images).faces,
+        iterations=len(history), converged=converged, delaunay_faces=faces,
     )

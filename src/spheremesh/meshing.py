@@ -154,8 +154,10 @@ class SphereInterpolator:
     visibility walk on the hull (Devillers, Pion & Teillaud, "Walking in
     a triangulation", IJFCS 2002): a sample whose current face fails the
     ray test steps across the side opposite its most negative weight.
-    Samples still walking after ``_WALK_ROUNDS`` rounds, and every
-    sample of a hull that leaves out the origin, go to ``locate``.
+    A ray that hits a face hits the exit face, on any hull, so a walk
+    stops only there; samples still walking after ``_WALK_ROUNDS``
+    rounds, as the rays that miss a hull leaving out the origin do, go
+    to ``locate``.
     """
 
     def __init__(self, sphere_map):
@@ -223,9 +225,6 @@ class SphereInterpolator:
         so a hit is the face ``locate`` returns (up to a sample on a
         shared edge), with the same weights.  Samples unresolved after
         ``_WALK_ROUNDS`` rounds go to ``locate``, which alone snaps."""
-        if self._exit_ids.size < len(self._offsets):
-            # the origin lies outside the hull, and most rays miss it
-            return self.locate(samples)
         s = _directions(samples)
         if self._neighbours is None:
             # the face across side e (corner e to e + 1) of each face
@@ -378,10 +377,8 @@ def _subdivide_sphere(mesh):
     """One Loop subdivision with the vertices pushed back onto the unit
     sphere: the step between consecutive icospheres."""
     mesh = loop_subdivide(mesh)
-    return SurfaceMesh(
-        mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True),
-        mesh.faces,
-    )
+    mesh.vertices /= np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
+    return mesh
 
 
 def loop_subdivide(mesh):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshError
-from .laplacian import mean_curvature, mean_curvature_from_coefficients  # noqa: F401
+from .laplacian import mean_curvature  # noqa: F401
 
 DELAUNAY_SLACK = 1e-12
 
@@ -38,9 +38,7 @@ class QualityReport:
 def angle_distortion(source_mesh, sphere_mesh):
     """Per-corner absolute angle differences between two meshes sharing
     connectivity, in degrees, plus their mean and standard deviation."""
-    if source_mesh.faces.shape != sphere_mesh.faces.shape or not np.array_equal(
-        source_mesh.faces, sphere_mesh.faces
-    ):
+    if not np.array_equal(source_mesh.faces, sphere_mesh.faces):
         raise MeshError("angle distortion needs identical connectivity")
     diffs = np.degrees(
         np.abs(source_mesh.corner_angles() - sphere_mesh.corner_angles())

@@ -249,7 +249,7 @@ def _fix_orientation(images, points):
     MeshError when the hull leaves out an image.
     """
     faces = spherical_delaunay(images).faces
-    if SurfaceMesh(points - points.mean(axis=0), faces).signed_volume() < 0:
+    if SurfaceMesh(points, faces).signed_volume() < 0:
         images = images.copy()
         images[:, 0] = -images[:, 0]
         faces = faces.take([0, 2, 1], axis=1)  # C-ordered, unlike faces[:, [0, 2, 1]]
@@ -307,8 +307,8 @@ def parameterize(cloud, config=None):
 
 
 def _reject_planar(cloud):
-    pts = cloud.points - cloud.points.mean(axis=0)
-    evals = np.linalg.eigvalsh(pts.T @ pts)
+    # the points of cloud.normalized() are centred
+    evals = np.linalg.eigvalsh(cloud.points.T @ cloud.points)
     if evals[0] <= 1e-12 * evals[-1]:
         raise SphereMeshError(
             "input cloud is planar; a closed genus-0 sampling is required"

@@ -8,6 +8,8 @@ import numpy as np
 
 from .cloud import PointCloud
 
+_DISK_JITTER = 0.35  # interior grid jitter of disk_cloud, in grid spacings
+
 
 def sphere_cloud(n, seed=0):
     """n points uniform on the unit sphere."""
@@ -87,7 +89,7 @@ def punch_holes(cloud, holes, hole_radius=0.15, seed=0):
     return PointCloud(cloud.points[keep])
 
 
-def disk_cloud(n, seed=0, jitter=0.35):
+def disk_cloud(n, seed=0):
     """Unit-disk cloud: jittered interior grid plus an exact boundary
     circle, trimmed/padded to exactly n points.
 
@@ -103,7 +105,7 @@ def disk_cloud(n, seed=0, jitter=0.35):
         ax = np.arange(-1.0, 1.0 + g / 2, g)
         xx, yy = np.meshgrid(ax, ax)
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        pts = pts + rng.uniform(-jitter * g, jitter * g, pts.shape)
+        pts = pts + rng.uniform(-_DISK_JITTER * g, _DISK_JITTER * g, pts.shape)
         inside = np.hypot(pts[:, 0], pts[:, 1]) < 1.0 - 0.8 * g
         interior = pts[inside]
         m = min(int(np.ceil(2.0 * np.pi / g)), n)  # a tiny n is all ring

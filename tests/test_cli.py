@@ -378,3 +378,15 @@ def test_saved_map_meshes_to_the_same_bytes(command, blob_and_map, tmp_path):
         written.append({p.name: p.read_bytes() for p in (tmp_path / folder).iterdir()})
     assert len(written[0]) == (2 if command[0] == "multilevel" else 1)
     assert written[0] == written[1]
+
+
+def test_rejected_map_file_is_named(blob_and_map, tmp_path, capsys):
+    cloud, map_path = blob_and_map
+    lines = map_path.read_text().splitlines(keepends=True)
+    assert lines[4].startswith("4 ")
+    lines[4] = "4 0.5 0.5 0.5\n"
+    bad = tmp_path / "m.txt"
+    bad.write_text("".join(lines))
+    assert run_cli(["mesh", str(cloud), "--map", str(bad), "-o", str(tmp_path / "o.obj")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {bad}: points are not on the unit sphere")

@@ -1,5 +1,7 @@
 """No module of the package imports another module's private names: a
-name with a leading underscore is used only where it is defined."""
+name with a leading underscore is used only where it is defined.  And
+no module imports a name it does not use, unless another module of the
+package imports that name from it."""
 
 import ast
 from pathlib import Path
@@ -41,3 +43,49 @@ def test_private_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_imports_private_names(path):
     assert private_imports(path.read_text()) == []
+
+
+def bound_imports(tree):
+    """name -> line of every name that an import in ``tree`` binds."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    return bound
+
+
+def dead_imports(source, reexported=frozenset()):
+    """``line: name`` of every imported name that ``source`` never reads
+    and that is not in ``reexported``."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{line}: {name}" for name, line in bound_imports(tree).items()
+            if name not in read and name not in reexported]
+
+
+def reexports(module):
+    """Names that the package's modules import from ``module``."""
+    names = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_dead_imports_are_found():
+    source = "import numpy as np\nfrom .laplacian import mean_curvature, lb_pass\nlb_pass(np)\n"
+    assert dead_imports(source) == ["2: mean_curvature"]
+    assert dead_imports(source, {"mean_curvature"}) == []
+    # a field of the same name is not a read of the import
+    assert dead_imports("from .x import h\nclass R:\n    h: float = 0\n") == ["1: h"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda path: path.name)
+def test_every_import_is_used_or_reexported(path):
+    assert dead_imports(path.read_text(), reexports(path.stem)) == []

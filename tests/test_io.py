@@ -425,12 +425,19 @@ def _faces(n, arity, seed=0):
     return np.random.default_rng(seed).integers(0, max(n, 1), size=(n, arity))
 
 
-ROW_COUNTS = [0, 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1]
+# the writers run with blocks of _TEST_BLOCK rows, so that the row
+# counts, and the test ids that carry them, do not follow _BLOCK_ROWS
+_TEST_BLOCK = 4096
+ROW_COUNTS = [0, 1, _TEST_BLOCK, 2 * _TEST_BLOCK + 1]
 
 
 class TestBlockWriters:
     """Each writer gives the bytes of a per-row formatter at row counts
     that leave a block empty, partial, exactly full, and spilling over."""
+
+    @pytest.fixture(autouse=True)
+    def _test_block(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK_ROWS", _TEST_BLOCK)
 
     @pytest.mark.parametrize("n", ROW_COUNTS)
     def test_xyz(self, tmp_path, n):
@@ -674,7 +681,17 @@ class TestReadMapTriangulation:
         images[4] = images[3]
         path = tmp_path / "map.txt"
         write_map(SphericalMap(cloud, images, [], 0, True), path)
-        with pytest.raises(MeshError, match="absorbed by the hull"):
+        with pytest.raises(MeshError, match=f"^{re.escape(str(path))}: .*absorbed by the hull"):
+            read_map(path, cloud)
+
+    def test_off_sphere_image_fails_when_read(self, tmp_path):
+        cloud = sphere_cloud(10, seed=6)
+        images = cloud.points.copy()
+        images[4] = 0.5
+        path = tmp_path / "map.txt"
+        write_map(SphericalMap(cloud, images, [], 0, True), path)
+        message = f"^{re.escape(str(path))}: points are not on the unit sphere$"
+        with pytest.raises(MeshError, match=message):
             read_map(path, cloud)
 
 

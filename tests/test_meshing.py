@@ -437,6 +437,17 @@ class TestMultilevel:
         got = hashlib.sha256(faces.astype("<i8").tobytes()).hexdigest()
         assert got[:16] == digest
 
+    @pytest.mark.parametrize(
+        "k, digest",
+        [(0, "25c2ce4291cc17ab"), (2, "4ba9fb9c407e7660"), (5, "281188552dcc2b46")],
+    )
+    def test_icosphere_vertices_pinned(self, k, digest):
+        # each level is normalized in place in the mesh Loop subdivision
+        # returns; the vertices must stay bit-exact
+        vertices = icosphere(k).vertices
+        got = hashlib.sha256(vertices.astype("<f8").tobytes()).hexdigest()
+        assert got[:16] == digest
+
     def test_loop_subdivision_face_layout(self):
         # face 4i + c (c < 3) is (corner c, edge point of side c, edge
         # point of side c - 1), and 4i + 3 the three edge points: the
@@ -602,7 +613,9 @@ class TestWalk:
             # around the origin nearly every walk ends within the cap
             assert left < 0.001
         else:
-            assert left == 1.0
+            # rays that hit a crowded hull end their walk at the exit
+            # face; only the rays that miss it go to locate
+            assert left < 1.0
 
     @pytest.mark.parametrize("setting, value", [
         ("_WALK_ROUNDS", 1), ("_CHUNK", 7), ("_CHUNK", 10_000),
