@@ -40,6 +40,7 @@ POINT_COUNT = _checked(int, lambda n: n >= 4, "an integer of at least 4")
 COUNT = _checked(int, lambda n: n >= 0, "a non-negative integer")
 POSITIVE = _checked(int, lambda n: n >= 1, "a positive integer")
 AMPLITUDE = _checked(float, lambda x: 0 <= x < math.inf, "a non-negative number")
+DISPLACEMENT = _checked(float, lambda x: 0 <= x < 1, "a number in [0, 1)")
 SEMI_AXES = _checked(
     lambda text: tuple(float(v) for v in text.split(",")),
     lambda axes: len(axes) == 3 and all(0 < a < math.inf for a in axes),
@@ -74,7 +75,7 @@ def build_parser():
     p.add_argument("--seed", type=COUNT, default=0)
     p.add_argument("--axes", type=SEMI_AXES, default=(2.0, 1.0, 1.0),
                    help="ellipsoid semi-axes a,b,c (default 2,1,1)")
-    p.add_argument("--displacement", type=AMPLITUDE, default=0.3,
+    p.add_argument("--displacement", type=DISPLACEMENT, default=0.3,
                    help="blob peak radial displacement (default 0.3)")
     p.add_argument("--noise", type=AMPLITUDE, default=0.0,
                    help="uniform noise amplitude relative to bounding radius")
@@ -221,11 +222,11 @@ def cmd_bench_weights(args):
         n=args.n, a=args.mobius_a, seed=args.seed, k=args.k
     )
     print(f"{'weight':<14} {'mean error':>12} {'max error':>12}")
-    for e in result.errors:
-        print(f"{e.weight:<14} {e.mean_error:>12.3e} {e.max_error:>12.3e}")
+    for kind, e in result["errors"].items():
+        print(f"{kind:<14} {e['mean']:>12.3e} {e['max']:>12.3e}")
     if args.output:
         with open(args.output, "w") as fh:
-            json.dump(result.as_dict(), fh, indent=2, sort_keys=True)
+            json.dump(result, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0
 

@@ -642,6 +642,6 @@ def read_map(path, cloud):
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc
     return SphericalMap(
-        cloud=cloud, images=images, history=history,
-        iterations=len(history), converged=converged, delaunay_faces=faces,
+        cloud=cloud, images=images, history=history, converged=converged,
+        delaunay_faces=faces,
     )

@@ -61,14 +61,13 @@ class ParamConfig:
             raise ValueError("max_ns_iters must be at least 1")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SphericalMap:
     """Unit-sphere images of a cloud plus the iteration history."""
 
     cloud: PointCloud
     images: np.ndarray  # (n, 3) unit vectors
     history: list  # aligned movement of each N-S comparison (see ns_iterate)
-    iterations: int
     converged: bool
     stage_seconds: dict = None  # wall clock per pipeline stage
     delaunay_faces: np.ndarray = None  # hull faces, kept by parameterize and read_map
@@ -76,6 +75,11 @@ class SphericalMap:
     @property
     def n(self):
         return self.images.shape[0]
+
+    @property
+    def iterations(self):
+        """The number of N-S comparisons, one per history entry."""
+        return len(self.history)
 
 
 def _outermost(w, r_percent):
@@ -299,7 +303,6 @@ def parameterize(cloud, config=None):
         cloud=cloud,
         images=images,
         history=history,
-        iterations=len(history),
         converged=converged,
         stage_seconds=timings,
         delaunay_faces=faces,

@@ -50,8 +50,11 @@ def blob_cloud(n, seed=0, max_displacement=0.3):
 
     Seeded coefficients over all real spherical harmonics of degree 1-3,
     rescaled so the largest radial displacement over the sampled
-    directions is exactly ``max_displacement``.
+    directions is exactly ``max_displacement``, which must lie in [0, 1)
+    so that every radius ``1 + disp`` stays positive.
     """
+    if not 0.0 <= max_displacement < 1.0:
+        raise ValueError(f"max_displacement must be in [0, 1), got {max_displacement}")
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=len(_HARMONICS))
     dirs = sphere_cloud(n, seed=rng.integers(2**31)).points

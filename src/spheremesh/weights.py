@@ -1,29 +1,22 @@
 """Weighting functions for the moving-least-squares fit.
 
-All weights take the ambient Euclidean distance of a neighbor to the
-stencil center and are evaluated over whole stencil rows at once by
-:func:`stencil_weights`: ``h``, the stencil radius, is each row's last
-(largest) distance and ``k``, the stencil size, is the row length.
+The four kinds are the weights of the paper's disk conformal-recovery
+experiment, in the order of its table.  All take the ambient Euclidean
+distance of a neighbor to the stencil center and are evaluated over
+whole stencil rows at once by :func:`stencil_weights`: ``h``, the
+stencil radius, is each row's last (largest) distance and ``k``, the
+stencil size, is the row length.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-VARIANTS = (
-    "constant",
-    "exponential",
-    "inverse_square",
-    "wendland",
-    "special",
-    "proposed",
-)
+VARIANTS = ("wendland", "exponential", "special", "proposed")
 
 # Wendland support slightly beyond the stencil radius so every stencil
 # point keeps a positive weight
 WENDLAND_SUPPORT_FACTOR = 1.05
-# guard radius of the inverse-square weight, relative to h
-INVERSE_SQUARE_GUARD_FACTOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -33,9 +26,9 @@ class Weight:
     Parameters
     ----------
     kind : str
-        One of ``constant``, ``exponential`` (the Gaussian comparison
-        weight), ``inverse_square``, ``wendland``, ``special`` (uniform
-        1/k off-center), or ``proposed`` (Gaussian-type,
+        One of :data:`VARIANTS`: ``wendland``, ``exponential`` (the
+        Gaussian comparison weight), ``special`` (uniform 1/k
+        off-center), or ``proposed`` (Gaussian-type,
         ``exp(-sqrt(k) d^2 / h^2) / k`` off-center, 1 at the center).
     """
 
@@ -56,13 +49,8 @@ def stencil_weights(spec, dists):
     h = d[:, -1:]
     k = d.shape[1]
     kind = spec.kind
-    if kind == "constant":
-        return np.ones_like(d)
     if kind == "exponential":
         return np.exp(-(d / h) ** 2)
-    if kind == "inverse_square":
-        eps = INVERSE_SQUARE_GUARD_FACTOR * h
-        return 1.0 / (d * d + eps * eps)
     if kind == "wendland":
         big_d = WENDLAND_SUPPORT_FACTOR * h
         r = np.clip(1.0 - d / big_d, 0.0, None)

@@ -62,19 +62,19 @@ def test_criterion_1_disk_conformal_recovery():
     start = time.time()
     result = run_disk_experiment(n=2000, a=0.3, seed=0)
     elapsed = time.time() - start
-    by = result.by_weight()
-    proposed = by["proposed"]
-    assert proposed.mean_error <= 2e-3
-    assert proposed.max_error <= 5e-2
-    assert proposed.mean_error <= by["wendland"].mean_error
-    assert proposed.mean_error <= by["exponential"].mean_error
+    errors = result["errors"]
+    proposed = errors["proposed"]
+    assert proposed["mean"] <= 2e-3
+    assert proposed["max"] <= 5e-2
+    assert proposed["mean"] <= errors["wendland"]["mean"]
+    assert proposed["mean"] <= errors["exponential"]["mean"]
     assert elapsed < 30.0
     report(
         1,
-        f"disk recovery: proposed mean {proposed.mean_error:.2e} "
-        f"(<=2e-3), max {proposed.max_error:.2e} (<=5e-2), beats "
-        f"wendland {by['wendland'].mean_error:.2e} and gaussian "
-        f"{by['exponential'].mean_error:.2e}; {elapsed:.1f}s (<30s)",
+        f"disk recovery: proposed mean {proposed['mean']:.2e} "
+        f"(<=2e-3), max {proposed['max']:.2e} (<=5e-2), beats "
+        f"wendland {errors['wendland']['mean']:.2e} and gaussian "
+        f"{errors['exponential']['mean']:.2e}; {elapsed:.1f}s (<30s)",
     )
 
 
@@ -290,8 +290,7 @@ def test_criterion_10_quad_meshing(sphere_pipeline):
     # the angle window is stated for the sphere-identity case (the quad
     # template pushed through an exact identity parameterization)
     identity = SphericalMap(
-        cloud=cloud, images=cloud.points.copy(), history=[0.0],
-        iterations=1, converged=True,
+        cloud=cloud, images=cloud.points.copy(), history=[0.0], converged=True,
     )
     mesh = quad_mesh(identity, 16)
     assert mesh.n_faces == 6 * 16 * 16

@@ -86,6 +86,8 @@ BAD_FLAGS = [
                  id="bench-weights-seed"),
     pytest.param(["synth", "blob", "--displacement", "nan", "-o", "{out}"],
                  "--displacement", id="displacement"),
+    pytest.param(["synth", "blob", "--displacement", "1", "-o", "{out}"],
+                 "--displacement", id="displacement-one"),
     pytest.param(["synth", "sphere", "--holes", "3", "--hole-radius", "nan",
                   "-o", "{out}"], "--hole-radius", id="hole-radius"),
 ]
@@ -334,12 +336,15 @@ class TestPipelineCommands:
         assert len(report["mean_curvature"]) == 700
 
     def test_bench_weights_command(self, tmp_path):
-        out = tmp_path / "bench.json"
-        code = run_cli(["bench-weights", "-n", "600", "--seed", "0",
-                        "-o", str(out)])
-        assert code == 0
-        table = json.loads(out.read_text())
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            code = run_cli(["bench-weights", "-n", "600", "--seed", "0",
+                            "-o", str(out)])
+            assert code == 0
+        table = json.loads(outs[0].read_text())
         assert "proposed" in table["errors"]
+        # the table holds no timing, so a seed gives the same bytes
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_param_defaults_match_reference_setup(self, small_sphere_file,
                                                   tmp_path):

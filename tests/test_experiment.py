@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spheremesh.experiment import mobius_disk_map, run_disk_experiment
+from spheremesh.weights import VARIANTS
 
 
 class TestMobius:
@@ -22,23 +23,26 @@ class TestMobius:
     def test_bad_parameter(self):
         with pytest.raises(ValueError):
             mobius_disk_map(1.0)
+        with pytest.raises(ValueError, match=r"\|a\| must be < 1"):
+            mobius_disk_map(complex("nan"))
+        with pytest.raises(ValueError, match=r"\|a\| must be < 1"):
+            run_disk_experiment(n=300, a=float("nan"))
 
 
 class TestDiskExperiment:
     def test_identity_map_errors_at_solver_tolerance(self):
         result = run_disk_experiment(n=600, a=0.0, seed=0)
-        for e in result.errors:
-            assert e.max_error <= 1e-9
+        for e in result["errors"].values():
+            assert e["max"] <= 1e-9
 
     def test_proposed_weight_beats_comparisons(self):
-        result = run_disk_experiment(n=1200, a=0.3, seed=0)
-        by = result.by_weight()
-        assert by["proposed"].mean_error <= by["wendland"].mean_error
-        assert by["proposed"].mean_error <= by["exponential"].mean_error
+        errors = run_disk_experiment(n=1200, a=0.3, seed=0)["errors"]
+        assert errors["proposed"]["mean"] <= errors["wendland"]["mean"]
+        assert errors["proposed"]["mean"] <= errors["exponential"]["mean"]
 
     def test_result_dict_shape(self):
-        result = run_disk_experiment(n=600, a=0.2, seed=1)
-        d = result.as_dict()
-        assert set(d["errors"]) == {"wendland", "exponential", "special",
-                                    "proposed"}
-        assert d["n"] == 600
+        d = run_disk_experiment(n=600, a=0.2, seed=1)
+        assert list(d) == ["n", "seed", "mobius_a", "k", "errors"]
+        assert list(d["errors"]) == list(VARIANTS)
+        assert all(list(e) == ["mean", "max"] for e in d["errors"].values())
+        assert (d["n"], d["seed"], d["mobius_a"], d["k"]) == (600, 1, [0.2, 0.0], 25)

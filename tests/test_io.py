@@ -1,4 +1,5 @@
 import io
+import json
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -264,7 +265,7 @@ class TestMapSerialization:
         cloud = sphere_cloud(40, seed=3)
         m = SphericalMap(
             cloud=cloud, images=cloud.points.copy(),
-            history=[0.5, 0.01, 1e-5], iterations=3, converged=True,
+            history=[0.5, 0.01, 1e-5], converged=True,
         )
         path = tmp_path / "map.txt"
         config = ParamConfig(k=12, epsilon=2e-4)
@@ -273,8 +274,6 @@ class TestMapSerialization:
         back = read_map(path, cloud)
         np.testing.assert_array_equal(back.images, m.images)
         assert back.history == m.history
-
-        import json
 
         meta = json.loads((tmp_path / "map.txt.json").read_text())
         for key in ("k", "r_percent", "epsilon", "iterations",
@@ -287,11 +286,26 @@ class TestMapSerialization:
     def test_size_mismatch_rejected(self, tmp_path):
         cloud = sphere_cloud(40, seed=4)
         other = sphere_cloud(50, seed=5)
-        m = SphericalMap(cloud, cloud.points.copy(), [], 0, True)
+        m = SphericalMap(cloud=cloud, images=cloud.points.copy(), history=[], converged=True)
         path = tmp_path / "map.txt"
         write_map(m, path)
         with pytest.raises(FileFormatError, match="40"):
             read_map(path, other)
+
+    def test_iterations_follow_the_history(self, tmp_path):
+        cloud = sphere_cloud(40, seed=3)
+        m = SphericalMap(cloud=cloud, images=cloud.points.copy(), history=[], converged=True)
+        assert m.iterations == 0
+        with pytest.raises(AttributeError):
+            m.iterations = 3
+        # a positional call cannot bind converged to an old count
+        with pytest.raises(TypeError):
+            SphericalMap(cloud, cloud.points.copy(), [], 3, True)
+        path = tmp_path / "map.txt"
+        write_map(m, path)
+        meta = json.loads((tmp_path / "map.txt.json").read_text())
+        assert (meta["iterations"], meta["movement_history"]) == (0, [])
+        assert read_map(path, cloud).iterations == 0
 
 
 PLY_HEADER = (
@@ -680,7 +694,7 @@ class TestReadMapTriangulation:
         images = cloud.points.copy()
         images[4] = images[3]
         path = tmp_path / "map.txt"
-        write_map(SphericalMap(cloud, images, [], 0, True), path)
+        write_map(SphericalMap(cloud=cloud, images=images, history=[], converged=True), path)
         with pytest.raises(MeshError, match=f"^{re.escape(str(path))}: .*absorbed by the hull"):
             read_map(path, cloud)
 
@@ -689,7 +703,7 @@ class TestReadMapTriangulation:
         images = cloud.points.copy()
         images[4] = 0.5
         path = tmp_path / "map.txt"
-        write_map(SphericalMap(cloud, images, [], 0, True), path)
+        write_map(SphericalMap(cloud=cloud, images=images, history=[], converged=True), path)
         message = f"^{re.escape(str(path))}: points are not on the unit sphere$"
         with pytest.raises(MeshError, match=message):
             read_map(path, cloud)
@@ -699,7 +713,7 @@ class TestReadMapValidation:
     @pytest.fixture
     def written(self, tmp_path):
         cloud = sphere_cloud(10, seed=6)
-        m = SphericalMap(cloud, cloud.points.copy(), [], 0, True)
+        m = SphericalMap(cloud=cloud, images=cloud.points.copy(), history=[], converged=True)
         path = tmp_path / "map.txt"
         write_map(m, path)
         return cloud, path, path.read_text().splitlines(keepends=True)

@@ -28,6 +28,7 @@ from spheremesh import (
 from spheremesh.cloud import SpatialIndex
 from spheremesh.laplacian import SparseOperator, assemble_lb_from_frames, lb_pass
 from spheremesh.synth import blob_cloud
+from spheremesh.weights import VARIANTS
 
 from conftest import uniform_sphere
 
@@ -73,8 +74,7 @@ class TestMlsFit:
         rng = np.random.default_rng(2)
         coords = stencil_coords(seed=3)
         x, y = coords[:, 0], coords[:, 1]
-        for kind in ("constant", "exponential", "inverse_square", "wendland",
-                     "special", "proposed"):
+        for kind in VARIANTS:
             c = rng.uniform(-2, 2, size=6)
             heights = c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
             fit = mls_fit(make_frame(coords, heights), Weight(kind))

@@ -33,8 +33,7 @@ def identity_map(points):
     """A sphere cloud parameterized by itself."""
     cloud = PointCloud(points)
     return SphericalMap(
-        cloud=cloud, images=cloud.points.copy(), history=[0.0],
-        iterations=1, converged=True,
+        cloud=cloud, images=cloud.points.copy(), history=[0.0], converged=True,
     )
 
 
@@ -45,7 +44,7 @@ def crowded_map():
     cap = pts - [0.0, 0.0, 3.0]
     return SphericalMap(
         cloud=PointCloud(pts), images=cap / np.linalg.norm(cap, axis=1, keepdims=True),
-        history=[0.0], iterations=1, converged=True,
+        history=[0.0], converged=True,
     )
 
 

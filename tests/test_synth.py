@@ -37,6 +37,13 @@ class TestGenerators:
             abs(np.abs(radii - 1.0).max() - 0.3) < 1e-12
         assert radii.min() >= 0.7 - 1e-12
 
+    @pytest.mark.parametrize("displacement", [1.0, 1.5, -0.1, float("nan")])
+    def test_blob_displacement_outside_unit_interval_rejected(self, displacement):
+        # at 1 a radius 1 + disp reaches 0; beyond it the blob folds
+        # through the origin
+        with pytest.raises(ValueError, match=r"max_displacement must be in \[0, 1\)"):
+            blob_cloud(200, seed=0, max_displacement=displacement)
+
     def test_noise_amplitude(self):
         base = sphere_cloud(500, seed=3)
         noisy = add_noise(base, 0.03, seed=4)
