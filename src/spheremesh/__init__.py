@@ -2,14 +2,10 @@
 
 from .cloud import (
     FrameSet,
-    LocalFrame,
-    NeighborSet,
     PointCloud,
     SpatialIndex,
     build_frames,
     build_index,
-    knn,
-    local_frame,
 )
 from .errors import (
     CloudError,
@@ -22,11 +18,9 @@ from .errors import (
     SphereMeshError,
 )
 from .laplacian import (
-    MlsFit,
     SparseOperator,
     assemble_lb,
     lb_coefficients,
-    lb_row,
     mls_fit,
 )
 from .projections import (
@@ -69,7 +63,6 @@ from .param import (
     pole_distances,
 )
 from .solve import ConstrainedSystem, solve
-from .weights import Weight
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

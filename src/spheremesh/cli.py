@@ -41,6 +41,7 @@ COUNT = _checked(int, lambda n: n >= 0, "a non-negative integer")
 POSITIVE = _checked(int, lambda n: n >= 1, "a positive integer")
 AMPLITUDE = _checked(float, lambda x: 0 <= x < math.inf, "a non-negative number")
 DISPLACEMENT = _checked(float, lambda x: 0 <= x < 1, "a number in [0, 1)")
+ANGLE = _checked(float, lambda x: 0 <= x < math.pi, "an angle in [0, pi)")
 SEMI_AXES = _checked(
     lambda text: tuple(float(v) for v in text.split(",")),
     lambda axes: len(axes) == 3 and all(0 < a < math.inf for a in axes),
@@ -81,7 +82,8 @@ def build_parser():
                    help="uniform noise amplitude relative to bounding radius")
     p.add_argument("--holes", type=COUNT, default=0,
                    help="punch this many disk holes (topological noise)")
-    p.add_argument("--hole-radius", type=AMPLITUDE, default=0.15)
+    p.add_argument("--hole-radius", type=ANGLE, default=0.15,
+                   help="hole cap angle in radians (default 0.15)")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("param", help="compute a spherical parameterization")

@@ -6,6 +6,11 @@ Euclidean 2-norm (center included, distance ties broken by ascending point
 id).  Each point gets a local orthonormal frame from PCA of its
 neighborhood, in which the neighborhood is the graph of a height
 function over the tangent plane.
+
+Both work on batches: :meth:`SpatialIndex.knn_arrays` answers a slice or
+list of points with one row each, and :func:`build_frames` frames every
+row it is given.  A single stencil is a one-row batch,
+``build_frames(points, *index.knn_arrays(k, [i]))``.
 """
 
 from dataclasses import dataclass
@@ -114,15 +119,6 @@ def find_duplicate(pts):
     return (min(i, j), max(i, j))
 
 
-@dataclass
-class NeighborSet:
-    """Exact k-NN of one point, self first, sorted by (distance, id)."""
-
-    center: int
-    indices: np.ndarray  # (k,) point ids, indices[0] == center
-    distances: np.ndarray  # (k,) ascending, distances[0] == 0
-
-
 class SpatialIndex:
     """KD-tree over a cloud answering exact k-NN queries.
 
@@ -178,12 +174,6 @@ def build_index(cloud):
     return SpatialIndex(cloud)
 
 
-def knn(index, center, k):
-    """k-nearest neighborhood of the cloud point ``center`` (inclusive)."""
-    idx, dist = index.knn_arrays(k, [center])
-    return NeighborSet(center=int(center), indices=idx[0], distances=dist[0])
-
-
 @dataclass(eq=False)
 class FrameSet:
     """PCA tangent frames of a batch of stencils (one per center point).
@@ -208,30 +198,6 @@ class FrameSet:
     heights: np.ndarray
     neighbor_ids: np.ndarray
     neighbor_dists: np.ndarray
-
-    def frame(self, i):
-        basis = np.vstack([self.e1[i], self.e2[i], self.e3[i]])
-        return LocalFrame(
-            center=int(self.neighbor_ids[i, 0]),
-            basis=basis,
-            local_coords=self.coords[i],
-            heights=self.heights[i],
-            neighbor_ids=self.neighbor_ids[i],
-            neighbor_dists=self.neighbor_dists[i],
-        )
-
-
-@dataclass
-class LocalFrame:
-    """PCA frame of one neighborhood: basis rows (e1, e2, e3) plus the
-    graph coordinates of each neighbor."""
-
-    center: int
-    basis: np.ndarray  # (3, 3), rows e1, e2, e3
-    local_coords: np.ndarray  # (k, 2)
-    heights: np.ndarray  # (k,)
-    neighbor_ids: np.ndarray  # (k,)
-    neighbor_dists: np.ndarray  # (k,)
 
 
 def build_frames(points, neighbor_ids, neighbor_dists):
@@ -272,10 +238,3 @@ def build_frames(points, neighbor_ids, neighbor_dists):
     )
     heights = np.einsum("nki,ni->nk", rel, e3)
     return FrameSet(e1, e2, e3, coords, heights, neighbor_ids, neighbor_dists)
-
-
-def local_frame(cloud, nbrs):
-    """PCA frame of a single neighborhood: one row of build_frames."""
-    return build_frames(
-        cloud.points, nbrs.indices[None], nbrs.distances[None]
-    ).frame(0)

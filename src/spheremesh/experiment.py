@@ -14,7 +14,7 @@ from .cloud import PointCloud
 from .laplacian import DEFAULT_K, assemble_lb
 from .solve import ConstrainedSystem, solve
 from .synth import disk_cloud
-from .weights import VARIANTS, Weight
+from .weights import VARIANTS
 
 
 def mobius_disk_map(a):
@@ -48,7 +48,7 @@ def run_disk_experiment(n=2000, a=0.3, seed=0, k=DEFAULT_K):
     pinned = np.flatnonzero(boundary)
     errors = {}
     for kind in VARIANTS:
-        operator = assemble_lb(image, k=k, weight_spec=Weight(kind))
+        operator = assemble_lb(image, k=k, weight=kind)
         recovered = solve(ConstrainedSystem(operator, pinned, z[pinned]))
         err = np.abs(recovered - z)
         errors[kind] = {"mean": float(err.mean()), "max": float(err.max())}

@@ -24,11 +24,12 @@ row.  Float rows (vertices, XYZ points, map rows with their ids) go
 through one kernel, ``_write_floats``.  For a value of magnitude in
 [1e-4, 1e16), which ``%.17g`` prints in fixed notation, the 17
 significant digits are exact: Dekker's two-product of the value and an
-exact power of ten is rounded once, ties to even.  Each value's bytes
-sit in fixed places counted from its last digit, with a 0 byte wherever
-``%g`` prints nothing (trailing fraction zeros, a bare point, the room
-left of the sign), and one mask drops them.  A row holding any other
-value (a zero, an exponent-form value, nan or inf) goes through bytes
+exact power of ten is rounded once, ties to even.  A zero prints as
+``0`` or ``-0`` from the same places, with no digit kept.  Each value's
+bytes sit in fixed places counted from its last digit, with a 0 byte
+wherever ``%g`` prints nothing (trailing fraction zeros, a bare point,
+the room left of the sign), and one mask drops them.  A row holding any
+other value (an exponent-form value, nan or inf) goes through bytes
 ``%``, one call per run of such rows.  On the 181 662 vertex floats of
 a ``remesh`` benchmark pass the kernel takes about 27 ms against 76 ms
 for ``%`` (2-core host), and a table of exponent-form values costs
@@ -308,10 +309,10 @@ def _write_floats(fh, rows, prefix):
     ``prefix + b" %.17g" * c + b"\\n"`` per row, without the first
     space when ``prefix`` is empty, ``_BLOCK_ROWS`` rows per write.
 
-    A row whose values all lie in [1e-4, 1e16) in magnitude, where
-    ``%.17g`` prints fixed notation, is laid out by ``_fixed_rows``.
-    Any other row (a zero, an exponent-form value, nan or inf) goes
-    through bytes ``%``, one call per run of such rows, so a table of
+    A row whose values are all zeros or lie in [1e-4, 1e16) in
+    magnitude, where ``%.17g`` prints fixed notation, is laid out by
+    ``_fixed_rows``.  Any other row (an exponent-form value, nan or inf)
+    goes through bytes ``%``, one call per run of such rows, so a table of
     them costs about what ``%`` alone costs."""
     row_fmt = prefix + b" %.17g" * rows.shape[1] + b"\n"
     if not prefix:
@@ -323,7 +324,8 @@ def _write_floats(fh, rows, prefix):
 
 def _write_float_block(fh, block, prefix, row_fmt):
     """Write one block of ``_write_floats``; ``row_fmt`` formats a row."""
-    fixed = np.logical_and.reduce([(a >= 1e-4) & (a < 1e16) for a in np.abs(block).T])
+    fixed = np.logical_and.reduce(
+        [((a >= 1e-4) | (a == 0)) & (a < 1e16) for a in np.abs(block).T])
     text = _fixed_rows(block[fixed], prefix) if fixed.any() else None
     cuts = [0, *(np.flatnonzero(np.diff(fixed)) + 1).tolist(), len(block)]
     done = 0  # rows of text written
@@ -337,9 +339,9 @@ def _write_float_block(fh, block, prefix, row_fmt):
 
 
 def _fixed_rows(block, prefix):
-    """The rows of ``block``, an (m, c) array of values of magnitude in
-    [1e-4, 1e16), as ``_write_floats`` writes them: an (m, w) byte
-    array with a 0 in every byte to drop.
+    """The rows of ``block``, an (m, c) array of zeros and values of
+    magnitude in [1e-4, 1e16), as ``_write_floats`` writes them: an
+    (m, w) byte array with a 0 in every byte to drop.
 
     A row is the prefix, then per value a space and ``width`` bytes,
     then a newline.  ``%.17g`` prints such a value in fixed notation
@@ -351,7 +353,9 @@ def _fixed_rows(block, prefix):
     the integer digits, digit 17 - r; a value below 1 has one 0 left of
     its point instead.  The first byte is the sign.  Fraction digits
     right of the last nonzero one, a point with no fraction digit left,
-    and the bytes between the sign and the first digit are 0.
+    and the bytes between the sign and the first digit are 0.  A zero
+    (``d`` = 0, ``e`` = -1) keeps only its 0 left of the point, and its
+    sign bit, so -0.0 prints ``-0``.
     """
     m, c = block.shape
     vals = block.ravel()
@@ -379,7 +383,7 @@ def _fixed_rows(block, prefix):
         field[r] = np.where(r < q, field[r], np.where(r == q, point, field[r - 1]))
     for r in range(18, width - 1):  # the zeros, point and 0 of a value below 1
         field[r] = np.take(_LEAD, r + 1 - q, mode="clip")
-    field[-1] = (vals < 0) * np.uint8(ord("-"))
+    field[-1] = np.signbit(vals) * np.uint8(ord("-"))
     p = len(prefix)
     text = np.empty((m, p + c * (width + 1) + 1), np.uint8)
     text[:, :p] = np.frombuffer(prefix, np.uint8)
@@ -395,13 +399,14 @@ def _fixed_rows(block, prefix):
 def _decimal(a):
     """The decimal exponent ``e`` (int8) and 17-digit significand ``d``
     (int64, in [10**16, 10**17)) of doubles ``a`` in [1e-4, 1e16):
-    ``a`` rounds to ``d * 10**(e - 16)`` at 17 significant digits."""
-    e = np.floor(np.log10(a)).astype(np.int8)
+    ``a`` rounds to ``d * 10**(e - 16)`` at 17 significant digits.  A
+    zero in ``a`` gets ``e`` = -1 and ``d`` = 0."""
+    e = np.floor(np.log10(a, out=np.full_like(a, -1.0), where=a > 0)).astype(np.int8)
     d = _significand(a, e)
     # floor(log10) can be one off next to a power of ten, and one step
     # puts d in [10**16, 10**17): no double in range lies within half a
     # unit of the 17th digit below a power of ten, so no rounding carries
-    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    off = np.flatnonzero(((d < 10**16) | (d >= 10**17)) & (a > 0))
     e[off] += np.where(d[off] < 10**16, -1, 1)
     d[off] = _significand(a[off], e[off])
     return e, d

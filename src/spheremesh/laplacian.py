@@ -5,6 +5,9 @@ Each point's neighborhood is the graph of a height function f over its
 tangent frame.  A weighted least-squares fit in the degree-2 basis
 {1, x, y, x^2, xy, y^2} turns neighbor samples into derivative estimates
 at the center, and the surface Laplacian follows from the graph metric.
+Both steps take a batch of stencils, a :class:`~spheremesh.cloud.FrameSet`:
+:func:`mls_fit` fits it and :func:`assemble_lb_from_frames` turns the fit
+into LB rows.  A single stencil is a one-row batch.
 
 Coefficient derivation
 ----------------------
@@ -30,14 +33,13 @@ identity Delta x_i = -2 x_i.
 """
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .cloud import build_frames, build_index
 from .errors import CloudError, IllConditionedStencilError
-from .weights import Weight, stencil_weights
+from .weights import stencil_weights
 
 MIN_STENCIL = 7  # must exceed the basis dimension, 6: {1, x, y, x^2, xy, y^2}
 MAX_CONDITION = 1e12
@@ -62,8 +64,10 @@ def design_matrix(coords):
     )
 
 
-def _height_fit(coords, dists, heights, centers, weight_spec):
-    """Batched weighted LS fit of the height functions.
+def mls_fit(frames, weight="proposed"):
+    """Weighted LS fit of the height function of every stencil of
+    ``frames``, a :class:`~spheremesh.cloud.FrameSet`; a single stencil
+    is a one-row batch.
 
     G (n, 6, k) maps neighbor samples to basis coefficients over the
     unscaled coordinates; the fit returns G @ heights and the derivative
@@ -75,9 +79,11 @@ def _height_fit(coords, dists, heights, centers, weight_spec):
 
     Parameters
     ----------
-    coords : (n, k, 2), dists : (n, k), heights : (n, k)
-    centers : (n,) point ids of the stencil centers, for error messages
-    weight_spec : Weight
+    frames : FrameSet
+        n stencils of k points; ``neighbor_ids[:, 0]`` names the centers
+        in error messages.
+    weight : str
+        One of :data:`~spheremesh.weights.VARIANTS`.
 
     Returns
     -------
@@ -89,8 +95,15 @@ def _height_fit(coords, dists, heights, centers, weight_spec):
     condition : (n,) ndarray
         Condition number of each weighted normal-equation matrix, the
         quantity checked against MAX_CONDITION.
+
+    Raises
+    ------
+    IllConditionedStencilError
+        For a stencil below MIN_STENCIL points, with zero in-plane
+        extent, or with condition number at or above MAX_CONDITION.
     """
-    n, k = dists.shape
+    coords = frames.coords
+    n, k = frames.heights.shape
     if k < MIN_STENCIL:
         raise IllConditionedStencilError(
             f"stencil size {k} below minimum {MIN_STENCIL}"
@@ -99,14 +112,14 @@ def _height_fit(coords, dists, heights, centers, weight_spec):
     if np.any(extent <= 0):
         raise IllConditionedStencilError("stencil has zero in-plane extent")
     a = design_matrix(coords / extent[:, None, None])
-    sqrt_w = np.sqrt(stencil_weights(weight_spec, dists))
+    sqrt_w = np.sqrt(stencil_weights(weight, frames.neighbor_dists))
     u, s, vt = np.linalg.svd(sqrt_w[:, :, None] * a, full_matrices=False)
     smin = s[:, -1]
     cond = np.where(smin > 0, (s[:, 0] / np.where(smin > 0, smin, 1.0)) ** 2, np.inf)
     bad = np.flatnonzero(~(cond < MAX_CONDITION))
     if bad.size:
         raise IllConditionedStencilError(
-            f"ill-conditioned stencil at point {centers[bad[0]]} "
+            f"ill-conditioned stencil at point {frames.neighbor_ids[bad[0], 0]} "
             f"(condition {cond[bad[0]]:.3g}); retry with larger k"
         )
     pinv = (vt.transpose(0, 2, 1) / s[:, None, :]) @ u.transpose(0, 2, 1)
@@ -117,46 +130,17 @@ def _height_fit(coords, dists, heights, centers, weight_spec):
          1.0 / (extent * extent)[:, None].repeat(3, 1)], axis=1
     )
     g = g * unscale[:, :, None]
-    coeffs = np.einsum("npk,nk->np", g, heights)
+    coeffs = np.einsum("npk,nk->np", g, frames.heights)
     # the derivative rows are rows 1-5 of G (f_xx = 2 c3, f_yy = 2 c5),
     # scaled in place rather than copied
     g[:, 3::2] *= 2.0
     return coeffs, g[:, 1:], cond
 
 
-@dataclass
-class MlsFit:
-    """Weighted LS fit of one stencil and its derivative functionals.
-
-    ``derivative_rows`` has five rows (d/dx, d/dy, d2/dx2, d2/dxdy,
-    d2/dy2 at the center) acting on neighbor sample vectors.
-    """
-
-    center: int
-    coefficients: np.ndarray  # (6,)
-    stencil: np.ndarray  # (k,) point ids
-    derivative_rows: np.ndarray  # (5, k)
-
-
 def _derivatives(c):
     """(f_x, f_y, f_xx, f_xy, f_yy) at the center from basis
     coefficients along the last axis of ``c``."""
     return c[..., 1], c[..., 2], 2.0 * c[..., 3], c[..., 4], 2.0 * c[..., 5]
-
-
-def mls_fit(frame, weight_spec=Weight("proposed")):
-    """Fit the frame's height function; return coefficients and the
-    derivative rows for arbitrary samples on the same stencil."""
-    coeffs, drows, _ = _height_fit(
-        frame.local_coords[None], frame.neighbor_dists[None],
-        frame.heights[None], [frame.center], weight_spec,
-    )
-    return MlsFit(
-        center=frame.center,
-        coefficients=coeffs[0],
-        stencil=frame.neighbor_ids,
-        derivative_rows=drows[0],
-    )
 
 
 def _graph_metric(p, q, r, s, t):
@@ -208,10 +192,7 @@ def mean_curvature(cloud, k=DEFAULT_K):
     normalized, _, radius = cloud.normalized()
     curvature = []
     for frames in stencil_blocks(build_index(normalized), k):
-        coeffs, _, _ = _height_fit(
-            frames.coords, frames.neighbor_dists, frames.heights,
-            frames.neighbor_ids[:, 0], Weight("proposed"),
-        )
+        coeffs, _, _ = mls_fit(frames)
         curvature.append(mean_curvature_from_coefficients(coeffs))
     return np.concatenate(curvature) / radius
 
@@ -231,15 +212,6 @@ def _lb_rows(coeffs, drows):
     )
 
 
-def lb_row(frame, fit):
-    """One row of the discrete LB operator as (stencil ids, values).
-
-    The metric terms come from the height-function fit; the same
-    derivative rows then act on arbitrary function samples.
-    """
-    return fit.stencil, _lb_rows(fit.coefficients, fit.derivative_rows)
-
-
 class SparseOperator:
     """Row-compressed operator holding rows of the discrete LB matrix.
 
@@ -257,17 +229,14 @@ class SparseOperator:
         return self.matrix.shape[0]
 
 
-def assemble_lb_from_frames(frames, weight_spec=Weight("proposed"), n_cols=None):
+def assemble_lb_from_frames(frames, weight="proposed", n_cols=None):
     """LB rows of the frames' stencils, in the units of their coordinates.
 
     Returns an (n, n_cols) operator for n frames, square by default;
     the column ids are sorted within each row.
     """
     n, k = frames.heights.shape
-    coeffs, drows, condition = _height_fit(
-        frames.coords, frames.neighbor_dists, frames.heights,
-        frames.neighbor_ids[:, 0], weight_spec,
-    )
+    coeffs, drows, condition = mls_fit(frames, weight)
     rows = _lb_rows(coeffs, drows)
     indptr = np.arange(0, n * k + 1, k)
     matrix = sparse.csr_matrix(
@@ -278,7 +247,7 @@ def assemble_lb_from_frames(frames, weight_spec=Weight("proposed"), n_cols=None)
     return SparseOperator(matrix, condition)
 
 
-def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed")):
+def assemble_lb(cloud, k=DEFAULT_K, weight="proposed"):
     """Assemble the discrete Laplace-Beltrami operator of a cloud.
 
     The stencils are found and fitted on ``cloud.normalized()``
@@ -291,14 +260,15 @@ def assemble_lb(cloud, k=DEFAULT_K, weight_spec=Weight("proposed")):
     cloud : PointCloud
     k : int
         Stencil size (neighbors including the center).
-    weight_spec : Weight
+    weight : str
+        One of :data:`~spheremesh.weights.VARIANTS`.
 
     Returns
     -------
     SparseOperator
     """
     normalized, _, radius = cloud.normalized()
-    operator = lb_pass(build_index(normalized), k, weight_spec)
+    operator = lb_pass(build_index(normalized), k, weight)
     data = operator.matrix.data
     with np.errstate(over="ignore", under="ignore"):  # radius**2 overflows above 1e154
         data /= radius
@@ -319,7 +289,7 @@ def stencil_blocks(index, k, frames_fn=build_frames):
         yield frames_fn(points, *index.knn_arrays(k, slice(start, start + _BLOCK)))
 
 
-def lb_pass(index, k, weight_spec=Weight("proposed"),
+def lb_pass(index, k, weight="proposed",
             frames_fn=build_frames, assemble_fn=assemble_lb_from_frames):
     """Assemble the LB operator of the cloud of the spatial index
     ``index`` in one pass over blocks of stencils, in the units of
@@ -340,7 +310,7 @@ def lb_pass(index, k, weight_spec=Weight("proposed"),
     SparseOperator
     """
     n = index.cloud.n
-    blocks = [assemble_fn(frames, weight_spec, n_cols=n)
+    blocks = [assemble_fn(frames, weight, n_cols=n)
               for frames in stencil_blocks(index, k, frames_fn)]
     matrix = sparse.vstack([block.matrix for block in blocks], format="csr")
     condition = np.concatenate([block.condition for block in blocks])

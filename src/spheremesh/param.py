@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, build_frames, build_index, knn, local_frame
+from .cloud import PointCloud, build_frames, build_index
 from .errors import PipelineError, SphereMeshError
 from .laplacian import DEFAULT_K, assemble_lb_from_frames, lb_pass
 from .mesh import SurfaceMesh
@@ -103,12 +103,13 @@ def initial_map(operator, index, k=DEFAULT_K):
     fold the map.  c goes to the north pole.
     """
     c = int(np.argmin(operator.condition))
-    frame = local_frame(index.cloud, knn(index, c, min(2 * k, index.cloud.n)))
+    frame = build_frames(index.cloud.points,
+                         *index.knn_arrays(min(2 * k, index.cloud.n), [c]))
     # signing each PCA axis by its third moment gives a mirrored cloud
     # the same planar field, and so exactly the mirrored map
-    xy = frame.local_coords[1:]
+    xy = frame.coords[0, 1:]
     w = (xy * np.where(np.sum(xy**3, axis=0) < 0, -1.0, 1.0)) @ np.array([1.0, 1j])
-    phi = solve(ConstrainedSystem(operator, frame.neighbor_ids[1:], np.abs(w).max() / w))
+    phi = solve(ConstrainedSystem(operator, frame.neighbor_ids[0, 1:], np.abs(w).max() / w))
     images = inv_north(phi)
     images[c] = (0.0, 0.0, 1.0)
     return images
@@ -216,7 +217,7 @@ def pole_distances(images, index, k=DEFAULT_K):
         turned = images * turn
         pole = int(np.argmax(turned[:, 2]))
         w = proj_north(turned)
-        spreads.append(float(np.mean(np.abs(w[knn(index, pole, k).indices] - w[pole]))))
+        spreads.append(float(np.mean(np.abs(w[index.knn_arrays(k, [pole])[0][0]] - w[pole]))))
     return tuple(spreads)
 
 

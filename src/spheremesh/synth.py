@@ -78,7 +78,14 @@ def add_noise(cloud, amplitude, seed=0):
 
 def punch_holes(cloud, holes, hole_radius=0.15, seed=0):
     """Remove spherical caps around seeded random directions (topological
-    noise: the samples get disk-shaped gaps but keep their genus)."""
+    noise: the samples get disk-shaped gaps but keep their genus).
+
+    ``hole_radius`` is each cap's angle about the centroid, in radians;
+    it must lie in [0, pi), since a cap of pi or more removes every
+    point.
+    """
+    if not 0.0 <= hole_radius < np.pi:
+        raise ValueError(f"hole_radius must be in [0, pi), got {hole_radius}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(holes, 3))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)

@@ -1,14 +1,12 @@
 """Weighting functions for the moving-least-squares fit.
 
 The four kinds are the weights of the paper's disk conformal-recovery
-experiment, in the order of its table.  All take the ambient Euclidean
-distance of a neighbor to the stencil center and are evaluated over
-whole stencil rows at once by :func:`stencil_weights`: ``h``, the
-stencil radius, is each row's last (largest) distance and ``k``, the
-stencil size, is the row length.
+experiment, in the order of its table.  A weight is named by its kind
+string.  All take the ambient Euclidean distance of a neighbor to the
+stencil center and are evaluated over whole stencil rows at once by
+:func:`stencil_weights`: ``h``, the stencil radius, is each row's last
+(largest) distance and ``k``, the stencil size, is the row length.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,36 +17,26 @@ VARIANTS = ("wendland", "exponential", "special", "proposed")
 WENDLAND_SUPPORT_FACTOR = 1.05
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A weighting function, named by its kind.
+def stencil_weights(kind, dists):
+    """Evaluate the weight ``kind`` over whole stencil rows at once.
 
-    Parameters
-    ----------
-    kind : str
-        One of :data:`VARIANTS`: ``wendland``, ``exponential`` (the
-        Gaussian comparison weight), ``special`` (uniform 1/k
-        off-center), or ``proposed`` (Gaussian-type,
-        ``exp(-sqrt(k) d^2 / h^2) / k`` off-center, 1 at the center).
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in VARIANTS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-
-
-def stencil_weights(spec, dists):
-    """Evaluate a weight over whole stencil rows at once.
-
+    ``kind`` is one of :data:`VARIANTS`: ``wendland``, ``exponential``
+    (the Gaussian comparison weight), ``special`` (uniform 1/k
+    off-center), or ``proposed`` (Gaussian-type,
+    ``exp(-sqrt(k) d^2 / h^2) / k`` off-center, 1 at the center).
     ``dists`` is (n, k) with ascending rows; ``h`` is each row's last
     distance and ``k`` the row length.  Returns an (n, k) array.
+
+    Raises
+    ------
+    ValueError
+        If ``kind`` is not one of :data:`VARIANTS`.
     """
+    if kind not in VARIANTS:
+        raise ValueError(f"unknown weight kind {kind!r}")
     d = np.asarray(dists, dtype=np.float64)
     h = d[:, -1:]
     k = d.shape[1]
-    kind = spec.kind
     if kind == "exponential":
         return np.exp(-(d / h) ** 2)
     if kind == "wendland":

@@ -14,7 +14,6 @@ from spheremesh import (
     FrameSet,
     PointCloud,
     SurfaceMesh,
-    Weight,
     assemble_lb,
     build_frames,
     build_index,
@@ -33,7 +32,6 @@ from spheremesh import (
     quality_report,
     spherical_delaunay,
 )
-from spheremesh.cloud import LocalFrame
 from spheremesh.experiment import run_disk_experiment
 from spheremesh.laplacian import assemble_lb_from_frames
 from spheremesh.param import balance
@@ -142,13 +140,13 @@ def test_criterion_5_lb_property_suite(sphere_pipeline):
                + c_true[3] * x * x + c_true[4] * x * y + c_true[5] * y * y)
     d3 = np.sqrt(x * x + y * y + heights * heights)
     order = np.lexsort((np.arange(25), d3))
-    frame = LocalFrame(
-        center=0, basis=np.eye(3), local_coords=coords[order],
-        heights=heights[order], neighbor_ids=np.arange(25)[order],
-        neighbor_dists=d3[order],
+    e1, e2, e3 = np.eye(3)[:, None]
+    frame = FrameSet(
+        e1, e2, e3, coords=coords[order][None], heights=heights[order][None],
+        neighbor_ids=np.arange(25)[order][None], neighbor_dists=d3[order][None],
     )
-    fit = mls_fit(frame)
-    poly_err = np.abs(fit.coefficients - c_true).max()
+    (coefficients,), _, _ = mls_fit(frame)
+    poly_err = np.abs(coefficients - c_true).max()
     assert poly_err <= 1e-9
 
     # constant annihilation and Rayleigh quotients on the 10k sphere

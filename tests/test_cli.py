@@ -90,6 +90,10 @@ BAD_FLAGS = [
                  "--displacement", id="displacement-one"),
     pytest.param(["synth", "sphere", "--holes", "3", "--hole-radius", "nan",
                   "-o", "{out}"], "--hole-radius", id="hole-radius"),
+    pytest.param(["synth", "sphere", "--holes", "3", "--hole-radius", "3.2",
+                  "-o", "{out}"], "--hole-radius", id="hole-radius-past-pi"),
+    pytest.param(["synth", "sphere", "--holes", "3", "--hole-radius", "4",
+                  "-o", "{out}"], "--hole-radius", id="hole-radius-four"),
 ]
 
 

@@ -9,8 +9,6 @@ from spheremesh import (
     assemble_lb,
     build_frames,
     build_index,
-    knn,
-    local_frame,
     parameterize,
 )
 
@@ -78,10 +76,10 @@ class TestKnn:
         cloud = PointCloud(TETRA)
         index = build_index(cloud)
         for i in range(4):
-            nbrs = knn(index, i, 4)
-            assert nbrs.indices[0] == i
-            assert nbrs.distances[0] == 0.0
-            assert set(nbrs.indices) == {0, 1, 2, 3}
+            (indices,), (distances,) = index.knn_arrays(4, [i])
+            assert indices[0] == i
+            assert distances[0] == 0.0
+            assert set(indices) == {0, 1, 2, 3}
 
     def test_grid_interior_point_axis_neighbors(self):
         ax = np.arange(5, dtype=float)
@@ -90,17 +88,17 @@ class TestKnn:
         cloud = PointCloud(pts)
         index = build_index(cloud)
         center = 12  # (2, 2)
-        nbrs = knn(index, center, 5)
-        assert nbrs.indices[0] == center
-        assert set(nbrs.indices[1:]) == {7, 11, 13, 17}
+        (indices,), _ = index.knn_arrays(5, [center])
+        assert indices[0] == center
+        assert set(indices[1:]) == {7, 11, 13, 17}
 
     def test_k_equals_n_whole_cloud_sorted(self):
         rng = np.random.default_rng(1)
         cloud = PointCloud(rng.normal(size=(40, 3)))
         index = build_index(cloud)
-        nbrs = knn(index, 5, 40)
-        assert np.all(np.diff(nbrs.distances) >= 0)
-        assert sorted(nbrs.indices) == list(range(40))
+        (indices,), (distances,) = index.knn_arrays(40, [5])
+        assert np.all(np.diff(distances) >= 0)
+        assert sorted(indices) == list(range(40))
 
     def test_ties_broken_by_ascending_id(self):
         # grid symmetries create exact distance ties
@@ -111,10 +109,10 @@ class TestKnn:
         index = build_index(cloud)
         for center in [0, 21, 37, 63]:
             for k in [3, 7, 10]:
-                got = knn(index, center, k)
+                (got_idx,), (got_d,) = index.knn_arrays(k, [center])
                 want_idx, want_d = brute_force_knn(pts, center, k)
-                np.testing.assert_array_equal(got.indices, want_idx)
-                np.testing.assert_allclose(got.distances, want_d, atol=1e-12)
+                np.testing.assert_array_equal(got_idx, want_idx)
+                np.testing.assert_allclose(got_d, want_d, atol=1e-12)
 
     @pytest.mark.parametrize("k", [3, 5, 9])
     def test_tie_past_the_candidate_window_widens_the_query(self, k):
@@ -169,16 +167,21 @@ class TestKnn:
             want_idx, want_d = brute_force_knn(pts, center, 25)
             np.testing.assert_array_equal(idx[center], want_idx)
             np.testing.assert_allclose(dist[center], want_d, atol=1e-12)
-            # the single-point query is one row of the batched one
-            nbrs = knn(index, center, 25)
-            assert np.array_equal(nbrs.indices, idx[center])
-            assert np.array_equal(nbrs.distances, dist[center])
+            # a one-row query is the same row of the whole-cloud one
+            one_idx, one_d = index.knn_arrays(25, [center])
+            assert np.array_equal(one_idx[0], idx[center])
+            assert np.array_equal(one_d[0], dist[center])
 
     def test_insufficient_points(self):
         cloud = PointCloud(TETRA)
         index = build_index(cloud)
         with pytest.raises(CloudError, match="insufficient points"):
-            knn(index, 0, 5)
+            index.knn_arrays(5, [0])
+
+
+def one_frame(cloud, center, k):
+    """The PCA frame of one stencil: a one-row batch."""
+    return build_frames(cloud.points, *build_index(cloud).knn_arrays(k, [center]))
 
 
 class TestLocalFrame:
@@ -186,10 +189,8 @@ class TestLocalFrame:
         rng = np.random.default_rng(2)
         pts = np.column_stack([rng.normal(size=(30, 2)), np.zeros(30)])
         pts[0] = 0.0
-        cloud = PointCloud(pts)
-        nbrs = knn(build_index(cloud), 0, 12)
-        frame = local_frame(cloud, nbrs)
-        assert abs(abs(frame.basis[2, 2]) - 1.0) < 1e-12
+        frame = one_frame(PointCloud(pts), 0, 12)
+        assert abs(abs(frame.e3[0, 2]) - 1.0) < 1e-12
         np.testing.assert_allclose(frame.heights, 0.0, atol=1e-12)
 
     def test_parabolic_graph_heights(self):
@@ -201,12 +202,10 @@ class TestLocalFrame:
         pts = np.column_stack([x, y, x**2])
         order = np.argsort(np.hypot(x, y), kind="stable")
         pts = pts[order]  # center (0,0) first
-        cloud = PointCloud(pts)
-        nbrs = knn(build_index(cloud), 0, len(pts))
-        frame = local_frame(cloud, nbrs)
-        sign = np.sign(frame.basis[2, 2])
-        graph = pts[nbrs.indices, 0] ** 2 - pts[0, 2]
-        np.testing.assert_allclose(sign * frame.heights, graph, atol=1e-10)
+        frame = one_frame(PointCloud(pts), 0, len(pts))
+        sign = np.sign(frame.e3[0, 2])
+        graph = pts[frame.neighbor_ids[0], 0] ** 2 - pts[0, 2]
+        np.testing.assert_allclose(sign * frame.heights[0], graph, atol=1e-10)
 
     def test_reconstruction_identity_random(self):
         rng = np.random.default_rng(5)
@@ -217,27 +216,18 @@ class TestLocalFrame:
         frames = build_frames(pts, idx, dist)
         scale = cloud.bounding_radius()
         for i in [0, 57, 133]:
-            f = frames.frame(i)
             rebuilt = (
                 pts[i]
-                + f.local_coords[:, :1] * f.basis[0]
-                + f.local_coords[:, 1:] * f.basis[1]
-                + f.heights[:, None] * f.basis[2]
+                + frames.coords[i, :, :1] * frames.e1[i]
+                + frames.coords[i, :, 1:] * frames.e2[i]
+                + frames.heights[i, :, None] * frames.e3[i]
             )
             np.testing.assert_allclose(rebuilt, pts[idx[i]], atol=1e-12 * scale)
-            # the single-point frame is one row of the batched frames
-            single = local_frame(cloud, knn(index, i, 15))
-            assert single.center == f.center == i
-            for name in ("basis", "local_coords", "heights", "neighbor_ids",
-                         "neighbor_dists"):
-                assert np.array_equal(getattr(single, name), getattr(f, name))
 
     def test_basis_orthonormal_right_handed(self):
         rng = np.random.default_rng(6)
-        cloud = PointCloud(rng.normal(size=(60, 3)))
-        nbrs = knn(build_index(cloud), 3, 10)
-        frame = local_frame(cloud, nbrs)
-        b = frame.basis
+        frame = one_frame(PointCloud(rng.normal(size=(60, 3))), 3, 10)
+        b = np.vstack([frame.e1, frame.e2, frame.e3])
         np.testing.assert_allclose(b @ b.T, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(np.cross(b[0], b[1]), b[2], atol=1e-12)
 
@@ -245,9 +235,8 @@ class TestLocalFrame:
         t = np.linspace(0.0, 1.0, 12)
         pts = np.column_stack([t, 2 * t, -t])
         cloud = PointCloud(pts)
-        nbrs = knn(build_index(cloud), 0, 8)
         with pytest.raises(DegenerateNeighborhoodError, match="degenerate"):
-            local_frame(cloud, nbrs)
+            one_frame(cloud, 0, 8)
         # the message names the center point, not the row of the batch
         idx, dist = build_index(cloud).knn_arrays(8)
         with pytest.raises(DegenerateNeighborhoodError, match="at point 5 "):

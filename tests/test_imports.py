@@ -1,7 +1,8 @@
 """No module of the package imports another module's private names: a
 name with a leading underscore is used only where it is defined.  And
 no module imports a name it does not use, unless another module of the
-package imports that name from it."""
+package imports that name from it.  The package's public names are
+pinned, so a change that adds or drops one shows it here."""
 
 import ast
 from pathlib import Path
@@ -35,8 +36,8 @@ def private_imports(source):
 
 
 def test_private_imports_are_found():
-    source = "from .laplacian import DEFAULT_K, _height_fit\nimport numpy._core\n"
-    assert private_imports(source) == ["1: .laplacian._height_fit", "2: numpy._core"]
+    source = "from .laplacian import DEFAULT_K, _lb_rows\nimport numpy._core\n"
+    assert private_imports(source) == ["1: .laplacian._lb_rows", "2: numpy._core"]
     assert private_imports("from .cloud import build_index\nimport numpy\n") == []
 
 
@@ -89,3 +90,25 @@ def test_dead_imports_are_found():
                          ids=lambda path: path.name)
 def test_every_import_is_used_or_reexported(path):
     assert dead_imports(path.read_text(), reexports(path.stem)) == []
+
+
+PUBLIC_NAMES = [
+    "AT_INFINITY", "CloudError", "ConstrainedSystem", "DegenerateNeighborhoodError",
+    "FileFormatError", "FrameSet", "IllConditionedStencilError", "MeshError",
+    "ParamConfig", "PipelineError", "PointCloud", "QualityReport", "SolveError",
+    "SparseOperator", "SpatialIndex", "SphereInterpolator", "SphereMeshError",
+    "SphericalMap", "SurfaceMesh", "angle_distortion", "assemble_lb", "balance",
+    "build_frames", "build_index", "cloud", "convex_hull", "cube_sphere",
+    "delaunay_ratio", "errors", "fileio", "icosphere", "induce_mesh", "initial_map",
+    "interpolate_to_cloud", "inv_north", "inv_south", "is_infinite", "laplacian",
+    "lb_coefficients", "loop_subdivide", "mean_curvature", "mesh", "meshing",
+    "metrics", "mls_fit", "multilevel", "ns_iterate", "param", "parameterize",
+    "pole_distances", "proj_north", "proj_south", "projections", "quad_mesh",
+    "quality_report", "read_cloud", "read_map", "read_mesh", "solve",
+    "sphere_triangulation", "spherical_delaunay", "weights", "write_cloud",
+    "write_map", "write_mesh",
+]
+
+
+def test_public_names():
+    assert sorted(spheremesh.__all__) == PUBLIC_NAMES

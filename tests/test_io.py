@@ -636,9 +636,13 @@ class TestWriteFloats:
 
     def test_coordinates_skip_the_fallback(self, monkeypatch):
         # every value of a shrunk and shifted icosphere has |x| >= 1e-4,
-        # so every row goes through the kernel, not through %
-        rows = icosphere(6).vertices * 0.7 + 0.01
-        assert np.abs(rows).min() >= 1e-4
+        # so every row goes through the kernel, not through %; so does
+        # every row of the unshifted one that holds only exact zeros and
+        # such values, but not one with a rounding residue like 3.4e-19
+        shifted = icosphere(6).vertices * 0.7 + 0.01
+        assert np.abs(shifted).min() >= 1e-4
+        unshifted = icosphere(6).vertices
+        assert (unshifted == 0).any()
         laid_out = []
 
         def spy(block, prefix):
@@ -647,8 +651,11 @@ class TestWriteFloats:
 
         fixed_rows = fileio._fixed_rows
         monkeypatch.setattr(fileio, "_fixed_rows", spy)
-        assert _written_floats(rows, b"v") == _float_rows(rows, b"v")
-        assert sum(laid_out) == len(rows)
+        for rows in (shifted, unshifted):
+            a = np.abs(rows)
+            laid_out.clear()
+            assert _written_floats(rows, b"v") == _float_rows(rows, b"v")
+            assert sum(laid_out) == np.all((a == 0) | (a >= 1e-4), axis=1).sum()
 
     @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (6,)])
     def test_write_cloud_checks_the_shape(self, tmp_path, shape):

@@ -12,20 +12,17 @@ from spheremesh import (
     CloudError,
     DegenerateNeighborhoodError,
     IllConditionedStencilError,
-    LocalFrame,
     PipelineError,
     PointCloud,
-    Weight,
     assemble_lb,
     build_frames,
     build_index,
     lb_coefficients,
-    lb_row,
     mean_curvature,
     mls_fit,
     parameterize,
 )
-from spheremesh.cloud import SpatialIndex
+from spheremesh.cloud import FrameSet, SpatialIndex
 from spheremesh.laplacian import SparseOperator, assemble_lb_from_frames, lb_pass
 from spheremesh.synth import blob_cloud
 from spheremesh.weights import VARIANTS
@@ -34,18 +31,19 @@ from conftest import uniform_sphere
 
 
 def make_frame(coords, heights):
-    """LocalFrame over explicit in-plane samples with the identity basis."""
+    """One-row FrameSet over explicit in-plane samples with the identity
+    basis, center 0."""
     coords = np.asarray(coords, dtype=float)
     heights = np.asarray(heights, dtype=float)
     dists = np.sqrt(np.sum(coords**2, axis=1) + heights**2)
     order = np.lexsort((np.arange(len(dists)), dists))
-    return LocalFrame(
-        center=0,
-        basis=np.eye(3),
-        local_coords=coords[order],
-        heights=heights[order],
-        neighbor_ids=np.arange(len(dists))[order],
-        neighbor_dists=dists[order],
+    e1, e2, e3 = np.eye(3)[:, None]
+    return FrameSet(
+        e1, e2, e3,
+        coords=coords[order][None],
+        heights=heights[order][None],
+        neighbor_ids=np.arange(len(dists))[order][None],
+        neighbor_dists=dists[order][None],
     )
 
 
@@ -60,15 +58,15 @@ class TestMlsFit:
         coords = stencil_coords()
         x, y = coords[:, 0], coords[:, 1]
         heights = 3.0 + 2.0 * x - y + x * x
-        fit = mls_fit(make_frame(coords, heights))
+        (coefficients,), _, _ = mls_fit(make_frame(coords, heights))
         np.testing.assert_allclose(
-            fit.coefficients, [3.0, 2.0, -1.0, 1.0, 0.0, 0.0], atol=1e-9
+            coefficients, [3.0, 2.0, -1.0, 1.0, 0.0, 0.0], atol=1e-9
         )
 
     def test_zero_heights_zero_coefficients(self):
         coords = stencil_coords(seed=1)
-        fit = mls_fit(make_frame(coords, np.zeros(len(coords))))
-        np.testing.assert_allclose(fit.coefficients, 0.0, atol=1e-12)
+        coefficients, _, _ = mls_fit(make_frame(coords, np.zeros(len(coords))))
+        np.testing.assert_allclose(coefficients, 0.0, atol=1e-12)
 
     def test_polynomial_exactness_all_weights(self):
         rng = np.random.default_rng(2)
@@ -77,17 +75,17 @@ class TestMlsFit:
         for kind in VARIANTS:
             c = rng.uniform(-2, 2, size=6)
             heights = c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
-            fit = mls_fit(make_frame(coords, heights), Weight(kind))
-            np.testing.assert_allclose(fit.coefficients, c, atol=1e-9)
+            (coefficients,), _, _ = mls_fit(make_frame(coords, heights), kind)
+            np.testing.assert_allclose(coefficients, c, atol=1e-9)
 
     def test_derivative_rows_exact_on_quadratics(self):
         coords = stencil_coords(seed=4)
         x, y = coords[:, 0], coords[:, 1]
         frame = make_frame(coords, np.zeros(len(coords)))
-        fit = mls_fit(frame)
-        fx, fy = frame.local_coords[:, 0], frame.local_coords[:, 1]
+        _, (derivative_rows,), _ = mls_fit(frame)
+        fx, fy = frame.coords[0, :, 0], frame.coords[0, :, 1]
         u = 1.5 - fx + 2.0 * fy + 0.5 * fx * fx - fx * fy + 3.0 * fy * fy
-        got = fit.derivative_rows @ u
+        got = derivative_rows @ u
         np.testing.assert_allclose(got, [-1.0, 2.0, 1.0, -1.0, 6.0], atol=1e-9)
 
     def test_first_derivative_convergence_on_cubic(self):
@@ -99,8 +97,8 @@ class TestMlsFit:
             coords = np.column_stack([xx.ravel(), yy.ravel()])
             x, y = coords[:, 0], coords[:, 1]
             heights = x**3 - 2 * x * y**2 + 0.5 * y**3 + x - 0.3 * y
-            fit = mls_fit(make_frame(coords, heights))
-            return np.hypot(fit.coefficients[1] - 1.0, fit.coefficients[2] + 0.3)
+            (c,), _, _ = mls_fit(make_frame(coords, heights))
+            return np.hypot(c[1] - 1.0, c[2] + 0.3)
 
         e1, e2 = error_at(0.1), error_at(0.05)
         assert e2 < e1 / 2.0
@@ -118,7 +116,7 @@ class TestMlsFit:
             mls_fit(make_frame(coords, np.zeros(9)))
         # the message names the stencil's center point
         frame = make_frame(coords, np.zeros(9))
-        frame = replace(frame, center=7, neighbor_ids=frame.neighbor_ids + 7)
+        frame = replace(frame, neighbor_ids=frame.neighbor_ids + 7)
         with pytest.raises(IllConditionedStencilError, match="at point 7 "):
             mls_fit(frame)
 
@@ -187,9 +185,9 @@ class TestLbRow:
     def test_flat_patch_realizes_planar_laplacian(self):
         coords = stencil_coords(seed=6)
         frame = make_frame(coords, np.zeros(len(coords)))
-        fit = mls_fit(frame)
-        stencil, values = lb_row(frame, fit)
-        u = frame.local_coords[:, 0] ** 2 + frame.local_coords[:, 1] ** 2
+        op = assemble_lb_from_frames(frame, n_cols=len(coords))
+        values = op.matrix.toarray()[0, frame.neighbor_ids[0]]
+        u = frame.coords[0, :, 0] ** 2 + frame.coords[0, :, 1] ** 2
         assert values @ u == pytest.approx(4.0, abs=1e-6)
 
     def test_flat_grid_laplacian_of_squared_radius(self):
@@ -200,19 +198,6 @@ class TestLbRow:
         op = assemble_lb(cloud, k=25)
         u = pts[:, 0] ** 2 + pts[:, 1] ** 2
         np.testing.assert_allclose(op.matrix @ u, 4.0, atol=1e-4)
-
-    def test_rows_of_the_assembled_operator(self):
-        # the single-stencil fit and row are the batched assembly's row,
-        # unscaled and in stencil order
-        pts = uniform_sphere(400, seed=16)
-        idx, dist = build_index(PointCloud(pts)).knn_arrays(15)
-        frames = build_frames(pts, idx, dist)
-        op = assemble_lb_from_frames(frames)
-        for i in [0, 123, 399]:
-            frame = frames.frame(i)
-            stencil, values = lb_row(frame, mls_fit(frame))
-            assert np.array_equal(stencil, idx[i])
-            assert np.array_equal(values, op.matrix[i, stencil].toarray()[0])
 
 
 @pytest.fixture(scope="module")
@@ -400,8 +385,8 @@ class TestStencilPass:
         monkeypatch.setattr(laplacian, "_BLOCK", 64)
         blocks = []
 
-        def dropping(frames, weight_spec, n_cols):
-            m = assemble_lb_from_frames(frames, weight_spec, n_cols).matrix
+        def dropping(frames, weight, n_cols):
+            m = assemble_lb_from_frames(frames, weight, n_cols).matrix
             rows = np.arange(0, m.shape[0], 3)
             last = m.indptr[rows + 1] - 1
             last -= m.indices[last] == frames.neighbor_ids[rows, 0]  # keep the diagonal

@@ -18,8 +18,6 @@ from spheremesh import (
     delaunay_ratio,
     induce_mesh,
     initial_map,
-    knn,
-    local_frame,
     ns_iterate,
     parameterize,
     pole_distances,
@@ -56,11 +54,11 @@ class TestPipelineStages:
         cloud, index, frames, op = sphere_setup
         images = initial_map(op, index, 25)
         c = int(np.argmin(op.condition))
-        frame = local_frame(cloud, knn(index, c, 50))
-        xy = frame.local_coords[1:] * np.sign(np.sum(frame.local_coords[1:] ** 3, axis=0))
+        frame = build_frames(cloud.points, *index.knn_arrays(50, [c]))
+        xy = frame.coords[0, 1:] * np.sign(np.sum(frame.coords[0, 1:] ** 3, axis=0))
         w = xy[:, 0] + 1j * xy[:, 1]
         np.testing.assert_array_equal(
-            images[frame.neighbor_ids[1:]], inv_north(np.abs(w).max() / w)
+            images[frame.neighbor_ids[0, 1:]], inv_north(np.abs(w).max() / w)
         )
         np.testing.assert_array_equal(images[c], [0.0, 0.0, 1.0])
         np.testing.assert_allclose(np.linalg.norm(images, axis=1), 1.0, atol=1e-12)

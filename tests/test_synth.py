@@ -44,6 +44,12 @@ class TestGenerators:
         with pytest.raises(ValueError, match=r"max_displacement must be in \[0, 1\)"):
             blob_cloud(200, seed=0, max_displacement=displacement)
 
+    @pytest.mark.parametrize("radius", [3.2, 4.0, -0.1, float("nan")])
+    def test_hole_radius_outside_half_turn_rejected(self, radius):
+        # a cap of pi or more about the centroid removes every point
+        with pytest.raises(ValueError, match=r"hole_radius must be in \[0, pi\)"):
+            punch_holes(sphere_cloud(200, seed=0), 3, hole_radius=radius)
+
     def test_noise_amplitude(self):
         base = sphere_cloud(500, seed=3)
         noisy = add_noise(base, 0.03, seed=4)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spheremesh import Weight
 from spheremesh.weights import VARIANTS, stencil_weights
 
 
@@ -15,7 +14,7 @@ def row(h, k, *inner):
 
 
 def weights_of(kind, dists):
-    return stencil_weights(Weight(kind), dists)[0]
+    return stencil_weights(kind, dists)[0]
 
 
 class TestFormulas:
@@ -39,7 +38,7 @@ class TestFormulas:
         # each kind has one spelling
         for alias in ("gaussian", "inverse-square"):
             with pytest.raises(ValueError, match="unknown weight kind"):
-                Weight(alias)
+                weights_of(alias, row(1.0, 8))
 
     def test_wendland(self):
         # support 1.05 h = 1
@@ -53,18 +52,18 @@ class TestFormulas:
 
     def test_h_is_each_rows_last_distance(self):
         dists = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]])
-        w = stencil_weights(Weight("exponential"), dists)
+        w = stencil_weights("exponential", dists)
         np.testing.assert_allclose(w[:, 1], np.exp([-0.25, -1.0 / 16.0]))
 
     def test_unknown_kind(self):
         for kind in ("bogus", "constant", "inverse_square"):
             with pytest.raises(ValueError, match="unknown weight kind"):
-                Weight(kind)
+                weights_of(kind, row(1.0, 8))
 
     @pytest.mark.parametrize("param", ["h", "k", "support", "guard"])
     def test_parameters_are_not_settable(self, param):
         with pytest.raises(TypeError):
-            Weight("proposed", **{param: 1})
+            stencil_weights("proposed", row(1.0, 8), **{param: 1})
 
 
 @given(
