@@ -31,7 +31,7 @@ from .projections import (
     proj_north,
     proj_south,
 )
-from .fileio import read_cloud, read_map, read_mesh, write_cloud, write_map, write_mesh
+from .fileio import read_cloud, read_map, write_cloud, write_map, write_mesh
 from .mesh import SurfaceMesh
 from .meshing import (
     SphereInterpolator,

@@ -1,14 +1,16 @@
 """File ingestion and serialization.
 
 Clouds read from XYZ (ASCII triples), PLY (ASCII or binary
-little-endian vertices, extra properties ignored) and OBJ (v-lines;
-faces ignored with a warning).  Meshes read from and write to OBJ or
-ASCII PLY and round-trip with identical topology.  Floats serialize
-with 17 significant digits, so writes are bit-reproducible.
+little-endian vertices, extra properties and later elements ignored)
+and OBJ (v-lines; faces ignored with a warning).  Meshes write to OBJ
+or ASCII PLY, and a mesh written either way reads back as the cloud of
+its vertices, bit-exactly: floats serialize with 17 significant digits,
+so writes are bit-reproducible.  A map is its table plus the ``.json``
+sidecar that ``write_map`` writes beside it; ``read_map`` reads both.
 
 One scanner, ``_lines``, reads XYZ, OBJ and map tables and takes
-``#`` comments on any line.  Clouds and meshes share one reader per
-format, ``_read_obj`` and ``_read_ply``.  A malformed file raises
+``#`` comments on any line.  There is one reader per format,
+``_read_xyz``, ``_read_obj`` and ``_read_ply``.  A malformed file raises
 FileFormatError naming the path and the line (or PLY vertex).
 
 A well-formed XYZ file is parsed by one ``np.loadtxt`` call, which
@@ -52,7 +54,6 @@ import numpy as np
 
 from .cloud import PointCloud, find_duplicate, xyz_array
 from .errors import CloudError, FileFormatError, MeshError
-from .mesh import SurfaceMesh
 from .meshing import spherical_delaunay
 from .param import SphericalMap
 
@@ -96,11 +97,11 @@ def read_cloud(path):
     suffix = path.suffix.lower()
     lines = None  # line number of each point; PLY points go by vertex id
     if suffix == ".ply":
-        points, _ = _read_ply(path, faces=False)
+        points = _read_ply(path)
     elif suffix == ".obj":
         points, lines, faces = _read_obj(path)
         if faces:
-            warnings.warn(f"{path}: ignored {len(faces)} face lines while reading "
+            warnings.warn(f"{path}: ignored {faces} face lines while reading "
                           "a cloud", stacklevel=2)
     else:
         cloud = _load_xyz(path)
@@ -153,8 +154,8 @@ def _read_xyz(path):
 
 def _read_obj(path):
     """The v-line coordinates of an OBJ file, the line number of each,
-    and its f-lines as (line number, fields after the 'f') pairs."""
-    verts, lines, faces = [], [], []
+    and the number of its f-lines, which a cloud read ignores."""
+    verts, lines, faces = [], [], 0
     for lineno, fields in _lines(path):
         if fields[0] == "v":
             if len(fields) < 4:
@@ -162,7 +163,7 @@ def _read_obj(path):
             verts.append(_parse(float, fields[1:4], path, lineno))
             lines.append(lineno)
         elif fields[0] == "f":
-            faces.append((lineno, fields[1:]))
+            faces += 1
     return verts, lines, faces
 
 
@@ -215,29 +216,21 @@ def _parse_ply_header(fh, path):
     return fmt, elements, lineno
 
 
-def _read_ply(path, faces):
-    """The (n, 3) vertex positions of a PLY file and, when ``faces`` is
-    set, the rows of its ASCII face element as (line number, fields)
-    pairs.  One pass over the header's elements; a cloud read stops
-    after the vertices."""
+def _read_ply(path):
+    """The (n, 3) vertex positions of a PLY file.  The elements before
+    the vertex element are skipped, ASCII rows read and dropped, binary
+    ones passed over by ``seek``; the read stops after the vertices."""
     with open(path, "rb") as fh:
         fmt, elements, lineno = _parse_ply_header(fh, path)
-        if faces and fmt != "ascii":
-            raise FileFormatError(f"{path}: mesh reading supports ASCII PLY only")
-        verts, body = None, {}  # ASCII rows of the other elements, by name
         for name, count, props in elements:
             if name == "vertex":
-                verts = _ply_vertices(fh, fmt, count, props, lineno, path)
-                if not faces:
-                    break
-            elif fmt == "ascii":
-                body[name] = _ascii_rows(fh, count, lineno, path)
+                return _ply_vertices(fh, fmt, count, props, lineno, path)
+            if fmt == "ascii":
+                _ascii_rows(fh, count, lineno, path)
             else:
                 fh.seek(count * _binary_dtype(name, props, path).itemsize, 1)
             lineno += count
-    if verts is None:
-        raise FileFormatError(f"{path}: no vertex element")
-    return verts, body.get("face", [])
+    raise FileFormatError(f"{path}: no vertex element")
 
 
 def _ply_vertices(fh, fmt, count, props, lineno, path):
@@ -514,57 +507,6 @@ def _write_ply(mesh, path):
         _write_ints(fh, mesh.faces, b"%d" % mesh.arity, 0)
 
 
-def read_mesh(path):
-    """Read an OBJ or ASCII-PLY mesh (vertices and faces)."""
-    path = Path(path)
-    if path.suffix.lower() == ".ply":
-        verts, rows = _read_ply(path, faces=True)
-        if not rows:
-            raise FileFormatError(f"{path}: PLY mesh needs vertex and face elements")
-        faces = [(row, _ply_face(fields, path, row)) for row, fields in rows]
-        return _checked_mesh(verts, faces, 0, path)
-    verts, _, rows = _read_obj(path)
-    if not rows:
-        raise FileFormatError(f"{path}: no faces found")
-    faces = [(row, _parse(int, [f.split("/")[0] for f in fields], path, row))
-             for row, fields in rows]
-    return _checked_mesh(np.array(verts), faces, 1, path)
-
-
-def _checked_mesh(verts, rows, base, path):
-    """SurfaceMesh of ``verts`` and the face ``rows``, (line number,
-    vertex ids) pairs with ids counted from ``base``.  A row of the
-    wrong arity or with an id outside the vertices raises
-    FileFormatError naming its line."""
-    for lineno, ids in rows:
-        if len(ids) != len(rows[0][1]) or len(ids) not in (3, 4):
-            raise FileFormatError(
-                f"{path}: line {lineno}: face has {len(ids)} vertex ids; "
-                "faces must be all triangles or all quads"
-            )
-    lines, faces = zip(*rows)
-    ids = np.array(faces, dtype=np.intp)
-    high = len(verts) + base
-    rows, cols = np.nonzero((ids < base) | (ids >= high))
-    if rows.size:
-        raise FileFormatError(
-            f"{path}: line {lines[rows[0]]}: vertex id {ids[rows[0], cols[0]]} "
-            f"is outside [{base}, {high})"
-        )
-    return SurfaceMesh(verts, ids - base)
-
-
-def _ply_face(parts, path, lineno):
-    """Vertex ids of an ASCII PLY face row: a count, then that many ids."""
-    (count,) = _parse(int, parts[:1], path, lineno)
-    ids = _parse(int, parts[1:1 + count], path, lineno)
-    if len(ids) < count:
-        raise FileFormatError(
-            f"{path}: line {lineno}: face row lists {len(ids)} of {count} ids"
-        )
-    return ids
-
-
 def write_map(sphere_map, path, config=None):
     """Serialize a spherical map: an index/unit-vector table plus a JSON
     metadata sidecar (same path with .json appended), which records the
@@ -598,8 +540,11 @@ def read_map(path, cloud):
     """Load a serialized spherical map back over its cloud, with its
     triangulation: ``delaunay_faces`` is the spherical Delaunay mesh of
     the images, built once here and reused by every mesh of the map.
-    Raises MeshError when the images are not unit vectors or the hull
-    leaves one out, with the path in front of its message."""
+    ``history`` and ``converged`` come from the ``.json`` sidecar that
+    ``write_map`` writes beside the table; a missing sidecar raises
+    FileNotFoundError naming it.  Raises MeshError when the images are
+    not unit vectors or the hull leaves one out, with the path in front
+    of its message."""
     images = np.zeros((cloud.n, 3))
     first_line = {}  # id -> line that set it
     for lineno, fields in _lines(path):
@@ -624,14 +569,12 @@ def read_map(path, cloud):
             f"{path}: map has {len(first_line)} entries for a cloud of {cloud.n}"
         )
     meta_path = Path(str(path) + ".json")
-    meta = {}
-    if meta_path.exists():
-        try:
-            meta = json.loads(meta_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{meta_path}: not valid JSON ({exc})") from exc
-        if not isinstance(meta, dict):
-            raise FileFormatError(f"{meta_path}: expected a JSON object")
+    try:
+        meta = json.loads(meta_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{meta_path}: not valid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise FileFormatError(f"{meta_path}: expected a JSON object")
     history = meta.get("movement_history", [])
     if type(history) is not list or not all(
         type(v) in (int, float) and math.isfinite(v) for v in history
@@ -639,7 +582,7 @@ def read_map(path, cloud):
         raise FileFormatError(
             f"{meta_path}: movement_history must be a list of finite numbers"
         )
-    converged = meta.get("converged", True)
+    converged = meta.get("converged")
     if type(converged) is not bool:
         raise FileFormatError(f"{meta_path}: converged must be true or false")
     try:

@@ -396,6 +396,8 @@ def test_rejected_map_file_is_named(blob_and_map, tmp_path, capsys):
     lines[4] = "4 0.5 0.5 0.5\n"
     bad = tmp_path / "m.txt"
     bad.write_text("".join(lines))
+    sidecar = map_path.with_name(map_path.name + ".json")
+    bad.with_name(bad.name + ".json").write_bytes(sidecar.read_bytes())
     assert run_cli(["mesh", str(cloud), "--map", str(bad), "-o", str(tmp_path / "o.obj")]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"error: {bad}: points are not on the unit sphere")

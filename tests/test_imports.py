@@ -104,7 +104,7 @@ PUBLIC_NAMES = [
     "lb_coefficients", "loop_subdivide", "mean_curvature", "mesh", "meshing",
     "metrics", "mls_fit", "multilevel", "ns_iterate", "param", "parameterize",
     "pole_distances", "proj_north", "proj_south", "projections", "quad_mesh",
-    "quality_report", "read_cloud", "read_map", "read_mesh", "solve",
+    "quality_report", "read_cloud", "read_map", "solve",
     "sphere_triangulation", "spherical_delaunay", "weights", "write_cloud",
     "write_map", "write_mesh",
 ]

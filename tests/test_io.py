@@ -15,12 +15,10 @@ from spheremesh import (
     MeshError,
     SurfaceMesh,
     convex_hull,
-    cube_sphere,
     icosphere,
     parameterize,
     read_cloud,
     read_map,
-    read_mesh,
     write_cloud,
     write_map,
     write_mesh,
@@ -205,22 +203,9 @@ class TestObj:
     def test_inline_comments(self, tmp_path):
         path = tmp_path / "c.obj"
         path.write_text("v 0 0 0 # origin\nv 1 0 0\nv 0 1 0\nv 0 0 1#top\nf 1 2 3 # base\n")
-        mesh = read_mesh(path)
-        np.testing.assert_array_equal(mesh.vertices[3], [0, 0, 1])
-        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
-
-    def test_mesh_roundtrip_obj(self, tmp_path):
-        mesh = icosphere(1)
-        path = tmp_path / "m.obj"
-        write_mesh(mesh, path)
-        text = path.read_text()
-        assert text.count("\nf ") + text.startswith("f ") == mesh.n_faces
-        back = read_mesh(path)
-        assert back.n_vertices == mesh.n_vertices
-        assert back.n_faces == mesh.n_faces
-        assert back.euler_characteristic() == 2
-        np.testing.assert_array_equal(back.faces, mesh.faces)
-        np.testing.assert_array_equal(back.vertices, mesh.vertices)
+        with pytest.warns(UserWarning, match="ignored 1 face"):
+            cloud = read_cloud(path)
+        np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_tetrahedron_line_counts(self, tmp_path):
         v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -231,33 +216,26 @@ class TestObj:
         assert sum(l.startswith("v ") for l in lines) == 4
         assert sum(l.startswith("f ") for l in lines) == 4
 
-    def test_quad_cube_sphere(self, tmp_path):
-        mesh = cube_sphere(1)
-        path = tmp_path / "q.obj"
-        write_mesh(mesh, path)
-        lines = path.read_text().strip().splitlines()
-        f_lines = [l for l in lines if l.startswith("f ")]
-        assert len(f_lines) == 6
-        assert all(len(l.split()) == 5 for l in f_lines)
-        back = read_mesh(path)
-        assert back.arity == 4
-        assert back.euler_characteristic() == 2
-
-    def test_mesh_roundtrip_ply(self, tmp_path):
-        mesh = icosphere(2)
-        path = tmp_path / "m.ply"
-        write_mesh(mesh, path)
-        back = read_mesh(path)
-        assert back.n_vertices == mesh.n_vertices
-        np.testing.assert_array_equal(back.faces, mesh.faces)
-        assert back.euler_characteristic() == 2
-
     def test_unknown_format_names_the_path(self, tmp_path):
         path = tmp_path / "m.stl"
         message = re.escape(f"{path}: unknown mesh format 'stl'")
         with pytest.raises(FileFormatError, match=message):
             write_mesh(icosphere(1), path)
         assert not path.exists()
+
+
+@pytest.mark.parametrize("ext", ["obj", "ply"])
+def test_written_mesh_reads_back_as_its_vertices(tmp_path, ext):
+    # the reader stops at the PLY vertices, before the face element, and
+    # skips the OBJ f-lines with a warning
+    mesh, path = icosphere(2), tmp_path / f"m.{ext}"
+    write_mesh(mesh, path)
+    if ext == "obj":
+        with pytest.warns(UserWarning, match="ignored 320 face lines"):
+            cloud = read_cloud(path)
+    else:
+        cloud = read_cloud(path)
+    assert cloud.points.tobytes() == mesh.vertices.tobytes()
 
 
 class TestMapSerialization:
@@ -312,9 +290,8 @@ PLY_HEADER = (
     "ply\nformat ascii 1.0\nelement vertex 3\n"
     "property double x\nproperty double y\nproperty double z\n"
     "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
-)  # the vertex rows start at line 10, the face row at line 13
+)  # the vertex rows start at line 10
 OBJ_BODY = "v 0 0 0\nv {}\nv 0 1 0\nf 1 2 3\n"
-OBJ_FACE = OBJ_BODY.format("1 0 0").replace("f 1 2 3", "f {}")  # face at line 4
 PLY_BODY = "0 0 0\n{}\n0 1 0\n{}\n"
 CLOUD_PLY = (
     "ply\nformat {}\n{}element vertex 4\n"
@@ -326,33 +303,17 @@ FACE_ELEMENT = "element face 1\n" + LIST_PROPERTY
 OBJ_CLOUD = "".join(f"v {row}\n" for row in TETRA.splitlines())
 
 MALFORMED = [
-    pytest.param(read_mesh, "m.obj", OBJ_BODY.format("1 0 x"), "line 2: ",
+    pytest.param(read_cloud, "m.obj", OBJ_BODY.format("1 0 x"), "line 2: ",
                  id="obj-unparsable-coordinate"),
-    pytest.param(read_mesh, "m.obj", OBJ_BODY.format("1 0"), "line 2: ",
+    pytest.param(read_cloud, "m.obj", OBJ_BODY.format("1 0"), "line 2: ",
                  id="obj-two-coordinates"),
-    pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 x 0", "3 0 1 2"),
-                 "line 11: ", id="ply-mesh-unparsable-vertex"),
     pytest.param(read_cloud, "m.ply", PLY_HEADER + PLY_BODY.format("1 x 0", "3 0 1 2"),
                  "line 11: ", id="ply-cloud-unparsable-vertex"),
-    pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 0", "3 0 1 2"),
+    pytest.param(read_cloud, "m.ply", PLY_HEADER + PLY_BODY.format("1 0", "3 0 1 2"),
                  "line 11: ", id="ply-mesh-short-vertex-row"),
-    pytest.param(read_mesh, "m.ply",
+    pytest.param(read_cloud, "m.ply",
                  PLY_HEADER.replace("vertex 3", "vertex x") + PLY_BODY.format("1 0 0", "3 0 1 2"),
                  "line 3: ", id="ply-unparsable-element-count"),
-    pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 0 0", "3 0 1"),
-                 "line 13: face row lists 2 of 3 ids", id="ply-short-face-row"),
-    pytest.param(read_mesh, "m.obj", OBJ_FACE.format("1 2 9"),
-                 "line 4: vertex id 9 is outside [1, 4)", id="obj-face-id-too-large"),
-    pytest.param(read_mesh, "m.obj", OBJ_FACE.format("0 1 2"),
-                 "line 4: vertex id 0 is outside [1, 4)", id="obj-face-zero-based"),
-    pytest.param(read_mesh, "m.obj", OBJ_FACE.format("1 2"),
-                 "line 4: face has 2 vertex ids", id="obj-two-id-face"),
-    pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 0 0", "3 0 1 7"),
-                 "line 13: vertex id 7 is outside [0, 3)", id="ply-face-id-too-large"),
-    pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 0 0", "3 0 1 -1"),
-                 "line 13: vertex id -1 is outside [0, 3)", id="ply-face-id-negative"),
-    pytest.param(read_mesh, "m.ply", PLY_HEADER + PLY_BODY.format("1 0 0", "2 0 1"),
-                 "line 13: face has 2 vertex ids", id="ply-two-id-face"),
     pytest.param(read_cloud, "c.ply", "plx\n" + TETRA, "not a PLY file",
                  id="ply-bad-magic"),
     pytest.param(read_cloud, "c.ply", "ply\nformat ascii 1.0\nelement vertex 4\n",
@@ -377,12 +338,6 @@ MALFORMED = [
                  "binary vertex data truncated", id="ply-binary-truncated"),
     pytest.param(read_cloud, "c.ply", CLOUD_PLY.format(ASCII, "") + TETRA[:-6],
                  "line 11: truncated element", id="ply-ascii-truncated"),
-    pytest.param(read_mesh, "m.ply", CLOUD_PLY.format(BINARY, ""),
-                 "mesh reading supports ASCII PLY only", id="ply-mesh-binary"),
-    pytest.param(read_mesh, "m.ply", CLOUD_PLY.format(ASCII, "") + TETRA,
-                 "PLY mesh needs vertex and face elements", id="ply-mesh-without-faces"),
-    pytest.param(read_mesh, "m.obj", OBJ_BODY.format("1 0 0").replace("f 1 2 3\n", ""),
-                 "no faces found", id="obj-mesh-without-faces"),
     pytest.param(read_cloud, "c.ply", "ply\nformat\n",
                  "line 2: expected 'format <format> <version>'", id="ply-format-without-value"),
     pytest.param(read_cloud, "c.ply", CLOUD_PLY.format(ASCII, "").replace("double z", "double"),
@@ -739,12 +694,21 @@ class TestReadMapValidation:
         ('{"movement_history": [true]}', "movement_history must be a list"),
         ('{"converged": 1}', "converged must be true or false"),
         ('{"converged": "yes"}', "converged must be true or false"),
+        ('{"movement_history": []}', "converged must be true or false"),
     ])
     def test_bad_sidecar_names_the_json_path(self, written, text, message):
         cloud, path, _ = written
         sidecar = path.with_name(path.name + ".json")
         sidecar.write_text(text)
         with pytest.raises(FileFormatError, match=re.escape(f"{sidecar}: {message}")):
+            read_map(path, cloud)
+
+    def test_missing_sidecar_is_named(self, written):
+        # the table alone does not say whether the map converged
+        cloud, path, _ = written
+        sidecar = path.with_name(path.name + ".json")
+        sidecar.unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape(str(sidecar))):
             read_map(path, cloud)
 
     def test_sidecar_fields_read_back(self, written):
