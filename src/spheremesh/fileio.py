@@ -575,7 +575,7 @@ def read_map(path, cloud):
         raise FileFormatError(f"{meta_path}: not valid JSON ({exc})") from exc
     if not isinstance(meta, dict):
         raise FileFormatError(f"{meta_path}: expected a JSON object")
-    history = meta.get("movement_history", [])
+    history = meta.get("movement_history")
     if type(history) is not list or not all(
         type(v) in (int, float) and math.isfinite(v) for v in history
     ):

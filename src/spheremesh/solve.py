@@ -18,11 +18,10 @@ non-finite values, or its refined residual misses the tolerance, the
 matrix is factored again in float64 with partial pivoting.
 
 Refinement needs only float64 products A x, not a stored float64 matrix.
-The factor's input is sliced from the operator's CSR rows, a bounded
-step of free rows at a time cast to float32 (8 B per nonzero);
-``sparse.vstack`` joins the steps, one ``tocsc`` orders them by column
-and the free columns are cut from that.  Only one step's rows are ever
-float64, and the right-hand side and the refinement buffer are
+The factor's input is the operator cast to float32 (8 B per nonzero),
+its free rows sliced, one ``tocsc`` ordering them by column and the free
+columns cut from that.  The cast comes first, so no float64 copy of the
+free rows is made, and the right-hand side and the refinement buffer are
 allocated only after the factor.  While the float32 factor is built,
 only its input and SuperLU's workspace are live beside the operator.
 Refinement holds the factor and a few (n, 2) float64 arrays: b - A x is
@@ -31,7 +30,7 @@ free points and zero on the pinned ones, and the final residual comes
 from the real (n, 2) view of the field, so M is never upcast to complex.
 Only the float64 fallback builds a float64 reduced matrix.  The first
 solve sets the process peak (``ru_maxrss``) of ``parameterize``:
-126 MB on ``blob_cloud(20000, 0)`` and 405-408 MB on
+126.5 MB on ``blob_cloud(20000, 0)`` and 402 MB on
 ``blob_cloud(100000, 0)``.
 
 Both factors use SuperLU's symmetric mode with a minimum-degree ordering
@@ -49,14 +48,12 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from .errors import SolveError
 
 DEFAULT_TOL = 1e-10
 _MAX_REFINE = 10
-_GATHER_ROWS = 2048  # free rows per slicing step of _reduced; bounds its float64 temporaries
 
 logger = logging.getLogger(__name__)
 
@@ -129,7 +126,9 @@ def solve(system):
     factor = "float32"
     try:
         # the float32 input is a temporary: only the factor outlives the call
-        with np.errstate(over="ignore"):  # entries beyond float32 fall back
+        # the cast covers every row: entries beyond float32 become inf,
+        # and those left in the free block send the solve to float64
+        with np.errstate(over="ignore"):
             lu = _factor(_reduced(matrix, free, np.float32), diag_pivot_thresh=0.1)
     except RuntimeError:  # SuperLU signals exact singularity this way
         lu = None
@@ -184,15 +183,9 @@ def solve(system):
 
 def _reduced(matrix, free, dtype):
     """The free rows and columns of the CSR ``matrix`` as a CSC matrix of
-    ``dtype``: ``matrix[free].astype(dtype).tocsc()[:, free]``, with the
-    free rows sliced and cast ``_GATHER_ROWS`` at a time, so that only
-    one step of them is ever a float64 copy."""
-    step = _GATHER_ROWS
-    # one expression, so that the stacked rows die before the column cut
-    return sparse.vstack([
-        matrix[free[lo:lo + step]].astype(dtype)
-        for lo in range(0, free.size, step)
-    ]).tocsc()[:, free]
+    ``dtype``.  The cast comes first, so no float64 copy of the free rows
+    is made beside the float32 one."""
+    return matrix.astype(dtype, copy=False)[free].tocsc()[:, free]
 
 
 def _factor(a, **options):

@@ -1,8 +1,10 @@
 """No module of the package imports another module's private names: a
-name with a leading underscore is used only where it is defined.  And
-no module imports a name it does not use, unless another module of the
-package imports that name from it.  The package's public names are
-pinned, so a change that adds or drops one shows it here."""
+name with a leading underscore is used only where it is defined.  Every
+private function, class or constant is read somewhere in the package,
+so a deletion cannot orphan one.  And no module imports a name it does
+not use, unless another module of the package imports that name from
+it.  The package's public names are pinned, so a change that adds or
+drops one shows it here."""
 
 import ast
 from pathlib import Path
@@ -44,6 +46,54 @@ def test_private_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_imports_private_names(path):
     assert private_imports(path.read_text()) == []
+
+
+def private_definitions(tree):
+    """name -> line of every private name that a module-level ``def``,
+    ``class`` or assignment in ``tree`` binds."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update((name.id, node.lineno) for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
+    return {name: line for name, line in found.items() if _private(name)}
+
+
+def reads(tree):
+    """Every name that ``tree`` reads, as a variable or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+            or isinstance(node, ast.Attribute)}
+
+
+def unread_privates(source, package_reads):
+    """``line: name`` of every private module-level name of ``source``
+    that is not in ``package_reads``."""
+    return [f"{line}: {name}"
+            for name, line in private_definitions(ast.parse(source)).items()
+            if name not in package_reads]
+
+
+def test_unread_privates_are_found():
+    # the class attribute _STEP is not module-level; _d[1] = 2 binds no name
+    source = ("_STEP = 8\n_a, (_b, c) = 1, (2, 3)\n_T: int = 0\n"
+              "def _f(x):\n    return x\nclass _C:\n    _STEP = 0\n")
+    assert unread_privates(source, set()) == [
+        "1: _STEP", "2: _a", "2: _b", "3: _T", "4: _f", "6: _C"]
+    assert unread_privates(source, reads(ast.parse("_f(_C._STEP)"))) == [
+        "2: _a", "2: _b", "3: _T"]
+    assert unread_privates("_d = {}\n_d[1] = 2\n", set()) == ["1: _d"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_private_name_is_read(path):
+    package_reads = set().union(*(reads(ast.parse(p.read_text())) for p in MODULES))
+    assert unread_privates(path.read_text(), package_reads) == []
 
 
 def bound_imports(tree):

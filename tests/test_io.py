@@ -692,9 +692,10 @@ class TestReadMapValidation:
         ('{"movement_history": [0.1, "x"]}', "movement_history must be a list"),
         ('{"movement_history": [1e-3, NaN]}', "movement_history must be a list"),
         ('{"movement_history": [true]}', "movement_history must be a list"),
-        ('{"converged": 1}', "converged must be true or false"),
-        ('{"converged": "yes"}', "converged must be true or false"),
+        ('{"converged": 1, "movement_history": []}', "converged must be true or false"),
+        ('{"converged": "yes", "movement_history": []}', "converged must be true or false"),
         ('{"movement_history": []}', "converged must be true or false"),
+        ('{"converged": false}', "movement_history must be a list of finite numbers"),
     ])
     def test_bad_sidecar_names_the_json_path(self, written, text, message):
         cloud, path, _ = written

@@ -18,7 +18,7 @@ from spheremesh import (
     solve,
 )
 from spheremesh.laplacian import SparseOperator
-from spheremesh.solve import _GATHER_ROWS, DEFAULT_TOL, _reduced
+from spheremesh.solve import DEFAULT_TOL, _reduced
 from spheremesh.synth import blob_cloud
 
 from conftest import disk_grid
@@ -192,16 +192,18 @@ class TestMixedPrecision:
         np.testing.assert_array_equal(out[boundary], values)
 
     def test_traced_peak_holds_one_copy_of_the_free_rows(self, monkeypatch, caplog):
-        # The peak is the stack, tocsc and column cut of the free rows: two
-        # float32 copies of them live at once (4 B value + 4 B int32
+        # The peak is the cast, slice, tocsc and column cut of the rows:
+        # two float32 copies live at once (the cast operator and its free
+        # rows, then those rows and their CSC form; 4 B value + 4 B int32
         # column per nonzero each), 16 B per nonzero, next to under 40 B
         # per point: the field (16 B) and the row and column pointers.  At
         # k = 25 nonzeros a row that is below 16 + 40 / 25 = 17.6 B per
-        # nonzero; 17.1 and 15.6 B were measured on these two systems, and
-        # the bound leaves 2.9 B.  The right-hand side and the
+        # nonzero; 17.2 and 16.5 B were measured on these two systems, and
+        # the bound leaves 2.8 B.  The right-hand side and the
         # refinement buffer are made after the factor.  A float64 copy of
-        # the free rows cast beside its float32 copy (20 B per nonzero, 22.1
-        # B in all) or a complex copy of the rows (20 B) would break it.
+        # the free rows beside their float32 copy (20 B per nonzero; 20.8 B
+        # traced with the slice before the cast) or a complex copy of the
+        # rows (20 B) would break it.
         # SuperLU's own workspace is allocated in C and not traced.
         systems = []
 
@@ -246,32 +248,33 @@ def _emptied():
 class TestReduced:
     """``_reduced`` hands SuperLU exactly the arrays of the slice-and-cast
     path: the free rows cast, converted to CSC and cut to the free
-    columns."""
+    columns, in a copy that shares no memory with the operator."""
 
-    def check(self, matrix, pinned):
+    def check(self, matrix, pinned, dtype=np.float32):
         free = np.setdiff1d(np.arange(matrix.shape[0]), pinned)
         with np.errstate(over="ignore", under="ignore"):
-            got = _reduced(matrix, free, np.float32)
-            want = matrix[free].astype(np.float32).tocsc()[:, free]
+            got = _reduced(matrix, free, dtype)
+            want = matrix[free].astype(dtype).tocsc()[:, free]
         assert got.format == "csc" and got.shape == want.shape
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
+        # a float64 cast makes no copy, so the slice must: SuperLU gets its
+        # own arrays, never the operator that refinement reads
+        assert not np.shares_memory(got.data, matrix.data)
         return got
 
-    @pytest.mark.parametrize("step", [1, 7, 64, _GATHER_ROWS],
-                             ids=["1", "7", "64", "default"])
-    def test_lb_operator(self, step, monkeypatch):
-        # the output does not depend on the step size
-        monkeypatch.setattr(importlib.import_module("spheremesh.solve"), "_GATHER_ROWS", step)
+    # every solve factors in float32 first, and in float64 as its fallback
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["default", "fallback"])
+    def test_lb_operator(self, dtype):
         _, op, boundary = disk_system()
-        assert op.n > 2 * 64  # steps 1, 7 and 64 slice several times
-        self.check(op.matrix, boundary)
+        self.check(op.matrix, boundary, dtype)
 
     @pytest.mark.parametrize("pinned", [[5], np.arange(0, 300, 3), np.arange(1, 300)])
     def test_uneven_row_lengths(self, pinned):
-        self.check(_uneven_rows(), pinned)
+        for dtype in (np.float32, np.float64):
+            self.check(_uneven_rows(), pinned, dtype)
 
     def test_pins_that_empty_a_row_and_a_column(self):
         matrix, pinned = _emptied()
