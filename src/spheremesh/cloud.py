@@ -25,6 +25,18 @@ from .errors import CloudError, DegenerateNeighborhoodError
 _COLLINEAR_RTOL = 1e-12
 
 
+def row_dot(p, q):
+    """Row dot products over a last axis of length 3, summed x + y + z.
+
+    In every shape and memory order this is the sum that numpy's
+    reductions form over a length-3 axis, ``np.sum(p * q, axis=-1)``
+    and the one inside ``np.linalg.norm(p, axis=-1)``, bit for bit, at
+    a fraction of their cost; a matmul or einsum picks its kernel, and
+    rounding, by shape.  Row lengths are ``np.sqrt(row_dot(p, p))``.
+    """
+    return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
+
+
 def xyz_array(points):
     """``points`` as a contiguous (n, 3) float64 array; any other shape
     raises CloudError."""
@@ -81,7 +93,8 @@ class PointCloud:
             scale = np.abs(offsets).max()
             if not 0.0 < scale < np.inf:
                 return float(scale)
-            return float(scale * np.linalg.norm(offsets / scale, axis=1).max())
+            offsets /= scale
+            return float(scale * np.sqrt(row_dot(offsets, offsets)).max())
 
     def normalized(self):
         """Centroid-centered copy scaled to bounding radius 1.
@@ -111,8 +124,8 @@ class PointCloud:
 def find_duplicate(pts):
     """Return the ids of one exactly-coinciding pair, or None."""
     order = np.lexsort(pts.T)
-    same = np.all(pts[order[1:]] == pts[order[:-1]], axis=1)
-    hits = np.flatnonzero(same)
+    equal = pts[order[1:]] == pts[order[:-1]]
+    hits = np.flatnonzero(equal[:, 0] & equal[:, 1] & equal[:, 2])
     if hits.size == 0:
         return None
     i, j = order[hits[0]], order[hits[0] + 1]
@@ -154,7 +167,8 @@ class SpatialIndex:
         extra = min(n, k + 1)
         while True:
             _, cand = self._tree.query(q, k=extra)
-            d2 = np.sum((pts[cand] - q[:, None, :]) ** 2, axis=2)
+            diff = pts[cand] - q[:, None, :]
+            d2 = row_dot(diff, diff)
             # rank by (squared distance, id) each row that the tree did not
             # leave strictly ascending in d2; any other row is ranked already
             loose = np.flatnonzero((d2[:, 1:] <= d2[:, :-1]).any(axis=1))

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from .cloud import row_dot
 from .errors import MeshError
 
 AREA_TOL = 1e-14  # degenerate face: area <= AREA_TOL * (max |coordinate|)^2
@@ -115,9 +116,8 @@ class SurfaceMesh:
         area = np.zeros(self.n_faces)
         for i in range(self.arity - 2):
             a, b, c = f[:, 0], f[:, i + 1], f[:, i + 2]
-            area += 0.5 * np.linalg.norm(
-                np.cross(v[b] - v[a], v[c] - v[a]), axis=1
-            )
+            n = np.cross(v[b] - v[a], v[c] - v[a])
+            area += 0.5 * np.sqrt(row_dot(n, n))
         return area
 
     def corner_angles(self):
@@ -130,9 +130,8 @@ class SurfaceMesh:
             p = v[f[:, e]]
             nxt = v[f[:, (e + 1) % arity]] - p
             prv = v[f[:, (e - 1) % arity]] - p
-            cross = np.linalg.norm(np.cross(nxt, prv), axis=1)
-            dot = np.einsum("ij,ij->i", nxt, prv)
-            out[:, e] = np.arctan2(cross, dot)
+            n = np.cross(nxt, prv)
+            out[:, e] = np.arctan2(np.sqrt(row_dot(n, n)), np.einsum("ij,ij->i", nxt, prv))
         return out
 
     def validate_closed_genus0(self):

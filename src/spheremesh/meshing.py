@@ -7,6 +7,7 @@ representations.
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
+from .cloud import row_dot
 from .errors import MeshError
 from .mesh import SurfaceMesh, first_occurrence_ids
 
@@ -50,11 +51,16 @@ def convex_hull(points):
     normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     inward = np.einsum("ij,ij->i", normals, hull.equations[:, :3]) < 0
     faces[inward] = faces[inward, ::-1]
-    # start each face at its smallest id, then order the rows by their
-    # sorted ids: min, middle (the sum less min and max), max
-    faces = np.take_along_axis(faces, (faces.argmin(axis=1)[:, None] + np.arange(3)) % 3, 1)
-    low, high = faces[:, 0], faces.max(axis=1)
-    return faces[np.argsort((low * n + faces.sum(axis=1) - low - high) * n + high)]
+    # start each face at its smallest id (the ids of a face are
+    # distinct), then order the rows by their sorted ids: min, middle
+    # (the sum less min and max), max
+    f0, f1, f2 = faces.T
+    low = np.minimum(np.minimum(f0, f1), f2)
+    high = np.maximum(np.maximum(f0, f1), f2)
+    key = (low * n + f0 + f1 + f2 - low - high) * n + high
+    first = (f1 == low) + 2 * (f2 == low)
+    faces = np.take_along_axis(faces, (first[:, None] + np.arange(3)) % 3, 1)
+    return faces[np.argsort(key)]
 
 
 def spherical_delaunay(points):
@@ -67,8 +73,7 @@ def spherical_delaunay(points):
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 4:
         raise MeshError("need at least 4 points on the sphere")
-    norms = np.linalg.norm(pts, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-6:
+    if np.abs(np.sqrt(row_dot(pts, pts)) - 1.0).max() > 1e-6:
         raise MeshError("points are not on the unit sphere")
     faces = convex_hull(pts)
     missing = np.flatnonzero(np.bincount(faces.ravel(), minlength=len(pts)) == 0)
@@ -104,26 +109,37 @@ def induce_mesh(cloud, sphere_map):
     return SurfaceMesh(cloud.points, sphere_triangulation(sphere_map).faces)
 
 
-def _dot(p, q):
-    """Row dot products over the last axis, summed x + y + z in every
-    shape (a matmul or einsum picks its kernel, and rounding, by shape)."""
-    return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
-
-
-def _face_frames(points, faces):
-    """Corner a, normal n = (b - a) x (c - a) and the covectors
-    u = ((c - a) x n) / |n|^2 and v = (n x (b - a)) / |n|^2 of every
-    face (a, b, c)."""
+def _face_table(points, faces):
+    """One (F, 13) row per face (a, b, c): the normal
+    n = (b - a) x (c - a) in columns 0-2, the plane offset n . a in
+    column 3, the corner a in 4-6 and the covectors
+    u = ((c - a) x n) / |n|^2 in 7-9 and v = (n x (b - a)) / |n|^2 in
+    10-12, so that a ray test gathers a face's data once."""
     a, b, c = (points[corner] for corner in faces.T)
     b -= a
     c -= a
     n = np.cross(b, c)
-    nn = np.einsum("ij,ij->i", n, n)[:, None]
-    u = np.cross(c, n)
-    u /= nn
-    v = np.cross(n, b)
-    v /= nn
-    return a, n, u, v
+    table = np.empty((len(faces), 13))
+    table[:, :3] = n
+    table[:, 3] = np.einsum("ij,ij->i", n, a)
+    table[:, 4:7] = a
+    del a  # at most four (F, 3) arrays beside the table at any time
+    nn = np.einsum("ij,ij->i", n, n)
+    _covector_into(c, n, nn, table[:, 7:10])
+    _covector_into(n, b, nn, table[:, 10:])
+    return table
+
+
+def _covector_into(p, q, nn, out):
+    """Rows (p x q) / nn written into ``out`` column by column, rounded
+    as ``np.cross(p, q) / nn[:, None]``, which would first copy p and q
+    and then the result."""
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        column = out[:, i]
+        np.multiply(p[:, j], q[:, k], out=column)
+        column -= p[:, k] * q[:, j]
+        column /= nn
 
 
 class SphereInterpolator:
@@ -166,10 +182,10 @@ class SphereInterpolator:
         self.mesh = sphere_triangulation(sphere_map)
         self.snapped = 0
         self._neighbours = None  # face adjacency, built by the first walk
-        self._a, self._normals, self._u, self._v = _face_frames(self.images, self.mesh.faces)
-        self._offsets = np.einsum("ij,ij->i", self._normals, self._a)
-        self._exit_ids = np.flatnonzero(self._offsets > 0)
-        q = self._normals[self._exit_ids] / self._offsets[self._exit_ids, None]
+        self._table = _face_table(self.images, self.mesh.faces)
+        normals, offsets = self._table[:, :3], self._table[:, 3]
+        self._exit_ids = np.flatnonzero(offsets > 0)
+        q = normals[self._exit_ids] / offsets[self._exit_ids, None]
         qq = np.einsum("ij,ij->i", q, q)
         # larger leaves split at midpoints answer the exact queries
         # faster than the default tree, with the same nearest faces
@@ -183,17 +199,19 @@ class SphereInterpolator:
         or (m, k): returns the hit mask of face_ids' shape and the
         weights with a trailing axis of 3.  Every dot product is summed
         coordinate by coordinate, so a (sample, face) pair rounds the
-        same in either shape."""
+        same in either shape.  The faces' rows of the table are gathered
+        once."""
         s = s.reshape(s.shape[:1] + (1,) * (face_ids.ndim - 1) + (3,))
-        denom = _dot(self._normals[face_ids], s)
+        face = self._table[face_ids]
+        denom = row_dot(face[..., :3], s)
         ok = denom > 0
-        t = self._offsets[face_ids] / np.where(ok, denom, 1.0)
-        x = t[..., None] * s - self._a[face_ids]
-        beta = _dot(x, self._u[face_ids])
-        gamma = _dot(x, self._v[face_ids])
-        bary = np.stack([1.0 - beta - gamma, beta, gamma], axis=-1)
-        hit = ok & (t > 0) & (bary.min(axis=-1) >= -_BARY_TOL)
-        return hit, bary
+        t = face[..., 3] / np.where(ok, denom, 1.0)
+        x = t[..., None] * s - face[..., 4:7]
+        beta = row_dot(x, face[..., 7:10])
+        gamma = row_dot(x, face[..., 10:])
+        alpha = 1.0 - beta - gamma
+        hit = ok & (t > 0) & (np.minimum(np.minimum(alpha, beta), gamma) >= -_BARY_TOL)
+        return hit, np.stack([alpha, beta, gamma], axis=-1)
 
     def locate(self, samples):
         """(face id, barycentric weights) per row of an (m, 3) array of
@@ -276,15 +294,26 @@ class SphereInterpolator:
 
 def _directions(samples):
     """Unit rows of an (m, 3) array of nonzero finite directions; any
-    other input raises MeshError."""
+    other input raises MeshError.  A row whose squared length underflows
+    to 0 or overflows is first divided by its largest absolute
+    component; every other row is divided by its length alone."""
     s = np.asarray(samples, dtype=np.float64)
     if s.ndim != 2 or s.shape[1] != 3:
         raise MeshError(f"samples must be an (m, 3) array, got shape {s.shape}")
-    norm = np.linalg.norm(s, axis=1, keepdims=True)
-    bad = np.flatnonzero(~((norm > 0.0) & (norm < np.inf)))
-    if bad.size:
-        raise MeshError(f"sample {bad[0]} {s[bad[0]]} is zero-length or not finite")
-    return s / norm
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(row_dot(s, s))
+    odd = np.flatnonzero(~((norm > 0.0) & (norm < np.inf)))
+    if odd.size:
+        row = np.abs(s[odd])
+        scale = np.maximum(np.maximum(row[:, 0], row[:, 1]), row[:, 2])
+        bad = odd[~((scale > 0.0) & (scale < np.inf))]
+        if bad.size:
+            raise MeshError(f"sample {bad[0]} {s[bad[0]]} is zero-length or not finite")
+        unit = s[odd] / scale[:, None]
+        s = s.copy()
+        s[odd] = unit
+        norm[odd] = np.sqrt(row_dot(unit, unit))
+    return s / norm[:, None]
 
 
 def interpolate_to_cloud(sphere_map, samples):
@@ -364,9 +393,9 @@ def icosphere(subdivisions=0):
     """
     if subdivisions < 0:
         raise MeshError(f"subdivisions must be nonnegative, got {subdivisions}")
-    verts = ICOSAHEDRON_VERTICES / np.linalg.norm(
-        ICOSAHEDRON_VERTICES, axis=1, keepdims=True
-    )
+    verts = ICOSAHEDRON_VERTICES / np.sqrt(
+        row_dot(ICOSAHEDRON_VERTICES, ICOSAHEDRON_VERTICES)
+    )[:, None]
     mesh = SurfaceMesh(verts, ICOSAHEDRON_FACES)
     for _ in range(subdivisions):
         mesh = _subdivide_sphere(mesh)
@@ -377,7 +406,7 @@ def _subdivide_sphere(mesh):
     """One Loop subdivision with the vertices pushed back onto the unit
     sphere: the step between consecutive icospheres."""
     mesh = loop_subdivide(mesh)
-    mesh.vertices /= np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
+    mesh.vertices /= np.sqrt(row_dot(mesh.vertices, mesh.vertices))[:, None]
     return mesh
 
 

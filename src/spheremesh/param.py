@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, build_frames, build_index
+from .cloud import PointCloud, build_frames, build_index, row_dot
 from .errors import PipelineError, SphereMeshError
 from .laplacian import DEFAULT_K, assemble_lb_from_frames, lb_pass
 from .mesh import SurfaceMesh
@@ -145,7 +145,7 @@ def _centred(images):
                 f"Mobius centring stopped after {_CENTRING_STEPS} steps with "
                 f"the mean image at {np.sqrt(m @ m):.3g}, not below 1e-12"
             )
-    return images / np.linalg.norm(images, axis=1, keepdims=True)
+    return images / np.sqrt(row_dot(images, images))[:, None]
 
 
 def _ball_map(images, a):

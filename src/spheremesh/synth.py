@@ -6,7 +6,7 @@ are reproducible byte-for-byte.
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, row_dot
 
 _DISK_JITTER = 0.35  # interior grid jitter of disk_cloud, in grid spacings
 
@@ -15,7 +15,7 @@ def sphere_cloud(n, seed=0):
     """n points uniform on the unit sphere."""
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 3))
-    return PointCloud(v / np.linalg.norm(v, axis=1, keepdims=True))
+    return PointCloud(v / np.sqrt(row_dot(v, v))[:, None])
 
 
 def ellipsoid_cloud(n, axes=(2.0, 1.0, 1.0), seed=0):
@@ -88,10 +88,10 @@ def punch_holes(cloud, holes, hole_radius=0.15, seed=0):
         raise ValueError(f"hole_radius must be in [0, pi), got {hole_radius}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(holes, 3))
-    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    centers /= np.sqrt(row_dot(centers, centers))[:, None]
     center = cloud.points.mean(axis=0)
     rel = cloud.points - center
-    dirs = rel / np.linalg.norm(rel, axis=1, keepdims=True)
+    dirs = rel / np.sqrt(row_dot(rel, rel))[:, None]
     keep = np.ones(len(cloud.points), dtype=bool)
     cos_r = np.cos(hole_radius)
     for c in centers:

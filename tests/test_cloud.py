@@ -11,6 +11,7 @@ from spheremesh import (
     build_index,
     parameterize,
 )
+from spheremesh.cloud import row_dot
 
 TETRA = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -22,6 +23,40 @@ def brute_force_knn(points, center, k):
     d2 = np.sum((points - points[center]) ** 2, axis=1)
     order = np.lexsort((np.arange(len(points)), d2))
     return order[:k], np.sqrt(d2[order[:k]])
+
+
+def row_samples(layout):
+    """(4000, 3) rows with magnitudes from 1e-300 to 1e150, some rows and
+    entries zero, as a C-ordered array, an F-ordered one, or a
+    (4000, 5, 3) view that repeats each row with stride 0."""
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(4000, 3)) * 10.0 ** rng.uniform(-300, 150, size=(4000, 1))
+    x[::97] = 0.0
+    x[5::11, 1] = 0.0
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "broadcast":
+        return np.broadcast_to(x[:, None], (4000, 5, 3))
+    return x
+
+
+class TestRowDot:
+    """``row_dot`` and the ``np.minimum`` chain against the numpy
+    reductions over a length-3 axis that they replace, bit for bit."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "broadcast"])
+    def test_equals_numpy_reductions(self, layout):
+        x = row_samples(layout)
+        y = row_samples("C")[::-1]
+        if x.ndim == 3:
+            # (m, 1, 3) against (m, k, 3), as a ray test pairs samples and faces
+            y = y[:, None]
+        np.testing.assert_array_equal(np.sqrt(row_dot(x, x)), np.linalg.norm(x, axis=-1))
+        np.testing.assert_array_equal(row_dot(x, x), np.sum(x * x, axis=-1))
+        np.testing.assert_array_equal(row_dot(x, y), np.sum(x * y, axis=-1))
+        np.testing.assert_array_equal(
+            np.minimum(np.minimum(x[..., 0], x[..., 1]), x[..., 2]), x.min(axis=-1)
+        )
 
 
 class TestPointCloud:

@@ -23,6 +23,7 @@ from spheremesh import (
     sphere_triangulation,
     spherical_delaunay,
 )
+from spheremesh.cloud import row_dot
 from spheremesh.meshing import _BARY_TOL, _CHUNK
 from spheremesh.synth import add_noise, blob_cloud, ellipsoid_cloud, punch_holes, sphere_cloud
 
@@ -161,6 +162,35 @@ def exhaustive_positions(sphere_map, samples):
     return np.vstack(out)
 
 
+def dual_scores(interp, s):
+    """n_f . s / d_f of every sample and face, from the face table."""
+    normals, offsets = interp._table[:, :3], interp._table[:, 3]
+    return s @ (normals / offsets[:, None]).T
+
+
+def reference_ray_test(points, faces, face_ids, s):
+    """``SphereInterpolator._ray_test`` from five per-face arrays, each
+    gathered on its own, with numpy's reductions over the coordinates:
+    the reference for the face table and the elementwise sums."""
+    a, b, c = (points[corner] for corner in faces.T)
+    b -= a
+    c -= a
+    normals = np.cross(b, c)
+    nn = np.einsum("ij,ij->i", normals, normals)[:, None]
+    u = np.cross(c, normals) / nn
+    v = np.cross(normals, b) / nn
+    offsets = np.einsum("ij,ij->i", normals, a)
+    s = s.reshape(s.shape[:1] + (1,) * (face_ids.ndim - 1) + (3,))
+    denom = np.sum(normals[face_ids] * s, axis=-1)
+    ok = denom > 0
+    t = offsets[face_ids] / np.where(ok, denom, 1.0)
+    x = t[..., None] * s - a[face_ids]
+    beta = np.sum(x * u[face_ids], axis=-1)
+    gamma = np.sum(x * v[face_ids], axis=-1)
+    bary = np.stack([1.0 - beta - gamma, beta, gamma], axis=-1)
+    return ok & (t > 0) & (bary.min(axis=-1) >= -_BARY_TOL), bary
+
+
 class TestInterpolation:
     def test_sample_at_image_returns_cloud_point_exactly(self):
         pts = uniform_sphere(200, seed=4)
@@ -234,11 +264,11 @@ class TestInterpolation:
         # polar duality: the central ray of s leaves a hull around the
         # origin through the face maximising n_f . s / d_f
         interp = SphereInterpolator(ellipsoid_map)
-        assert np.all(interp._offsets > 0)
+        assert np.all(interp._table[:, 3] > 0)
         samples = uniform_sphere(2000, seed=15)
         s = samples / np.linalg.norm(samples, axis=1, keepdims=True)
         faces, bary = interp.locate(samples)
-        score = s @ (interp._normals / interp._offsets[:, None]).T
+        score = dual_scores(interp, s)
         second, best = np.argsort(score, axis=1)[:, -2:].T
         rows = np.arange(len(s))
         # away from shared edges the runner-up trails by a margin
@@ -257,7 +287,7 @@ class TestInterpolation:
         interp = SphereInterpolator(ellipsoid_map)
         samples = uniform_sphere(2000, seed=17)
         s = samples / np.linalg.norm(samples, axis=1, keepdims=True)
-        score = s @ (interp._normals / interp._offsets[:, None]).T
+        score = dual_scores(interp, s)
         second, best = np.argsort(score, axis=1)[:, -2:].T
         alone_hit, alone = interp._ray_test(best, s)
         pair_hit, pair = interp._ray_test(np.column_stack([best, second]), s)
@@ -265,6 +295,26 @@ class TestInterpolation:
         assert alone_hit.all()
         np.testing.assert_array_equal(alone_hit, pair_hit[:, 0])
         np.testing.assert_array_equal(alone, pair[:, 0])
+
+    @pytest.mark.parametrize("k", [None, 3], ids=["m", "m-by-k"])
+    @pytest.mark.parametrize("crowded", [False, True], ids=["ellipsoid", "crowded"])
+    def test_ray_test_matches_per_array_reference(self, ellipsoid_map, crowded, k):
+        # random faces, with every other sample's exit face in the first
+        # column, so that hits, misses and (on the crowded map) faces
+        # with d_f <= 0 are all tested
+        m = crowded_map() if crowded else ellipsoid_map
+        interp = SphereInterpolator(m)
+        samples = uniform_sphere(600, seed=23)
+        s = samples / np.sqrt(row_dot(samples, samples))[:, None]
+        shape = (len(s),) if k is None else (len(s), k)
+        face_ids = np.random.default_rng(24).integers(interp.mesh.n_faces, size=shape)
+        face_ids.reshape(len(s), -1)[::2, 0] = interp.locate(samples[::2])[0]
+        hit, bary = interp._ray_test(face_ids, s)
+        ref_hit, ref_bary = reference_ray_test(interp.images, interp.mesh.faces, face_ids, s)
+        assert hit.shape == shape and bary.shape == shape + (3,)
+        assert 0 < np.count_nonzero(hit) < hit.size
+        np.testing.assert_array_equal(hit, ref_hit)
+        np.testing.assert_array_equal(bary, ref_bary)
 
     def test_samples_across_chunks_agree(self, ellipsoid_map):
         interp = SphereInterpolator(ellipsoid_map)
@@ -316,6 +366,7 @@ class TestInterpolation:
 
     @pytest.mark.parametrize("row", [
         [0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0],
+        [1e200, np.nan, 0.0], [1e-200, 0.0, -np.inf],
     ])
     def test_bad_sample_rejected_by_row(self, row):
         m = identity_map(uniform_sphere(200, seed=3))
@@ -325,6 +376,24 @@ class TestInterpolation:
             SphereInterpolator(m).locate(samples)
         with pytest.raises(MeshError, match="sample 6"):
             interpolate_to_cloud(m, samples)
+
+    @pytest.mark.parametrize("row, unit", [
+        ([1e200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([0.0, -5e-324, 0.0], [0.0, -1.0, 0.0]),
+        ([1e308, -1e308, 1e308], [1.0, -1.0, 1.0]),
+    ])
+    def test_rows_whose_squared_length_is_not_finite_locate_as_unit_rows(self, row, unit):
+        # the squared length of these finite rows overflows or underflows
+        m = identity_map(uniform_sphere(200, seed=3))
+        samples = uniform_sphere(10, seed=4)
+        expected = samples.copy()
+        samples[6], expected[6] = row, unit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = SphereInterpolator(m)(samples)
+        np.testing.assert_array_equal(out, SphereInterpolator(m)(expected))
+        np.testing.assert_array_equal(SphereInterpolator(m)(samples[6:7]), out[6:7])
 
     @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 3, 3)])
     def test_samples_must_be_m_by_3(self, shape):
@@ -608,7 +677,7 @@ def assert_walks_locate(m, levels):
 class TestWalk:
     def test_walk_returns_what_locate_returns(self, walk_map):
         left = assert_walks_locate(walk_map, 3)
-        if np.all(SphereInterpolator(walk_map)._offsets > 0):
+        if np.all(SphereInterpolator(walk_map)._table[:, 3] > 0):
             # around the origin nearly every walk ends within the cap
             assert left < 0.001
         else:
