@@ -37,6 +37,24 @@ def row_dot(p, q):
     return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
 
 
+def row_cross(p, q, out=None):
+    """Row cross products p x q over a last axis of length 3, written
+    into ``out`` (a new array by default) column by column.
+
+    Each column is the product and difference that ``np.cross`` forms,
+    p_j q_k - p_k q_j, so the rows are bit-equal to ``np.cross(p, q)``
+    in every shape and memory order, without its copies of p and q.
+    ``out`` must not overlap p or q.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(p[..., j], q[..., k], out=out[..., i])
+        out[..., i] -= p[..., k] * q[..., j]
+    return out
+
+
 def xyz_array(points):
     """``points`` as a contiguous (n, 3) float64 array; any other shape
     raises CloudError."""
@@ -242,7 +260,7 @@ def build_frames(points, neighbor_ids, neighbor_dists):
     e1 = evecs[:, :, 2]
     e2 = evecs[:, :, 1]
     # enforce right-handedness: e1 x e2 == e3
-    det = np.einsum("ni,ni->n", e1, np.cross(e2, e3))
+    det = np.einsum("ni,ni->n", e1, row_cross(e2, e3))
     e2 = np.where(det[:, None] < 0, -e2, e2)
 
     rel = nbr - points[neighbor_ids[:, 0], None, :]

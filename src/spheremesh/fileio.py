@@ -5,11 +5,13 @@ little-endian vertices, extra properties and later elements ignored)
 and OBJ (v-lines; faces ignored with a warning).  Meshes write to OBJ
 or ASCII PLY, and a mesh written either way reads back as the cloud of
 its vertices, bit-exactly: floats serialize with 17 significant digits,
-so writes are bit-reproducible.  A map is its table plus the ``.json``
-sidecar that ``write_map`` writes beside it; ``read_map`` reads both.
+so writes are bit-reproducible.  A map is the XYZ table of its images,
+row i the image of point i, plus the ``.json`` sidecar that
+``write_map`` writes beside it; ``read_map`` reads both, the table
+through the XYZ reader with exactly three values per row.
 
-One scanner, ``_lines``, reads XYZ, OBJ and map tables and takes
-``#`` comments on any line.  There is one reader per format,
+One scanner, ``_lines``, reads XYZ (so also map) and OBJ tables and
+takes ``#`` comments on any line.  There is one reader per format,
 ``_read_xyz``, ``_read_obj`` and ``_read_ply``.  A malformed file raises
 FileFormatError naming the path and the line (or PLY vertex).
 
@@ -22,8 +24,8 @@ the scanner, which alone reports what is wrong and on which line.
 
 Every writer opens its file in binary mode and writes it in blocks of
 ``_BLOCK_ROWS`` rows, with the same bytes as one formatted line per
-row.  Float rows (vertices, XYZ points, map rows with their ids) go
-through one kernel, ``_write_floats``.  For a value of magnitude in
+row.  Float rows (vertices, XYZ points and map images) go through
+one kernel, ``_write_floats``.  For a value of magnitude in
 [1e-4, 1e16), which ``%.17g`` prints in fixed notation, the 17
 significant digits are exact: Dekker's two-product of the value and an
 exact power of ten is rounded once, ties to even.  A zero prints as
@@ -95,20 +97,34 @@ def read_cloud(path):
     """Read a point cloud; format chosen by extension (.xyz/.ply/.obj)."""
     path = Path(path)
     suffix = path.suffix.lower()
-    lines = None  # line number of each point; PLY points go by vertex id
     if suffix == ".ply":
-        points = _read_ply(path)
-    elif suffix == ".obj":
+        return _cloud(_read_ply(path), None, path)
+    if suffix == ".obj":
         points, lines, faces = _read_obj(path)
         if faces:
             warnings.warn(f"{path}: ignored {faces} face lines while reading "
                           "a cloud", stacklevel=2)
-    else:
-        cloud = _load_xyz(path)
-        if cloud is not None:
-            return cloud
-        # rejected: the scanner accepts the file or says which line is wrong
-        points, lines = _read_xyz(path)
+        return _cloud(points, lines, path)
+    return _xyz_cloud(path, None)
+
+
+def _xyz_cloud(path, width):
+    """The cloud of an XYZ table whose rows carry exactly ``width``
+    values, or, when ``width`` is None, at least three, of which the
+    first three are read.  ``_load_xyz`` reads a well-formed table;
+    any table it rejects is read again by ``_read_xyz``, and the
+    scanner accepts it or says which line is wrong."""
+    cloud = _load_xyz(path, width)
+    if cloud is not None:
+        return cloud
+    points, lines = _read_xyz(path, width)
+    return _cloud(points, lines, path)
+
+
+def _cloud(points, lines, path):
+    """The PointCloud of ``points`` read from ``path``, where point i
+    was on line ``lines[i]`` (PLY points, ``lines`` None, go by vertex
+    id); a rejected point set raises FileFormatError saying where."""
     if len(points) < 4:
         raise FileFormatError(f"{path}: needs at least 4 points, got {len(points)}")
     try:
@@ -122,18 +138,20 @@ def read_cloud(path):
         raise FileFormatError(f"{path}: {problem} at {' and '.join(where)}") from exc
 
 
-def _load_xyz(path):
-    """The cloud of a well-formed XYZ file, parsed by one ``np.loadtxt``
-    call; None if the file is malformed or its points are rejected (a
+def _load_xyz(path, width):
+    """The cloud of a well-formed XYZ table, parsed by one ``np.loadtxt``
+    call; None if the table is malformed or its points are rejected (a
     parse failure, a warning such as an empty file's, or a CloudError:
-    fewer than 4, non-finite or duplicate points), so that ``_read_xyz``
-    reads it again: the scanner reports any error with its line, and
-    accepts the few spellings that Python's ``float`` takes and
-    ``loadtxt`` does not, such as ``1_0``."""
+    rows of other than 3 values when ``width`` is 3, fewer than 4,
+    non-finite or duplicate points), so that ``_read_xyz`` reads it
+    again: the scanner reports any error with its line, and accepts the
+    few spellings that Python's ``float`` takes and ``loadtxt`` does
+    not, such as ``1_0``."""
     try:
         with open(path, "r") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
-            points = np.loadtxt(fh, comments="#", usecols=(0, 1, 2), ndmin=2)
+            points = np.loadtxt(fh, comments="#", ndmin=2,
+                                usecols=None if width else (0, 1, 2))
     except (ValueError, Warning):
         return None
     try:
@@ -142,10 +160,10 @@ def _load_xyz(path):
         return None
 
 
-def _read_xyz(path):
+def _read_xyz(path, width):
     points, lines = [], []
     for lineno, fields in _lines(path):
-        if len(fields) < 3:
+        if len(fields) < 3 or width and len(fields) != width:
             raise FileFormatError(f"{path}: line {lineno}: expected 'x y z'")
         points.append(_parse(float, fields[:3], path, lineno))
         lines.append(lineno)
@@ -508,17 +526,12 @@ def _write_ply(mesh, path):
 
 
 def write_map(sphere_map, path, config=None):
-    """Serialize a spherical map: an index/unit-vector table plus a JSON
-    metadata sidecar (same path with .json appended), which records the
-    map's ``stage_seconds`` when it has them."""
-    path = Path(path)
-    with open(path, "wb") as fh:
-        # ids go through float64 exactly (n < 2**53), and %.17g prints a
-        # whole number below 1e16 as %d would; one block's table at a time
-        for lo in range(0, sphere_map.n, _BLOCK_ROWS):
-            images = sphere_map.images[lo:lo + _BLOCK_ROWS]
-            ids = np.arange(lo, lo + len(images))
-            _write_floats(fh, np.column_stack([ids, images]), b"")
+    """Serialize a spherical map: its images as an XYZ table, row i the
+    image of point i, which ``read_cloud`` reads as the point cloud of
+    the images, plus a JSON metadata sidecar (same path with .json
+    appended), which records the map's ``stage_seconds`` when it has
+    them."""
+    write_cloud(sphere_map.images, path)
     meta = {
         "points": int(sphere_map.n),
         "iterations": int(sphere_map.iterations),
@@ -540,33 +553,20 @@ def read_map(path, cloud):
     """Load a serialized spherical map back over its cloud, with its
     triangulation: ``delaunay_faces`` is the spherical Delaunay mesh of
     the images, built once here and reused by every mesh of the map.
-    ``history`` and ``converged`` come from the ``.json`` sidecar that
-    ``write_map`` writes beside the table; a missing sidecar raises
-    FileNotFoundError naming it.  Raises MeshError when the images are
-    not unit vectors or the hull leaves one out, with the path in front
-    of its message."""
-    images = np.zeros((cloud.n, 3))
-    first_line = {}  # id -> line that set it
-    for lineno, fields in _lines(path):
-        if len(fields) != 4:
-            raise FileFormatError(f"{path}: line {lineno}: expected 'id x y z'")
-        (i,) = _parse(int, fields[:1], path, lineno)
-        xyz = _parse(float, fields[1:], path, lineno)
-        if not 0 <= i < cloud.n:
-            raise FileFormatError(
-                f"{path}: line {lineno}: id {i} is outside [0, {cloud.n})"
-            )
-        if i in first_line:
-            raise FileFormatError(
-                f"{path}: line {lineno}: id {i} repeats line {first_line[i]}"
-            )
-        if not all(map(math.isfinite, xyz)):
-            raise FileFormatError(f"{path}: line {lineno}: non-finite image")
-        first_line[i] = lineno
-        images[i] = xyz
-    if len(first_line) != cloud.n:
+
+    The table is read as an XYZ cloud whose rows carry exactly the three
+    coordinates of an image, so a malformed row, a non-finite image or
+    two equal images raise FileFormatError naming the line, and the
+    table must have one row per point of ``cloud``.  ``history`` and
+    ``converged`` come from the ``.json`` sidecar that ``write_map``
+    writes beside the table; a missing sidecar raises FileNotFoundError
+    naming it.  Raises MeshError when the images are not unit vectors
+    or the hull leaves one out, with the path in front of its
+    message."""
+    images = np.array(_xyz_cloud(path, 3).points)
+    if len(images) != cloud.n:
         raise FileFormatError(
-            f"{path}: map has {len(first_line)} entries for a cloud of {cloud.n}"
+            f"{path}: map has {len(images)} rows for a cloud of {cloud.n}"
         )
     meta_path = Path(str(path) + ".json")
     try:

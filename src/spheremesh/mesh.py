@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .cloud import row_dot
+from .cloud import row_cross, row_dot
 from .errors import MeshError
 
 AREA_TOL = 1e-14  # degenerate face: area <= AREA_TOL * (max |coordinate|)^2
@@ -107,7 +107,7 @@ class SurfaceMesh:
         f = self.faces
         for i in range(self.arity - 2):
             a, b, c = f[:, 0], f[:, i + 1], f[:, i + 2]
-            total += np.einsum("ij,ij->i", v[a], np.cross(v[b], v[c])).sum()
+            total += np.einsum("ij,ij->i", v[a], row_cross(v[b], v[c])).sum()
         return total / 6.0
 
     def face_areas(self):
@@ -116,7 +116,7 @@ class SurfaceMesh:
         area = np.zeros(self.n_faces)
         for i in range(self.arity - 2):
             a, b, c = f[:, 0], f[:, i + 1], f[:, i + 2]
-            n = np.cross(v[b] - v[a], v[c] - v[a])
+            n = row_cross(v[b] - v[a], v[c] - v[a])
             area += 0.5 * np.sqrt(row_dot(n, n))
         return area
 
@@ -130,7 +130,7 @@ class SurfaceMesh:
             p = v[f[:, e]]
             nxt = v[f[:, (e + 1) % arity]] - p
             prv = v[f[:, (e - 1) % arity]] - p
-            n = np.cross(nxt, prv)
+            n = row_cross(nxt, prv)
             out[:, e] = np.arctan2(np.sqrt(row_dot(n, n)), np.einsum("ij,ij->i", nxt, prv))
         return out
 

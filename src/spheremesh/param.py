@@ -69,8 +69,8 @@ class SphericalMap:
     images: np.ndarray  # (n, 3) unit vectors
     history: list  # aligned movement of each N-S comparison (see ns_iterate)
     converged: bool
+    delaunay_faces: np.ndarray  # (F, 3) spherical Delaunay faces of the images
     stage_seconds: dict = None  # wall clock per pipeline stage
-    delaunay_faces: np.ndarray = None  # hull faces, kept by parameterize and read_map
 
     @property
     def n(self):

@@ -282,13 +282,14 @@ def test_criterion_9_topological_noise():
 
 
 def test_criterion_10_quad_meshing(sphere_pipeline):
-    from spheremesh import SphericalMap
+    from spheremesh import SphericalMap, spherical_delaunay
 
     cloud, sphere_map, *_ = sphere_pipeline
     # the angle window is stated for the sphere-identity case (the quad
     # template pushed through an exact identity parameterization)
     identity = SphericalMap(
         cloud=cloud, images=cloud.points.copy(), history=[0.0], converged=True,
+        delaunay_faces=spherical_delaunay(cloud.points).faces,
     )
     mesh = quad_mesh(identity, 16)
     assert mesh.n_faces == 6 * 16 * 16

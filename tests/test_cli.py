@@ -392,8 +392,7 @@ def test_saved_map_meshes_to_the_same_bytes(command, blob_and_map, tmp_path):
 def test_rejected_map_file_is_named(blob_and_map, tmp_path, capsys):
     cloud, map_path = blob_and_map
     lines = map_path.read_text().splitlines(keepends=True)
-    assert lines[4].startswith("4 ")
-    lines[4] = "4 0.5 0.5 0.5\n"
+    lines[4] = "0.5 0.5 0.5\n"
     bad = tmp_path / "m.txt"
     bad.write_text("".join(lines))
     sidecar = map_path.with_name(map_path.name + ".json")

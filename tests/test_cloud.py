@@ -11,7 +11,7 @@ from spheremesh import (
     build_index,
     parameterize,
 )
-from spheremesh.cloud import row_dot
+from spheremesh.cloud import row_cross, row_dot
 
 TETRA = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -57,6 +57,36 @@ class TestRowDot:
         np.testing.assert_array_equal(
             np.minimum(np.minimum(x[..., 0], x[..., 1]), x[..., 2]), x.min(axis=-1)
         )
+
+
+class TestRowCross:
+    """``row_cross`` against ``np.cross``, bit for bit."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "broadcast"])
+    def test_equals_np_cross(self, layout):
+        x = row_samples(layout)
+        y = row_samples("C")[::-1]
+        if x.ndim == 3:
+            y = y[:, None]
+        want = np.cross(x, y)
+        got = row_cross(x, y)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert row_cross(y, x).tobytes() == np.cross(y, x).tobytes()
+
+    def test_writes_a_strided_out_view(self):
+        x, y = row_samples("F"), row_samples("C")[::-1]
+        table = np.full((len(x), 7), 7.0)
+        out = table[:, 2:5]
+        assert row_cross(x, y, out=out) is out
+        assert out.tobytes() == np.cross(x, y).tobytes()
+        assert (table[:, [0, 1, 5, 6]] == 7.0).all()
+
+    def test_zero_rows(self):
+        x = row_samples("C")
+        zero = np.zeros_like(x)
+        assert row_cross(x, zero).tobytes() == np.cross(x, zero).tobytes()
+        assert row_cross(x, x).tobytes() == np.cross(x, x).tobytes()
 
 
 class TestPointCloud:

@@ -19,6 +19,7 @@ from spheremesh import (
     parameterize,
     read_cloud,
     read_map,
+    spherical_delaunay,
     write_cloud,
     write_map,
     write_mesh,
@@ -116,14 +117,14 @@ class TestXyz:
         scanned = []
         read_xyz = spheremesh.fileio._read_xyz
 
-        def counted(p):
+        def counted(p, width):
             scanned.append(p)
-            return read_xyz(p)
+            return read_xyz(p, width)
 
         monkeypatch.setattr(spheremesh.fileio, "_read_xyz", counted)
         if message is None:
             points = read_cloud(path).points
-            want = np.array(read_xyz(path)[0], dtype=np.float64)
+            want = np.array(read_xyz(path, None)[0], dtype=np.float64)
             assert points.dtype == want.dtype and points.tobytes() == want.tobytes()
             assert len(scanned) == (name == "underscores")  # loadtxt rejects 1_0
         else:
@@ -238,13 +239,20 @@ def test_written_mesh_reads_back_as_its_vertices(tmp_path, ext):
     assert cloud.points.tobytes() == mesh.vertices.tobytes()
 
 
+def hand_map(cloud, images=None, history=()):
+    """A map of a sphere cloud built by hand: the images are the points
+    unless given, the faces always those of the points."""
+    return SphericalMap(
+        cloud=cloud, images=cloud.points.copy() if images is None else images,
+        history=list(history), converged=True,
+        delaunay_faces=spherical_delaunay(cloud.points).faces,
+    )
+
+
 class TestMapSerialization:
     def test_roundtrip_with_metadata(self, tmp_path):
         cloud = sphere_cloud(40, seed=3)
-        m = SphericalMap(
-            cloud=cloud, images=cloud.points.copy(),
-            history=[0.5, 0.01, 1e-5], converged=True,
-        )
+        m = hand_map(cloud, history=[0.5, 0.01, 1e-5])
         path = tmp_path / "map.txt"
         config = ParamConfig(k=12, epsilon=2e-4)
         m.stage_seconds = {"lb assembly": 0.5}
@@ -264,15 +272,36 @@ class TestMapSerialization:
     def test_size_mismatch_rejected(self, tmp_path):
         cloud = sphere_cloud(40, seed=4)
         other = sphere_cloud(50, seed=5)
-        m = SphericalMap(cloud=cloud, images=cloud.points.copy(), history=[], converged=True)
         path = tmp_path / "map.txt"
-        write_map(m, path)
-        with pytest.raises(FileFormatError, match="40"):
+        write_map(hand_map(cloud), path)
+        with pytest.raises(FileFormatError, match="map has 40 rows for a cloud of 50$"):
             read_map(path, other)
+
+    def test_table_is_the_cloud_of_the_images(self, tmp_path):
+        # row i is image i in the XYZ writer's bytes (TestBlockWriters),
+        # so the table opens as the point cloud of the images
+        cloud = sphere_cloud(40, seed=3)
+        path = tmp_path / "map.txt"
+        write_map(hand_map(cloud), path)
+        assert read_cloud(path).points.tobytes() == cloud.points.tobytes()
+        back = read_map(path, cloud)
+        assert back.images.tobytes() == cloud.points.tobytes()
+        assert back.images.flags.writeable
+
+    def test_id_table_fails_at_its_first_row(self, tmp_path):
+        # a table of 'id x y z' rows, the format before maps were XYZ
+        cloud = sphere_cloud(10, seed=6)
+        path = tmp_path / "map.txt"
+        write_map(hand_map(cloud), path)
+        path.write_text("".join(f"{i} {row}" for i, row in
+                                enumerate(path.read_text().splitlines(keepends=True))))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: line 1: "
+                                                  "expected 'x y z'$"):
+            read_map(path, cloud)
 
     def test_iterations_follow_the_history(self, tmp_path):
         cloud = sphere_cloud(40, seed=3)
-        m = SphericalMap(cloud=cloud, images=cloud.points.copy(), history=[], converged=True)
+        m = hand_map(cloud)
         assert m.iterations == 0
         with pytest.raises(AttributeError):
             m.iterations = 3
@@ -451,8 +480,10 @@ class TestBlockWriters:
             stage_seconds=None,
         )
         write_map(smap, tmp_path / "map.txt")
-        expected = "".join(f"{i} " + _line(p) for i, p in enumerate(images))
+        write_cloud(images, tmp_path / "c.xyz")
+        expected = "".join(_line(p) for p in images)
         assert (tmp_path / "map.txt").read_text() == expected
+        assert (tmp_path / "c.xyz").read_text() == expected
 
 
 def _int_rows(rows, prefix, offset):
@@ -621,8 +652,8 @@ class TestWriteFloats:
 
     @pytest.mark.parametrize("table", ["cloud", "map"])
     def test_cloud_and_map_write_working_set(self, tmp_path, table):
-        # 40 962 rows within one block's temporaries; a copy of the whole
-        # (n, 4) map table alone would take 1.3 MB
+        # 40 962 rows within one block's temporaries; the map table is
+        # written by the cloud writer, beside a sidecar
         points = icosphere(6).vertices
         smap = SimpleNamespace(images=points, n=len(points), iterations=0,
                                converged=True, history=[], stage_seconds=None)
@@ -652,11 +683,15 @@ class TestReadMapTriangulation:
         np.testing.assert_array_equal(read_map(path, cloud).delaunay_faces, m.delaunay_faces)
 
     def test_absorbed_image_fails_when_read(self, tmp_path):
+        # image 4 moved 1e-15 from image 3 along the sphere: distinct
+        # rows, which the hull cannot tell apart
         cloud = sphere_cloud(10, seed=6)
         images = cloud.points.copy()
-        images[4] = images[3]
+        along = np.cross(images[3], [0.0, 0.0, 1.0])
+        images[4] = images[3] + 1e-15 * along / np.sqrt(along @ along)
+        assert (images[4] != images[3]).any()
         path = tmp_path / "map.txt"
-        write_map(SphericalMap(cloud=cloud, images=images, history=[], converged=True), path)
+        write_map(hand_map(cloud, images), path)
         with pytest.raises(MeshError, match=f"^{re.escape(str(path))}: .*absorbed by the hull"):
             read_map(path, cloud)
 
@@ -665,7 +700,7 @@ class TestReadMapTriangulation:
         images = cloud.points.copy()
         images[4] = 0.5
         path = tmp_path / "map.txt"
-        write_map(SphericalMap(cloud=cloud, images=images, history=[], converged=True), path)
+        write_map(hand_map(cloud, images), path)
         message = f"^{re.escape(str(path))}: points are not on the unit sphere$"
         with pytest.raises(MeshError, match=message):
             read_map(path, cloud)
@@ -675,15 +710,14 @@ class TestReadMapValidation:
     @pytest.fixture
     def written(self, tmp_path):
         cloud = sphere_cloud(10, seed=6)
-        m = SphericalMap(cloud=cloud, images=cloud.points.copy(), history=[], converged=True)
         path = tmp_path / "map.txt"
-        write_map(m, path)
+        write_map(hand_map(cloud), path)
         return cloud, path, path.read_text().splitlines(keepends=True)
 
     def test_inline_comment(self, written):
         cloud, path, lines = written
         lines[2] = lines[2].rstrip("\n") + "  # checked by hand\n"
-        path.write_text("# id x y z\n" + "".join(lines))
+        path.write_text("# x y z\n" + "".join(lines))
         np.testing.assert_array_equal(read_map(path, cloud).images, cloud.points)
 
     @pytest.mark.parametrize("text, message", [
@@ -719,33 +753,25 @@ class TestReadMapValidation:
         m = read_map(path, cloud)
         assert (m.history, m.iterations, m.converged) == ([0.5, 2e-5], 2, False)
 
-    def test_repeated_id_rejected(self, written):
+    def test_equal_images_name_both_lines(self, written):
         cloud, path, lines = written
-        lines[7] = "2" + lines[7][1:]
+        lines[4] = lines[3]
         path.write_text("".join(lines))
-        with pytest.raises(FileFormatError, match="line 8: id 2 repeats line 3"):
+        with pytest.raises(FileFormatError, match="duplicate point at line 4 and line 5$"):
             read_map(path, cloud)
 
-    def test_id_past_the_end_rejected(self, written):
-        cloud, path, lines = written
-        lines[9] = "10" + lines[9][1:]
-        path.write_text("".join(lines))
-        outside = r"line 10: id 10 is outside \[0, 10\)"
-        with pytest.raises(FileFormatError, match=outside):
-            read_map(path, cloud)
-
-    @pytest.mark.parametrize("row", ["4 0 1\n", "4 0 1 0 0\n"], ids=["short", "long"])
-    def test_row_not_id_x_y_z_rejected(self, written, row):
+    @pytest.mark.parametrize("row", ["0 1\n", "0 1 0 0\n"], ids=["short", "long"])
+    def test_row_not_x_y_z_rejected(self, written, row):
         cloud, path, lines = written
         lines[4] = row
         path.write_text("".join(lines))
-        with pytest.raises(FileFormatError, match="line 5: expected 'id x y z'"):
+        with pytest.raises(FileFormatError, match="line 5: expected 'x y z'$"):
             read_map(path, cloud)
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_coordinate_rejected(self, written, bad):
         cloud, path, lines = written
-        lines[4] = "4 0 " + bad + " 1\n"
+        lines[4] = "0 " + bad + " 1\n"
         path.write_text("".join(lines))
-        with pytest.raises(FileFormatError, match="line 5: non-finite image"):
+        with pytest.raises(FileFormatError, match="non-finite coordinates at line 5$"):
             read_map(path, cloud)

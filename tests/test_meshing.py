@@ -35,6 +35,7 @@ def identity_map(points):
     cloud = PointCloud(points)
     return SphericalMap(
         cloud=cloud, images=cloud.points.copy(), history=[0.0], converged=True,
+        delaunay_faces=spherical_delaunay(cloud.points).faces,
     )
 
 
@@ -43,9 +44,10 @@ def crowded_map():
     most central rays miss it."""
     pts = uniform_sphere(400, seed=7)
     cap = pts - [0.0, 0.0, 3.0]
+    images = cap / np.linalg.norm(cap, axis=1, keepdims=True)
     return SphericalMap(
-        cloud=PointCloud(pts), images=cap / np.linalg.norm(cap, axis=1, keepdims=True),
-        history=[0.0], converged=True,
+        cloud=PointCloud(pts), images=images, history=[0.0], converged=True,
+        delaunay_faces=spherical_delaunay(images).faces,
     )
 
 
