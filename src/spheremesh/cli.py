@@ -132,6 +132,8 @@ def build_parser():
 
 
 def _load_or_compute_map(args):
+    """The cloud of ``args.input`` and its map: read from ``--map`` when
+    given, else solved with ``args.config``."""
     cloud = fileio.read_cloud(args.input)
     if getattr(args, "map_path", None):
         return cloud, fileio.read_map(args.map_path, cloud)
@@ -170,8 +172,7 @@ def cmd_synth(args):
 
 
 def cmd_param(args):
-    cloud = fileio.read_cloud(args.input)
-    sphere_map = parameterize(cloud, args.config)
+    cloud, sphere_map = _load_or_compute_map(args)
     fileio.write_map(sphere_map, args.output, config=args.config)
     print(
         f"parameterized {cloud.n} points in {sphere_map.iterations} N-S "
@@ -211,8 +212,7 @@ def cmd_multilevel(args):
 
 
 def cmd_metrics(args):
-    cloud = fileio.read_cloud(args.input)
-    sphere_map = fileio.read_map(args.map_path, cloud)
+    cloud, sphere_map = _load_or_compute_map(args)
     report = quality_report(induce_mesh(cloud, sphere_map), sphere_triangulation(sphere_map),
                             curvature=mean_curvature(cloud, k=args.k))
     _write_report(report, args.report)

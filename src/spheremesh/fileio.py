@@ -10,17 +10,20 @@ row i the image of point i, plus the ``.json`` sidecar that
 ``write_map`` writes beside it; ``read_map`` reads both, the table
 through the XYZ reader with exactly three values per row.
 
-One scanner, ``_lines``, reads XYZ (so also map) and OBJ tables and
-takes ``#`` comments on any line.  There is one reader per format,
-``_read_xyz``, ``_read_obj`` and ``_read_ply``.  A malformed file raises
-FileFormatError naming the path and the line (or PLY vertex).
+Every text table goes through one row loop, ``_read_xyz``, which
+parses x y z from (line number, fields) rows: XYZ (so also map) lines
+from the scanner ``_lines``, which takes ``#`` comments on any line,
+OBJ v-lines, and the x, y and z fields of each ASCII PLY vertex row.
+A malformed file raises FileFormatError naming the path and the line;
+only binary PLY, which has no lines, names a bad point by its vertex
+id.  PLY ``comment`` and ``obj_info`` header lines are skipped.
 
 A well-formed XYZ file is parsed by one ``np.loadtxt`` call, which
-gives the same floats as the scanner without per-line Python lists:
+gives the same floats as the row loop without per-line Python lists:
 about half the time (0.052 s against 0.109 s for 20 000 points on a
 2-core host) and about 2 MB less heap left resident.  Any file it
 rejects, and any points that ``PointCloud`` rejects, are read again by
-the scanner, which alone reports what is wrong and on which line.
+the row loop, which alone reports what is wrong and on which line.
 
 Every writer opens its file in binary mode and writes it in blocks of
 ``_BLOCK_ROWS`` rows, with the same bytes as one formatted line per
@@ -96,35 +99,38 @@ def _parse(convert, fields, path, lineno):
 def read_cloud(path):
     """Read a point cloud; format chosen by extension (.xyz/.ply/.obj)."""
     path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".ply":
-        return _cloud(_read_ply(path), None, path)
-    if suffix == ".obj":
-        points, lines, faces = _read_obj(path)
-        if faces:
-            warnings.warn(f"{path}: ignored {faces} face lines while reading "
-                          "a cloud", stacklevel=2)
-        return _cloud(points, lines, path)
-    return _xyz_cloud(path, None)
+    reader = {".ply": _read_ply, ".obj": _read_obj}.get(path.suffix.lower())
+    if reader is None:
+        return _xyz_cloud(path, None)
+    return _cloud(*reader(path), path)
 
 
 def _xyz_cloud(path, width):
     """The cloud of an XYZ table whose rows carry exactly ``width``
     values, or, when ``width`` is None, at least three, of which the
-    first three are read.  ``_load_xyz`` reads a well-formed table;
-    any table it rejects is read again by ``_read_xyz``, and the
-    scanner accepts it or says which line is wrong."""
-    cloud = _load_xyz(path, width)
-    if cloud is not None:
-        return cloud
-    points, lines = _read_xyz(path, width)
-    return _cloud(points, lines, path)
+    first three are read.  One ``np.loadtxt`` call reads a well-formed
+    table.  A table it rejects (a parse failure, or a warning such as an
+    empty file's), or whose points ``PointCloud`` rejects (rows of other
+    than 3 values when ``width`` is 3, fewer than 4, non-finite or
+    duplicate points), is read again by the row loop, which reports any
+    error with its line and accepts the few spellings that Python's
+    ``float`` takes and ``loadtxt`` does not, such as ``1_0``."""
+    try:
+        with open(path, "r") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = np.loadtxt(fh, comments="#", ndmin=2,
+                                usecols=None if width else (0, 1, 2))
+        return PointCloud(points)
+    except (ValueError, Warning):  # CloudError is a ValueError
+        pass
+    return _cloud(*_read_xyz(_lines(path), path, "x y z", width), path)
 
 
 def _cloud(points, lines, path):
     """The PointCloud of ``points`` read from ``path``, where point i
-    was on line ``lines[i]`` (PLY points, ``lines`` None, go by vertex
-    id); a rejected point set raises FileFormatError saying where."""
+    was on line ``lines[i]`` (binary PLY points, ``lines`` None, go by
+    vertex id); a rejected point set raises FileFormatError saying
+    where."""
     if len(points) < 4:
         raise FileFormatError(f"{path}: needs at least 4 points, got {len(points)}")
     try:
@@ -138,51 +144,38 @@ def _cloud(points, lines, path):
         raise FileFormatError(f"{path}: {problem} at {' and '.join(where)}") from exc
 
 
-def _load_xyz(path, width):
-    """The cloud of a well-formed XYZ table, parsed by one ``np.loadtxt``
-    call; None if the table is malformed or its points are rejected (a
-    parse failure, a warning such as an empty file's, or a CloudError:
-    rows of other than 3 values when ``width`` is 3, fewer than 4,
-    non-finite or duplicate points), so that ``_read_xyz`` reads it
-    again: the scanner reports any error with its line, and accepts the
-    few spellings that Python's ``float`` takes and ``loadtxt`` does
-    not, such as ``1_0``."""
-    try:
-        with open(path, "r") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            points = np.loadtxt(fh, comments="#", ndmin=2,
-                                usecols=None if width else (0, 1, 2))
-    except (ValueError, Warning):
-        return None
-    try:
-        return PointCloud(points)
-    except CloudError:
-        return None
-
-
-def _read_xyz(path, width):
+def _read_xyz(rows, path, usage, width=None):
+    """The row loop of every text table: the x, y, z of (line number,
+    fields) ``rows``, the first three fields of each, and the line
+    number of each.  A row of fewer than three fields, or of other than
+    ``width`` when given, raises FileFormatError naming its line and
+    ``usage``, and so does a field that is not a float."""
     points, lines = [], []
-    for lineno, fields in _lines(path):
-        if len(fields) < 3 or width and len(fields) != width:
-            raise FileFormatError(f"{path}: line {lineno}: expected 'x y z'")
+    for lineno, fields in rows:
+        _expect(len(fields) >= 3 and width in (None, len(fields)), usage, path, lineno)
         points.append(_parse(float, fields[:3], path, lineno))
         lines.append(lineno)
     return points, lines
 
 
 def _read_obj(path):
-    """The v-line coordinates of an OBJ file, the line number of each,
-    and the number of its f-lines, which a cloud read ignores."""
-    verts, lines, faces = [], [], 0
-    for lineno, fields in _lines(path):
-        if fields[0] == "v":
-            if len(fields) < 4:
-                raise FileFormatError(f"{path}: line {lineno}: expected 'v x y z'")
-            verts.append(_parse(float, fields[1:4], path, lineno))
-            lines.append(lineno)
-        elif fields[0] == "f":
-            faces += 1
-    return verts, lines, faces
+    """The v-line coordinates of an OBJ file and the line number of
+    each; its f-lines are counted, and ignored with a warning."""
+    faces = 0
+
+    def vertex_rows():
+        nonlocal faces
+        for lineno, fields in _lines(path):
+            if fields[0] == "v":
+                yield lineno, fields[1:]
+            elif fields[0] == "f":
+                faces += 1
+
+    points, lines = _read_xyz(vertex_rows(), path, "v x y z")
+    if faces:  # stacklevel 3: the caller of read_cloud
+        warnings.warn(f"{path}: ignored {faces} face lines while reading "
+                      "a cloud", stacklevel=3)
+    return points, lines
 
 
 def _expect(ok, usage, path, lineno):
@@ -203,7 +196,7 @@ def _parse_ply_header(fh, path):
         if not raw:
             raise FileFormatError(f"{path}: line {lineno}: header ended early")
         parts = raw.decode("ascii", "replace").split()
-        if not parts or parts[0] == "comment":
+        if not parts or parts[0] in ("comment", "obj_info"):
             continue
         if parts[0] == "format":
             _expect(len(parts) > 1, "format <format> <version>", path, lineno)
@@ -235,16 +228,19 @@ def _parse_ply_header(fh, path):
 
 
 def _read_ply(path):
-    """The (n, 3) vertex positions of a PLY file.  The elements before
-    the vertex element are skipped, ASCII rows read and dropped, binary
-    ones passed over by ``seek``; the read stops after the vertices."""
+    """The vertex positions of a PLY file and the line of each, or None
+    for a binary file, whose points go by vertex id.  The elements
+    before the vertex element are skipped, ASCII rows read and dropped,
+    binary ones passed over by ``seek``; the read stops after the
+    vertices."""
     with open(path, "rb") as fh:
         fmt, elements, lineno = _parse_ply_header(fh, path)
         for name, count, props in elements:
             if name == "vertex":
                 return _ply_vertices(fh, fmt, count, props, lineno, path)
             if fmt == "ascii":
-                _ascii_rows(fh, count, lineno, path)
+                for _ in _ascii_rows(fh, count, lineno, path):
+                    pass
             else:
                 fh.seek(count * _binary_dtype(name, props, path).itemsize, 1)
             lineno += count
@@ -252,26 +248,26 @@ def _read_ply(path):
 
 
 def _ply_vertices(fh, fmt, count, props, lineno, path):
-    """(count, 3) x, y, z of the PLY vertex element of ``props`` whose
-    data start after line ``lineno``."""
+    """x, y, z of the ``count`` rows of the PLY vertex element of
+    ``props`` whose data start after line ``lineno``, and the line of
+    each row (None for binary rows).  An ASCII row goes through the row
+    loop with its x, y, z fields, or with none when it is shorter than
+    ``props``, so that the loop names its line."""
     names = [p[0] for p in props]
     for needed in "xyz":
         if needed not in names:
             raise FileFormatError(f"{path}: vertex lacks property {needed!r}")
     cols = [names.index(ax) for ax in "xyz"]
     if fmt == "ascii":
-        pts = np.empty((count, 3))
-        for i, (row, fields) in enumerate(_ascii_rows(fh, count, lineno, path)):
-            if len(fields) < len(props):
-                raise FileFormatError(f"{path}: line {row}: truncated vertex row")
-            pts[i] = _parse(float, [fields[c] for c in cols], path, row)
-        return pts
+        rows = ((row, [fields[c] for c in cols] if len(fields) >= len(props) else [])
+                for row, fields in _ascii_rows(fh, count, lineno, path))
+        return _read_xyz(rows, path, " ".join(names))
     dtype = _binary_dtype("vertex", props, path)
     raw = fh.read(count * dtype.itemsize)
     if len(raw) < count * dtype.itemsize:
         raise FileFormatError(f"{path}: binary vertex data truncated")
     data = np.frombuffer(raw, dtype=dtype, count=count)
-    return np.column_stack([data[f"f{c}"].astype(np.float64) for c in cols])
+    return np.column_stack([data[f"f{c}"].astype(np.float64) for c in cols]), None
 
 
 def _binary_dtype(name, props, path):
@@ -292,14 +288,11 @@ def _binary_dtype(name, props, path):
 def _ascii_rows(fh, count, lineno, path):
     """The next ``count`` rows of an ASCII PLY body after line ``lineno``,
     as (line number, fields) pairs; a blank or missing row raises."""
-    rows = []
-    for _ in range(count):
-        lineno += 1
+    for lineno in range(lineno + 1, lineno + count + 1):
         parts = fh.readline().split()
         if not parts:
             raise FileFormatError(f"{path}: line {lineno}: truncated element")
-        rows.append((lineno, parts))
-    return rows
+        yield lineno, parts
 
 
 def write_cloud(points, path):

@@ -117,14 +117,15 @@ class TestXyz:
         scanned = []
         read_xyz = spheremesh.fileio._read_xyz
 
-        def counted(p, width):
+        def counted(rows, p, usage, width=None):
             scanned.append(p)
-            return read_xyz(p, width)
+            return read_xyz(rows, p, usage, width)
 
         monkeypatch.setattr(spheremesh.fileio, "_read_xyz", counted)
         if message is None:
             points = read_cloud(path).points
-            want = np.array(read_xyz(path, None)[0], dtype=np.float64)
+            rows = spheremesh.fileio._lines(path)
+            want = np.array(read_xyz(rows, path, "x y z")[0], dtype=np.float64)
             assert points.dtype == want.dtype and points.tobytes() == want.tobytes()
             assert len(scanned) == (name == "underscores")  # loadtxt rejects 1_0
         else:
@@ -185,6 +186,18 @@ class TestPly:
         path = tmp_path / "c.ply"
         path.write_bytes(header.encode() + camera.tobytes() + pts.astype("<f8").tobytes())
         np.testing.assert_array_equal(read_cloud(path).points, pts)
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+    def test_obj_info_lines_are_skipped(self, tmp_path, binary):
+        # obj_info is a PLY header keyword, kept beside comments (Turk 1994)
+        pts = np.random.default_rng(4).normal(size=(4, 3))
+        info = "obj_info scanned 2024\ncomment c\nobj_info num_cols 4\n"
+        header = CLOUD_PLY.format(BINARY if binary else ASCII, "")
+        header = header.replace("element", info + "element")
+        body = pts.astype("<f8").tobytes() if binary else "".join(map(_line, pts)).encode()
+        path = tmp_path / "c.ply"
+        path.write_bytes(header.encode() + body)
+        assert read_cloud(path).points.tobytes() == pts.tobytes()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "c.ply"
@@ -393,14 +406,19 @@ MALFORMED = [
                  "non-finite coordinates at line 5", id="obj-inf"),
     pytest.param(read_cloud, "c.ply",
                  CLOUD_PLY.format(ASCII, "") + TETRA.replace("0 1 0", "0 -inf 0"),
-                 "non-finite coordinates at vertex 2", id="ply-inf"),
+                 "non-finite coordinates at line 10", id="ply-inf"),
+    pytest.param(read_cloud, "c.ply",
+                 CLOUD_PLY.format(BINARY, "")
+                 + np.array([[0, 0, 0], [1, 0, 0], [0, -np.inf, 0], [0, 0, 1]], "<f8")
+                 .tobytes().decode("latin-1"),
+                 "non-finite coordinates at vertex 2", id="ply-binary-inf"),
 ]
 
 
 @pytest.mark.parametrize("reader, name, text, message", MALFORMED)
 def test_malformed_row_names_the_line(tmp_path, reader, name, text, message):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))  # a binary PLY body byte for byte
     with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
         reader(path)
 

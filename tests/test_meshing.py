@@ -687,6 +687,19 @@ class TestWalk:
             # face; only the rays that miss it go to locate
             assert left < 1.0
 
+    def test_walk_from_any_start_face(self, walk_map):
+        # multilevel starts each walk at a parent face; a seeded random
+        # face, far from the exit face, must end where locate does
+        rng = np.random.default_rng(0)
+        samples = rng.normal(size=(2000, 3))
+        walked, located = SphereInterpolator(walk_map), SphereInterpolator(walk_map)
+        start = rng.integers(0, walked.mesh.n_faces, size=len(samples))
+        faces, bary = walked.walk(samples, start)
+        expected = located.locate(samples)
+        np.testing.assert_array_equal(faces, expected[0])
+        np.testing.assert_array_equal(bary, expected[1])
+        assert walked.snapped == located.snapped
+
     @pytest.mark.parametrize("setting, value", [
         ("_WALK_ROUNDS", 1), ("_CHUNK", 7), ("_CHUNK", 10_000),
     ])
@@ -701,7 +714,7 @@ class TestWalk:
     @pytest.mark.parametrize("remesh, bound_mb", [("multilevel", 9.5), ("quad_mesh", 2.5)])
     def test_remesh_working_set(self, remesh_map, remesh, bound_mb):
         # traced peaks of the benchmark's two remesh calls, measured at
-        # 9.26 and 2.43 MB: the walk's arrays must not widen them
+        # 9.357 and 2.498 MB: the walk's arrays must not widen them
         call = {
             "multilevel": lambda: multilevel(remesh_map, 3),
             "quad_mesh": lambda: quad_mesh(remesh_map, 32),
