@@ -287,9 +287,10 @@ def _binary_dtype(name, props, path):
 
 def _ascii_rows(fh, count, lineno, path):
     """The next ``count`` rows of an ASCII PLY body after line ``lineno``,
-    as (line number, fields) pairs; a blank or missing row raises."""
+    as (line number, str fields) pairs, decoded as the header is; a
+    blank or missing row raises."""
     for lineno in range(lineno + 1, lineno + count + 1):
-        parts = fh.readline().split()
+        parts = fh.readline().decode("ascii", "replace").split()
         if not parts:
             raise FileFormatError(f"{path}: line {lineno}: truncated element")
         yield lineno, parts

@@ -9,6 +9,21 @@ Both steps take a batch of stencils, a :class:`~spheremesh.cloud.FrameSet`:
 :func:`mls_fit` fits it and :func:`assemble_lb_from_frames` turns the fit
 into LB rows.  A single stencil is a one-row batch.
 
+Least-squares route
+-------------------
+The weighted fit minimizes ||sqrt(D) (A c - b)|| for the design matrix A
+of a stencil's in-plane coordinates, scaled to unit extent, and its
+weights D.  It is solved through the Householder QR factorization
+sqrt(D) A = Q R (Golub & Van Loan, "Matrix Computations", 5.3), batched
+over the stencils, and G = R^-1 Q^T sqrt(D) follows by a 6-step back
+substitution.  The route is backward stable like an SVD and never forms
+the normal equations A^T D A for the fit: their condition number is the
+square of that of sqrt(D) A, so solving them would round as if the
+stencil were that much worse conditioned.  R^T R = A^T D A is formed for
+the condition check alone.  The eigenvalues of that 6x6 matrix are the
+squared singular values of sqrt(D) A, the smallest accurate to about
+eps times their ratio, about 1e-4 relative at MAX_CONDITION.
+
 Coefficient derivation
 ----------------------
 For a graph (x, y, f(x, y)) the metric is
@@ -72,10 +87,12 @@ def mls_fit(frames, weight="proposed"):
     G (n, 6, k) maps neighbor samples to basis coefficients over the
     unscaled coordinates; the fit returns G @ heights and the derivative
     functionals read off G.  The minimizer of sum_i w_i (A c - b)_i^2
-    is computed through the SVD of sqrt(D) A over in-plane coordinates
-    scaled to unit extent, which reproduces span members to machine
-    precision where forming the normal equations A^T D A would lose
-    half the digits.
+    is computed through the Householder QR factorization sqrt(D) A = Q R
+    over in-plane coordinates scaled to unit extent, G = R^-1 Q^T sqrt(D)
+    by back substitution (see the module docstring).  This reproduces
+    span members to machine precision where solving the normal
+    equations A^T D A would lose half the digits.  The condition number
+    is read from the eigenvalues of R^T R, which serve that check only.
 
     Parameters
     ----------
@@ -93,7 +110,9 @@ def mls_fit(frames, weight="proposed"):
         d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2 at the center, acting on
         neighbor samples.
     condition : (n,) ndarray
-        Condition number of each weighted normal-equation matrix, the
+        Condition number of each weighted normal-equation matrix
+        R^T R = A^T D A, the squared singular-value ratio of sqrt(D) A
+        (inf where the smallest eigenvalue is not positive), the
         quantity checked against MAX_CONDITION.
 
     Raises
@@ -113,17 +132,21 @@ def mls_fit(frames, weight="proposed"):
         raise IllConditionedStencilError("stencil has zero in-plane extent")
     a = design_matrix(coords / extent[:, None, None])
     sqrt_w = np.sqrt(stencil_weights(weight, frames.neighbor_dists))
-    u, s, vt = np.linalg.svd(sqrt_w[:, :, None] * a, full_matrices=False)
-    smin = s[:, -1]
-    cond = np.where(smin > 0, (s[:, 0] / np.where(smin > 0, smin, 1.0)) ** 2, np.inf)
+    q, r = np.linalg.qr(sqrt_w[:, :, None] * a)
+    lam = np.linalg.eigvalsh(r.transpose(0, 2, 1) @ r)  # ascending
+    lmin = lam[:, 0]
+    cond = np.where(lmin > 0, lam[:, -1] / np.where(lmin > 0, lmin, 1.0), np.inf)
     bad = np.flatnonzero(~(cond < MAX_CONDITION))
     if bad.size:
         raise IllConditionedStencilError(
             f"ill-conditioned stencil at point {frames.neighbor_ids[bad[0], 0]} "
             f"(condition {cond[bad[0]]:.3g}); retry with larger k"
         )
-    pinv = (vt.transpose(0, 2, 1) / s[:, None, :]) @ u.transpose(0, 2, 1)
-    g = pinv * sqrt_w[:, None, :]
+    # G = R^-1 Q^T sqrt(D) by back substitution
+    g = q.transpose(0, 2, 1) * sqrt_w[:, None, :]
+    for i in range(5, -1, -1):
+        g[:, i] -= np.einsum("nj,njk->nk", r[:, i, i + 1:], g[:, i + 1:])
+        g[:, i] /= r[:, i, i, None]
     # undo the coordinate scaling: degree-1 terms by 1/e, degree-2 by 1/e^2
     unscale = np.concatenate(
         [np.ones((n, 1)), 1.0 / extent[:, None].repeat(2, 1),

@@ -350,7 +350,8 @@ MALFORMED = [
     pytest.param(read_cloud, "m.obj", OBJ_BODY.format("1 0"), "line 2: ",
                  id="obj-two-coordinates"),
     pytest.param(read_cloud, "m.ply", PLY_HEADER + PLY_BODY.format("1 x 0", "3 0 1 2"),
-                 "line 11: ", id="ply-cloud-unparsable-vertex"),
+                 "line 11: could not convert string to float: 'x'",
+                 id="ply-cloud-unparsable-vertex"),
     pytest.param(read_cloud, "m.ply", PLY_HEADER + PLY_BODY.format("1 0", "3 0 1 2"),
                  "line 11: ", id="ply-mesh-short-vertex-row"),
     pytest.param(read_cloud, "m.ply",

@@ -23,9 +23,14 @@ from spheremesh import (
     parameterize,
 )
 from spheremesh.cloud import FrameSet, SpatialIndex
-from spheremesh.laplacian import SparseOperator, assemble_lb_from_frames, lb_pass
+from spheremesh.laplacian import (
+    SparseOperator,
+    assemble_lb_from_frames,
+    design_matrix,
+    lb_pass,
+)
 from spheremesh.synth import blob_cloud
-from spheremesh.weights import VARIANTS
+from spheremesh.weights import VARIANTS, stencil_weights
 
 from conftest import uniform_sphere
 
@@ -51,6 +56,41 @@ def stencil_coords(n=25, seed=0, radius=0.5):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-radius, radius, size=(n - 1, 2))
     return np.vstack([[0.0, 0.0], pts])
+
+
+def random_stencils(n=200, k=25, seed=0, max_squash=1.75):
+    """n random weighted stencils of k points in one FrameSet: each
+    stencil's y extent is squashed by up to 10**-max_squash, so the
+    squared singular-value ratio of its fit spans ~1e2 to ~1e8, and its
+    scale varies over six decades."""
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(-1, 1, size=(n, k, 2))
+    coords[:, :, 1] *= 10.0 ** -rng.uniform(0, max_squash, size=(n, 1))
+    coords *= 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
+    coords[:, 0] = 0.0
+    heights = 0.1 * rng.normal(size=(n, k)) * np.abs(coords).max(axis=(1, 2))[:, None]
+    dists = np.sqrt(np.sum(coords**2, axis=2) + heights**2)
+    order = np.argsort(dists, axis=1, kind="stable")
+    e = np.zeros((n, 3))
+    return FrameSet(
+        e, e, e,
+        coords=np.take_along_axis(coords, order[:, :, None], axis=1),
+        heights=np.take_along_axis(heights, order, axis=1),
+        neighbor_ids=np.arange(n * k).reshape(n, k),
+        neighbor_dists=np.take_along_axis(dists, order, axis=1),
+    )
+
+
+def svd_reference(frames, weight):
+    """The fit's weighted design matrix sqrt(D) A over coordinates
+    scaled to unit extent, and the derivative rows of its SVD
+    pseudoinverse, unscaled as mls_fit's."""
+    extent = np.abs(frames.coords).max(axis=(1, 2))
+    sqrt_w = np.sqrt(stencil_weights(weight, frames.neighbor_dists))
+    m = sqrt_w[:, :, None] * design_matrix(frames.coords / extent[:, None, None])
+    scale = np.stack([1 / extent, 1 / extent, 2 / extent**2, 1 / extent**2,
+                      2 / extent**2], axis=1)
+    return m, (np.linalg.pinv(m) * sqrt_w[:, None, :])[:, 1:] * scale[:, :, None]
 
 
 class TestMlsFit:
@@ -103,17 +143,31 @@ class TestMlsFit:
         e1, e2 = error_at(0.1), error_at(0.05)
         assert e2 < e1 / 2.0
 
+    @pytest.mark.parametrize("weight", VARIANTS)
+    def test_matches_svd_reference(self, weight):
+        frames = random_stencils(seed=VARIANTS.index(weight))
+        _, rows, condition = mls_fit(frames, weight)
+        m, expected_rows = svd_reference(frames, weight)
+        expected = np.linalg.cond(m) ** 2
+        assert expected.min() < 1e3 and expected.max() > 1e7
+        np.testing.assert_allclose(condition, expected, rtol=1e-8)
+        error = np.linalg.norm(rows - expected_rows, axis=(1, 2))
+        assert np.all(error <= 1e-10 * np.linalg.norm(expected_rows, axis=(1, 2)))
+
     def test_too_small_stencil(self):
         coords = stencil_coords(n=6, seed=5)
         with pytest.raises(IllConditionedStencilError):
             mls_fit(make_frame(coords, np.zeros(6)))
 
     def test_ill_conditioned_stencil(self):
-        # all stencil points on a line: quadratic basis is rank-deficient
+        # all stencil points on a line, or on y = x^2: the quadratic
+        # basis is exactly rank-deficient (proportional, zero or equal
+        # columns)
         t = np.linspace(0, 1, 9)
+        for y in (2 * t, 0 * t, t * t):
+            with pytest.raises(IllConditionedStencilError, match="ill-conditioned"):
+                mls_fit(make_frame(np.column_stack([t, y]), np.zeros(9)))
         coords = np.column_stack([t, 2 * t])
-        with pytest.raises(IllConditionedStencilError, match="ill-conditioned"):
-            mls_fit(make_frame(coords, np.zeros(9)))
         # the message names the stencil's center point
         frame = make_frame(coords, np.zeros(9))
         frame = replace(frame, neighbor_ids=frame.neighbor_ids + 7)
